@@ -1,18 +1,16 @@
-//! Artifact-format benchmark: `TGARTv2` mapped warm start vs the legacy
-//! `TGARTv1` full decode, plus a multi-process persist storm.
+//! Artifact-format benchmark: `TGARTv2` mapped vs owned-bytes warm start,
+//! plus a multi-process persist storm.
 //!
 //! Two phases:
 //!
 //! * **format** — builds the environment's zoo (`TG_SEED` / `TG_SCALE`,
 //!   paper scale by default), fills every artifact cache (LogME over both
 //!   modalities, probe embeddings, pairwise similarities), persists, then
-//!   times three warm-start arms (best of [`REPS`] each):
-//!   `v2-mapped` (mmap + header/index parse), `v2-owned`
-//!   (`TG_ARTIFACT_MMAP=off` equivalent: one buffered read, still
-//!   lookup-on-demand), and `v1-decode` (files rewritten in the legacy
-//!   layout, decoded wholesale into HashMaps). Also verifies the v1→v2
-//!   migration: one persist from the legacy-warmed store must flip the
-//!   files back to v2 with no entries lost.
+//!   times two warm-start arms (best of [`REPS`] each): `v2-mapped`
+//!   (mmap + header/index parse) and `v2-owned` (`TG_ARTIFACT_MMAP=off`
+//!   equivalent: one buffered read, still lookup-on-demand), then checks
+//!   that a warm workbench serves the whole LogME grid bit-identically
+//!   from disk.
 //! * **storm** — always at the small smoke scale: [`STORM_CHILDREN`]
 //!   child *processes* (re-exec of this binary with the `storm-child`
 //!   argv) hammer persist on one shared directory, each computing a
@@ -24,10 +22,9 @@
 //!   byte-identical files (the v2 encoder sorts its index, so equal
 //!   content means equal bytes).
 //!
-//! Gates (nonzero exit on violation): `lost_entries=0`,
-//! `bit_identical=true`, `migrated_v1_to_v2=true`, deterministic
-//! re-persist, and — at paper scale only — mapped warm start ≥
-//! [`SPEEDUP_BAR`]× faster than the v1 full decode. Results land in
+//! Gates (nonzero exit on violation): both warm-start arms load every
+//! persisted entry, `lost_entries=0`, `bit_identical=true` and
+//! deterministic re-persist. Results land in
 //! `results/BENCH_artifact.json`.
 
 use std::fs;
@@ -37,15 +34,10 @@ use std::time::{Duration, Instant};
 use tg_bench::json::JsonObject;
 use tg_bench::{seed_from_env, zoo_config_from_env};
 use tg_zoo::{DatasetId, Modality, ModelId, ModelZoo, ZooConfig};
-use transfergraph::store::rewrite_as_v1;
 use transfergraph::{ArtifactStore, Representation, StoreOptions, TierKind, Workbench};
 
 /// Warm-start timing repetitions; the minimum is kept.
 const REPS: usize = 5;
-
-/// Mapped-vs-v1-decode bar at paper scale. The v1 arm decodes every
-/// record eagerly; the v2 arm parses a 40-byte header plus the index.
-const SPEEDUP_BAR: f64 = 5.0;
 
 /// Child processes in the persist storm.
 const STORM_CHILDREN: usize = 4;
@@ -163,7 +155,7 @@ fn main() {
     let seed = seed_from_env();
     let mut failed = false;
 
-    // ---- Phase 1: format (cold decode vs mapped warm start) ----
+    // ---- Phase 1: format (mapped vs owned warm start) ----
     let config = zoo_config_from_env();
     let zoo = ModelZoo::build(&config);
     let fingerprint = config.fingerprint();
@@ -179,39 +171,10 @@ fn main() {
     let in_dir = StoreOptions::in_dir(&dir);
     let (mapped_warm, mapped_entries) = time_warm(fingerprint, &in_dir);
     let (owned_warm, owned_entries) = time_warm(fingerprint, &in_dir.clone().mmap(false));
-    let v1_files = rewrite_as_v1(&dir, fingerprint).expect("rewrite artifacts as v1");
-    let (v1_warm, v1_entries) = time_warm(fingerprint, &in_dir);
-    let speedup = secs(v1_warm) / secs(mapped_warm).max(1e-12);
-    if mapped_entries != persisted.entries
-        || owned_entries != mapped_entries
-        || v1_entries != mapped_entries
-    {
+    if mapped_entries != persisted.entries || owned_entries != mapped_entries {
         eprintln!(
             "[artifact] FAIL: warm-start arms disagree on entries \
-             (persisted {}, mapped {mapped_entries}, owned {owned_entries}, v1 {v1_entries})",
-            persisted.entries
-        );
-        failed = true;
-    }
-
-    // Migration: a store warmed from the legacy files persists them back
-    // as v2, bit-identical values, nothing lost.
-    let legacy = ArtifactStore::open(fingerprint, in_dir.clone());
-    legacy.persist().expect("migrating persist");
-    let migrated_store = ArtifactStore::open(fingerprint, in_dir.clone());
-    let migrated_entries: u64 = migrated_store
-        .tier_stats()
-        .iter()
-        .filter(|(_, tier, _)| *tier != TierKind::Memory)
-        .map(|(_, _, s)| s.entries)
-        .sum::<u64>();
-    let magic = fs::read(dir.join(format!("{fingerprint:016x}.logme.bin")))
-        .map(|b| b[..8].to_vec())
-        .unwrap_or_default();
-    let migrated_v1_to_v2 = magic == b"TGARTv2\0" && migrated_entries == persisted.entries;
-    if !migrated_v1_to_v2 {
-        eprintln!(
-            "[artifact] FAIL: v1->v2 migration (magic {magic:?}, {migrated_entries} of {} entries)",
+             (persisted {}, mapped {mapped_entries}, owned {owned_entries})",
             persisted.entries
         );
         failed = true;
@@ -314,10 +277,6 @@ fn main() {
                 .u64("bytes", persisted.bytes)
                 .f64("v2_mapped_warm_ms", secs(mapped_warm) * 1e3)
                 .f64("v2_owned_warm_ms", secs(owned_warm) * 1e3)
-                .f64("v1_decode_warm_ms", secs(v1_warm) * 1e3)
-                .f64("speedup_mapped_vs_v1", speedup)
-                .usize("v1_files_rewritten", v1_files)
-                .bool("migrated_v1_to_v2", migrated_v1_to_v2)
                 .bool("bit_identical", format_identical),
         )
         .object(
@@ -340,27 +299,16 @@ fn main() {
     fs::write(&out_path, &json).expect("write BENCH_artifact.json");
 
     println!(
-        "[artifact] entries={} bytes={} warm_ms mapped={:.3} owned={:.3} v1={:.3} \
-         speedup={speedup:.1}x migrated_v1_to_v2={migrated_v1_to_v2} \
+        "[artifact] entries={} bytes={} warm_ms mapped={:.3} owned={:.3} \
          storm children={STORM_CHILDREN} lost_entries={lost_entries} \
          bit_identical={} deterministic_repersist={deterministic_repersist} -> {out_path}",
         persisted.entries,
         persisted.bytes,
         secs(mapped_warm) * 1e3,
         secs(owned_warm) * 1e3,
-        secs(v1_warm) * 1e3,
         format_identical && bit_identical,
     );
 
-    if scale == "paper" && speedup < SPEEDUP_BAR {
-        eprintln!(
-            "[artifact] FAIL: mapped warm start only {speedup:.1}x faster than the \
-             v1 full decode (bar {SPEEDUP_BAR}x; v1 {:.3}ms, mapped {:.3}ms)",
-            secs(v1_warm) * 1e3,
-            secs(mapped_warm) * 1e3,
-        );
-        failed = true;
-    }
     if failed {
         std::process::exit(1);
     }

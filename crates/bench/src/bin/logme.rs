@@ -1,7 +1,7 @@
 //! Batched-LogME decomposition benchmark: cold-cache feature-collection
 //! timings across every decomposition arm.
 //!
-//! Six arms score the identical forward passes of every (image model,
+//! Four arms score the identical forward passes of every (image model,
 //! image target) pair:
 //!
 //! * **seed** — a verbatim copy of the pre-batching implementation
@@ -13,15 +13,12 @@
 //!   bit-exactness reference arm;
 //! * **auto** — `LogMe::batched()` on the default heuristic (resolves to
 //!   the Gram path at the simulator's tall shapes) — the production
-//!   configuration whose end-to-end win the bench gates;
-//! * **jacobi** — one-sided Jacobi SVD with parallel rotation sweeps;
-//! * **truncated** — the Gram path with spectral truncation (opt-in fast
-//!   mode, relaxed `1e-3` contract).
+//!   configuration whose end-to-end win the bench gates.
 //!
 //! Gates (nonzero exit on violation): seed ≡ reference ≡ svd bit for bit;
-//! auto and jacobi within `1e-6` of svd, truncated within `1e-3`; the svd
-//! arm beats the scalar reference; kernel speedup vs seed ≥ 2×; end-to-end
-//! auto-vs-seed speedup ≥ 3× at paper scale (≥ 2× at small scale). The
+//! auto within `1e-6` of svd; the svd arm beats the scalar reference;
+//! kernel speedup vs seed ≥ 2×; end-to-end auto-vs-seed speedup ≥ 3× at
+//! paper scale (≥ 2× at small scale). The
 //! bench also times the `Workbench` cold/warm collection paths and reports
 //! the worker count the warm-up pool *actually* used (returned by
 //! `warm_logme`, not re-derived). Results land in
@@ -34,7 +31,7 @@ use tg_bench::json::JsonObject;
 use tg_bench::zoo_handle_from_env;
 use tg_linalg::decomp::thin_svd;
 use tg_linalg::Matrix;
-use tg_transfer::{DecompArm, DecompPath, JacobiConfig, Labels, LogMe, ScoreError};
+use tg_transfer::{DecompArm, DecompPath, Labels, LogMe, ScoreError};
 use tg_zoo::Modality;
 use transfergraph::Workbench;
 
@@ -44,12 +41,9 @@ const FIXED_POINT_ITERS: usize = 11;
 /// Timing repetitions per pair and arm; the minimum is kept.
 const REPS: usize = 3;
 
-/// Parity tolerance of the exact alternative decompositions (auto/gram,
-/// jacobi) against the SVD reference arm.
+/// Parity tolerance of the auto arm (the Gram path at these shapes)
+/// against the SVD reference arm.
 const EXACT_TOL: f64 = 1e-6;
-
-/// Parity tolerance of the truncated fast mode (documented contract).
-const TRUNC_TOL: f64 = 1e-3;
 
 /// Verbatim copy of the pre-batching `log_me` (the seed implementation):
 /// per-class one-hot column, column-major `u.get(r, i)` projections, scalar
@@ -159,7 +153,7 @@ fn deviation(a: f64, b: f64) -> f64 {
 struct ArmTotals {
     total: Duration,
     decomp: Duration,
-    resolved: [u64; 4],
+    resolved: [u64; DecompArm::ALL.len()],
 }
 
 impl ArmTotals {
@@ -211,32 +205,16 @@ fn main() {
         .flat_map(|&m| targets.iter().map(move |&d| (m, d)))
         .collect();
 
-    let jacobi_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
     let svd_arm = LogMe::batched().with_path(DecompPath::Svd);
     let auto_arm = LogMe::batched();
-    let jacobi_arm = LogMe::batched()
-        .with_path(DecompPath::Jacobi)
-        .with_jacobi(JacobiConfig {
-            workers: jacobi_workers,
-            ..JacobiConfig::DEFAULT
-        });
-    let trunc_arm = LogMe::batched().with_path(DecompPath::Truncated);
     let reference = LogMe::scalar();
 
     let mut t_reference = Duration::ZERO;
     let mut t_seed = Duration::ZERO;
     let mut t_shared_svd = Duration::ZERO;
-    let (mut svd, mut auto, mut jac, mut trunc) = (
-        ArmTotals::default(),
-        ArmTotals::default(),
-        ArmTotals::default(),
-        ArmTotals::default(),
-    );
+    let (mut svd, mut auto) = (ArmTotals::default(), ArmTotals::default());
     let mut mismatches = 0usize;
-    let (mut dev_auto, mut dev_jacobi, mut dev_trunc) = (0f64, 0f64, 0f64);
+    let mut dev_auto = 0f64;
 
     for &(m, d) in &pairs {
         let fp = zoo.forward_pass(m, d);
@@ -244,8 +222,6 @@ fn main() {
 
         let s_svd = svd.measure(&svd_arm, &fp.features, &labels);
         let s_auto = auto.measure(&auto_arm, &fp.features, &labels);
-        let s_jacobi = jac.measure(&jacobi_arm, &fp.features, &labels);
-        let s_trunc = trunc.measure(&trunc_arm, &fp.features, &labels);
         let (dt, s_reference) = time_min(|| {
             reference
                 .score_with_report(&fp.features, &labels)
@@ -266,8 +242,6 @@ fn main() {
             );
         }
         dev_auto = dev_auto.max(deviation(s_svd, s_auto));
-        dev_jacobi = dev_jacobi.max(deviation(s_svd, s_jacobi));
-        dev_trunc = dev_trunc.max(deviation(s_svd, s_trunc));
     }
 
     // Workbench collection paths: cold parallel warm-up (runner pool), cold
@@ -339,17 +313,12 @@ fn main() {
                     JsonObject::new().f64("total_s", secs(t_reference)),
                 )
                 .object("svd", svd.json())
-                .object("auto", auto.json().object("resolved", auto_resolved))
-                .object("jacobi", jac.json().usize("workers", jacobi_workers))
-                .object("truncated", trunc.json()),
+                .object("auto", auto.json().object("resolved", auto_resolved)),
         )
         .f64("shared_svd_s", secs(t_shared_svd))
         .object(
             "parity_max_deviation",
-            JsonObject::new()
-                .f64("auto_vs_svd", dev_auto)
-                .f64("jacobi_vs_svd", dev_jacobi)
-                .f64("truncated_vs_svd", dev_trunc),
+            JsonObject::new().f64("auto_vs_svd", dev_auto),
         )
         .f64("speedup_vs_reference", speedup_ref)
         .f64("end_to_end_speedup_vs_seed", end_to_end)
@@ -373,19 +342,16 @@ fn main() {
     fs::write(&out_path, &json).expect("write BENCH_logme.json");
 
     println!(
-        "[logme] pairs={} bit_identical={} svd={:.3}s auto={:.3}s jacobi={:.3}s \
-         truncated={:.3}s reference={:.3}s seed={:.3}s shared_svd={:.3}s \
+        "[logme] pairs={} bit_identical={} svd={:.3}s auto={:.3}s \
+         reference={:.3}s seed={:.3}s shared_svd={:.3}s \
          end_to_end_vs_seed={end_to_end:.2}x speedup_ref={speedup_ref:.2}x \
          kernel_speedup_seed={kernel_speedup_seed:.2}x dev_auto={dev_auto:.2e} \
-         dev_jacobi={dev_jacobi:.2e} dev_trunc={dev_trunc:.2e} cold_par={:.3}s \
-         cold_seq={:.3}s warm={:.4}s par_speedup={parallel_speedup:.2}x \
-         workers={workers} -> {out_path}",
+         cold_par={:.3}s cold_seq={:.3}s warm={:.4}s \
+         par_speedup={parallel_speedup:.2}x workers={workers} -> {out_path}",
         pairs.len(),
         if bit_identical { "yes" } else { "no" },
         secs(svd.total),
         secs(auto.total),
-        secs(jac.total),
-        secs(trunc.total),
         secs(t_reference),
         secs(t_seed),
         secs(t_shared_svd),
@@ -401,18 +367,6 @@ fn main() {
     }
     if dev_auto > EXACT_TOL {
         eprintln!("[logme] FAIL: auto arm deviates {dev_auto:.3e} from svd (tol {EXACT_TOL:.0e})");
-        failed = true;
-    }
-    if dev_jacobi > EXACT_TOL {
-        eprintln!(
-            "[logme] FAIL: jacobi arm deviates {dev_jacobi:.3e} from svd (tol {EXACT_TOL:.0e})"
-        );
-        failed = true;
-    }
-    if dev_trunc > TRUNC_TOL {
-        eprintln!(
-            "[logme] FAIL: truncated arm deviates {dev_trunc:.3e} from svd (tol {TRUNC_TOL:.0e})"
-        );
         failed = true;
     }
     if svd.total >= t_reference {
@@ -451,8 +405,6 @@ impl PathName for LogMe {
             DecompPath::Auto => "auto",
             DecompPath::Svd => "svd",
             DecompPath::Gram => "gram",
-            DecompPath::Jacobi => "jacobi",
-            DecompPath::Truncated => "truncated",
         }
     }
 }

@@ -25,9 +25,9 @@
 //! stage that produced them.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tg_transfer::{DecompArm, Labels, LogMe};
@@ -35,6 +35,10 @@ use tg_zoo::{DatasetId, Modality, ModelId, ModelZoo};
 
 use crate::config::Representation;
 use crate::store::{ArtifactStore, DiskStats, PersistStats, StoreOptions};
+
+/// Number of LogME decomposition arms: the length of every per-arm
+/// accumulator, indexed by [`DecompArm::index`].
+const ARMS: usize = DecompArm::ALL.len();
 
 /// Pipeline stages the workbench attributes wall-clock time to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,8 +83,8 @@ pub struct Telemetry {
     stage_nanos: [AtomicU64; 3],
     logme_kernel_nanos: AtomicU64,
     logme_kernel_calls: AtomicU64,
-    decomp_nanos: [AtomicU64; 4],
-    decomp_calls: [AtomicU64; 4],
+    decomp_nanos: [AtomicU64; ARMS],
+    decomp_calls: [AtomicU64; ARMS],
 }
 
 impl Telemetry {
@@ -126,7 +130,7 @@ impl Telemetry {
     /// Per-arm `(calls, accumulated wall-clock)` of the LogME
     /// decompositions, indexed by [`DecompArm::index`] (see
     /// [`DecompArm::ALL`] for the order).
-    pub fn decomp_arms(&self) -> [(u64, Duration); 4] {
+    pub fn decomp_arms(&self) -> [(u64, Duration); ARMS] {
         DecompArm::ALL.map(|arm| {
             let i = arm.index();
             (
@@ -169,7 +173,7 @@ pub struct WorkbenchStats {
     /// Per-arm `(calls, wall-clock)` of the LogME decompositions (a subset
     /// of the kernel time), indexed by
     /// [`DecompArm::index`](tg_transfer::DecompArm::index).
-    pub decomp: [(u64, Duration); 4],
+    pub decomp: [(u64, Duration); ARMS],
     /// High-water mark of autograd tape residency in bytes
     /// ([`tg_autograd::global_peak_tape_bytes`]). Process-global and a
     /// *gauge*, not a counter: [`WorkbenchStats::delta_since`] reports the
@@ -200,7 +204,7 @@ impl WorkbenchStats {
                 self.logme_kernel.0 - earlier.logme_kernel.0,
                 self.logme_kernel.1 - earlier.logme_kernel.1,
             ),
-            decomp: [0, 1, 2, 3].map(|i| {
+            decomp: std::array::from_fn(|i| {
                 (
                     self.decomp[i].0 - earlier.decomp[i].0,
                     self.decomp[i].1 - earlier.decomp[i].1,
@@ -374,15 +378,6 @@ impl<'z> Workbench<'z> {
         }
     }
 
-    /// Workbench whose store persists to (and warms from) `dir`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Workbench::open(zoo, StoreOptions::in_dir(dir))`"
-    )]
-    pub fn with_artifact_dir(zoo: &'z ModelZoo, dir: impl Into<PathBuf>) -> Self {
-        Self::open(zoo, StoreOptions::in_dir(dir))
-    }
-
     /// Workbench configured from the environment: disk-backed when
     /// `TG_ARTIFACT_DIR` is set and non-empty (with `TG_ARTIFACT_MMAP`
     /// choosing the warm-start backing), memory-only otherwise.
@@ -427,9 +422,9 @@ impl<'z> Workbench<'z> {
         self.store.dir()
     }
 
-    /// Writes every cached artifact to the store's disk tier (atomic
-    /// temp-file + rename per cache file). A no-op without an artifact
-    /// directory.
+    /// Writes every cached artifact to the store's disk tier (atomic,
+    /// synced temp-file + rename per cache file). A no-op without an
+    /// artifact directory.
     pub fn persist(&self) -> io::Result<PersistStats> {
         self.store.persist()
     }
@@ -439,12 +434,6 @@ impl<'z> Workbench<'z> {
     /// available. A no-op returning 0 without an artifact directory.
     pub fn warm(&self) -> usize {
         self.store.warm()
-    }
-
-    /// Former name of [`warm`](Workbench::warm).
-    #[deprecated(since = "0.1.0", note = "renamed to `Workbench::warm`")]
-    pub fn warm_from_disk(&self) -> usize {
-        self.warm()
     }
 
     /// The workbench's stage timers (used by [`mod@crate::evaluate`] to
@@ -458,19 +447,18 @@ impl<'z> Workbench<'z> {
     /// attributed to the dedicated LogME-kernel telemetry, and the
     /// decomposition inside it to the per-arm decomposition telemetry.
     ///
-    /// The decomposition path is resolved once per process from the
-    /// environment (`TG_LOGME_DECOMP`, `TG_JACOBI_WORKERS`); the default
-    /// auto heuristic picks the Gram path at the simulator's tall shapes.
+    /// Always [`LogMe::default`]: the auto heuristic, which picks the Gram
+    /// path at the simulator's tall shapes. A fixed scorer keeps every
+    /// cached (and persisted) value a pure function of its key.
     pub fn logme(&self, m: ModelId, d: DatasetId) -> f64 {
-        static LOGME: OnceLock<LogMe> = OnceLock::new();
-        let logme = *LOGME.get_or_init(LogMe::from_env);
         let disk = self.store.disk_enabled();
         self.store.logme.get_or_insert_with((m, d), disk, || {
             self.telemetry().time(Stage::FeatureCollection, || {
                 let fp = self.zoo.get().forward_pass(m, d);
                 let scored = Labels::new(&fp.labels, fp.num_classes).and_then(|labels| {
-                    self.telemetry()
-                        .time_logme_kernel(|| logme.score_with_report(&fp.features, &labels))
+                    self.telemetry().time_logme_kernel(|| {
+                        LogMe::default().score_with_report(&fp.features, &labels)
+                    })
                 });
                 if let Ok((_, report)) = &scored {
                     self.telemetry().record_decomp(report.arm, report.decomp);

@@ -1,9 +1,7 @@
 //! The `TGARTv2` on-disk artifact format and its [`Backing`] abstraction.
 //!
-//! `TGARTv1` was a decode-everything stream: warm start meant parsing
-//! every record of every artifact file into a `HashMap`. v2 keeps the
-//! same per-record [`DiskCodec`](crate::store::DiskCodec) encodings but
-//! fronts them with a fixed-offset index, so a warm start is an mmap
+//! Records use the [`DiskCodec`](crate::store::DiskCodec) encodings,
+//! fronted by a fixed-offset index, so a warm start is an mmap
 //! (or one buffered read via the fallback backing) plus page-cache
 //! reads — lookups binary-search the index and decode exactly one
 //! record:
@@ -39,11 +37,10 @@
 //! **Validation.** `parse` accepts a buffer only when the magic, kind
 //! tag and fingerprint match, the header arithmetic is consistent, the
 //! index offsets tile the payload exactly (first at `P`, each next at
-//! the previous end, last ending at the file's end — the v1
-//! exact-consumption rule, restated over the index), and the hashes are
-//! sorted. Anything else returns `None` and the caller treats the file
-//! as absent (recompute + rewrite), bumping its `disk_rejected`
-//! counter.
+//! the previous end, last ending at the file's end), and the hashes are
+//! sorted. Anything else — including a file in the retired `TGARTv1`
+//! layout — returns `None` and the caller treats the file as absent
+//! (recompute + rewrite), bumping its `disk_rejected` counter.
 //!
 //! **Why reading without decoding is safe.** Artifact files are only
 //! ever replaced wholesale via temp-file + rename; no writer truncates
@@ -55,8 +52,6 @@
 use std::io;
 use std::path::Path;
 
-/// Magic prefix of a `TGARTv1` artifact file (legacy, still readable).
-pub(crate) const MAGIC_V1: [u8; 8] = *b"TGARTv1\0";
 /// Magic prefix of a `TGARTv2` artifact file.
 pub(crate) const MAGIC_V2: [u8; 8] = *b"TGARTv2\0";
 

@@ -14,6 +14,7 @@
 //! hit rates over the run ([`RunSummary`]).
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -81,10 +82,35 @@ pub fn default_workers(jobs: usize) -> usize {
         .min(jobs.max(1))
 }
 
-// The shared worker pool lives in `tg_linalg::pool` so the blocked Jacobi
-// sweeps (a layer below this crate) can run on the same primitive; the
-// historical `runner::drain_indexed` path keeps working via this re-export.
-pub use tg_linalg::pool::drain_indexed;
+/// Drains `count` independent work items across `workers` scoped threads,
+/// each item claimed from an atomic counter so a slow item never stalls the
+/// rest behind a static partition. `workers <= 1` (or a single item)
+/// degenerates to a sequential loop.
+///
+/// Items must be order-insensitive: the runner writes results into
+/// per-index slots and `Workbench::warm_logme` fills a deterministic cache,
+/// so both are safe under any interleaving.
+pub fn drain_indexed(count: usize, workers: usize, work: impl Fn(usize) + Sync) {
+    let workers = workers.clamp(1, count.max(1));
+    if workers == 1 {
+        for i in 0..count {
+            work(i);
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                work(i);
+            });
+        }
+    });
+}
 
 /// Runs every job against the shared workbench, in parallel, with
 /// [`default_workers`] threads.
@@ -213,8 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_indexed_reexport_visits_every_index_exactly_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+    fn drain_indexed_visits_every_index_exactly_once() {
+        use std::sync::atomic::AtomicU32;
         for workers in [1, 4, 16] {
             let counts: Vec<AtomicU32> = (0..53).map(|_| AtomicU32::new(0)).collect();
             drain_indexed(counts.len(), workers, |i| {

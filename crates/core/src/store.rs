@@ -13,17 +13,18 @@
 //!   `TG_ARTIFACT_DIR`, keyed by a
 //!   [zoo fingerprint](tg_zoo::ZooConfig::fingerprint) so artifacts of one
 //!   world are never replayed into another. `TGARTv2` files (format in
-//!   `crates/core/src/format.rs` and DESIGN.md §3c) are served in place — mmap where available, one
-//!   buffered read otherwise — while legacy `TGARTv1` files decode
-//!   wholesale and are rewritten as v2 on the next
-//!   [`persist`](ArtifactStore::persist).
+//!   `crates/core/src/format.rs` and DESIGN.md §3c) are served in place
+//!   — mmap where available, one buffered read otherwise. Any other
+//!   bytes, legacy `TGARTv1` files included, are refused and replaced by
+//!   the next [`persist`](ArtifactStore::persist).
 //!
 //! Persisting is coordinated *across processes*, not last-writer-wins:
 //! writers of the same fingerprint serialise on a per-fingerprint advisory
 //! file lock ([`tg_sync::LockFile`], rank `file_lock`), and each write
 //! *merges* with whatever the file currently holds — lock → re-read →
-//! union → temp-file + rename. Values are pure functions of their key, so
-//! overlapping entries are bit-identical and merge order is immaterial.
+//! union → temp-file + fsync + rename. Values are pure functions of their
+//! key, so overlapping entries are bit-identical and merge order is
+//! immaterial.
 //!
 //! Which caches a store is *allowed* to persist is a sharding decision:
 //! [`StoreOptions::read_only`] (set by the registry for fingerprints this
@@ -44,7 +45,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,9 +54,9 @@ use tg_zoo::{DatasetId, ModelId};
 
 use crate::artifacts::Telemetry;
 use crate::config::Representation;
-use crate::format::{encode_v2, ArtifactView, Backing, MAGIC_V1, MAGIC_V2};
+use crate::format::{encode_v2, ArtifactView, Backing};
 use crate::sync::LockFile;
-use crate::tier::{DecodedTier, MappedTier, TieredCache};
+use crate::tier::{MappedTier, TieredCache};
 pub use crate::tier::{TierKind, TierStats};
 
 /// Environment variable naming the artifact directory. When set (and
@@ -223,8 +224,7 @@ impl ArtifactKind {
         ArtifactKind::Similarity,
     ];
 
-    /// The file-name stem (unchanged from v1, so v1 files are found and
-    /// migrated in place).
+    /// The file-name stem (`{fingerprint:016x}.{file_stem}.bin`).
     pub fn file_stem(self) -> &'static str {
         match self {
             ArtifactKind::LogMe => "logme",
@@ -249,8 +249,7 @@ impl ArtifactKind {
 // Options
 // ---------------------------------------------------------------------------
 
-/// How an [`ArtifactStore`] backs itself, replacing the positional
-/// `with_dir`-style constructors of the v1 surface.
+/// How an [`ArtifactStore`] backs itself.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// Artifact directory; `None` means memory-only.
@@ -433,24 +432,6 @@ impl ArtifactStore {
         store
     }
 
-    /// Store with a disk tier rooted at `dir`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArtifactStore::open(fp, StoreOptions::in_dir(dir))`"
-    )]
-    pub fn with_dir(fingerprint: u64, dir: impl Into<PathBuf>) -> Self {
-        Self::open(fingerprint, StoreOptions::in_dir(dir))
-    }
-
-    /// Store configured from the environment.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArtifactStore::open(fp, StoreOptions::from_env())`"
-    )]
-    pub fn from_env(fingerprint: u64) -> Self {
-        Self::open(fingerprint, StoreOptions::from_env())
-    }
-
     /// The artifact directory, when a disk tier is configured.
     pub fn dir(&self) -> Option<&Path> {
         self.options.dir.as_deref()
@@ -480,12 +461,11 @@ impl ArtifactStore {
     /// (Re)loads every artifact file of this fingerprint from the disk
     /// directory into the warm tier, returning the number of entries now
     /// available for disk-tier lookups. `TGARTv2` files are served in
-    /// place (mapped when [`StoreOptions::mmap`] allows); legacy
-    /// `TGARTv1` files decode wholesale. Missing files simply leave a
-    /// cache cold; truncated, corrupted, kind-mismatched or
-    /// fingerprint-mismatched files are refused *and counted* in
-    /// [`DiskStats::rejected`]. A no-op returning 0 without a configured
-    /// directory.
+    /// place (mapped when [`StoreOptions::mmap`] allows). Missing files
+    /// simply leave a cache cold; truncated, corrupted, kind-mismatched,
+    /// fingerprint-mismatched or non-v2 files (legacy `TGARTv1`
+    /// included) are refused *and counted* in [`DiskStats::rejected`].
+    /// A no-op returning 0 without a configured directory.
     pub fn warm(&self) -> usize {
         let Some(dir) = self.options.dir.clone() else {
             return 0;
@@ -496,15 +476,11 @@ impl ArtifactStore {
             + self.warm_cache(&self.similarity, &dir)
     }
 
-    /// Former name of [`warm`](ArtifactStore::warm).
-    #[deprecated(since = "0.1.0", note = "renamed to `ArtifactStore::warm`")]
-    pub fn warm_from_disk(&self) -> usize {
-        self.warm()
-    }
-
     /// Writes every cache to the artifact directory, one `TGARTv2` file
-    /// per cache, atomically (temp file + rename). A no-op without a
-    /// configured directory or with [`StoreOptions::read_only`] set.
+    /// per cache, atomically and durably: each temp file is synced before
+    /// its rename, and the directory after the renames (on unix). A no-op
+    /// without a configured directory or with [`StoreOptions::read_only`]
+    /// set.
     ///
     /// Concurrent writers of the same fingerprint — *including other
     /// processes* — are merged, not raced: the call holds a
@@ -514,8 +490,10 @@ impl ArtifactStore {
     /// union of (current file contents) ∪ (warm tier) ∪ (memory tier).
     /// Entries computed by another store of the same zoo are therefore
     /// preserved — and since every cached value is a pure function of its
-    /// key, overlapping entries are bit-identical. Legacy `TGARTv1` files
-    /// are unioned in and come out as v2: persist *is* the migration.
+    /// key, overlapping entries are bit-identical. A file that is not a
+    /// valid v2 file of this fingerprint contributes nothing and is
+    /// replaced. Temp files of this fingerprint that a killed writer left
+    /// behind are deleted under the lock.
     ///
     /// ```
     /// use transfergraph::{ArtifactStore, StoreOptions};
@@ -540,11 +518,15 @@ impl ArtifactStore {
         std::fs::create_dir_all(&dir)?;
         let lockfile = LockFile::open(&dir.join(format!("{:016x}.lock", self.fingerprint)))?;
         let _flock = lockfile.lock()?;
+        self.reclaim_orphaned_temps(&dir)?;
         let mut stats = PersistStats::default();
         self.persist_cache(&self.logme, &dir, &mut stats)?;
         self.persist_cache(&self.ds_embed, &dir, &mut stats)?;
         self.persist_cache(&self.t2v_embed, &dir, &mut stats)?;
         self.persist_cache(&self.similarity, &dir, &mut stats)?;
+        // The renames become durable once the directory entry is synced.
+        #[cfg(unix)]
+        std::fs::File::open(&dir)?.sync_all()?;
         Ok(stats)
     }
 
@@ -613,10 +595,49 @@ impl ArtifactStore {
         ))
     }
 
+    /// The temp file this process writes `kind` through before renaming
+    /// it over [`artifact_path`](Self::artifact_path).
+    fn temp_path(&self, dir: &Path, kind: ArtifactKind) -> PathBuf {
+        dir.join(format!(
+            "{}{}.tmp",
+            self.temp_prefix(kind),
+            std::process::id()
+        ))
+    }
+
+    /// `.{file_stem}.{fingerprint:016x}.`: every temp name of `kind` for
+    /// this fingerprint, whatever process wrote it, starts with this.
+    fn temp_prefix(&self, kind: ArtifactKind) -> String {
+        format!(".{}.{:016x}.", kind.file_stem(), self.fingerprint)
+    }
+
+    /// Deletes the temp files of this fingerprint that a writer killed
+    /// between write and rename left behind. Every writer holds the
+    /// per-fingerprint file lock while its temp exists, so the caller,
+    /// holding that lock, knows any such temp is an orphan.
+    fn reclaim_orphaned_temps(&self, dir: &Path) -> io::Result<()> {
+        let prefixes = ArtifactKind::ALL.map(|kind| self.temp_prefix(kind));
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else {
+                continue;
+            };
+            let orphan = name.ends_with(".tmp") && prefixes.iter().any(|p| name.starts_with(p));
+            if orphan {
+                match std::fs::remove_file(entry.path()) {
+                    Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn warm_cache<K, V>(&self, cache: &TieredCache<K, V>, dir: &Path) -> usize
     where
-        K: DiskCodec + Eq + Hash + Clone + Send + Sync + 'static,
-        V: DiskCodec + Clone + Send + Sync + 'static,
+        K: DiskCodec + Eq + Hash + Clone,
+        V: DiskCodec + Clone,
     {
         let path = self.artifact_path(dir, cache.kind());
         let backing = match Backing::open(&path, self.options.mmap) {
@@ -627,34 +648,17 @@ impl ArtifactStore {
                 return 0;
             }
         };
-        let bytes = backing.bytes();
-        if bytes.len() >= 8 && bytes[..8] == MAGIC_V2 {
-            let Some(view) = ArtifactView::parse(backing, cache.kind().tag(), self.fingerprint)
-            else {
-                self.disk_rejected.fetch_add(1, Ordering::Relaxed);
-                return 0;
-            };
-            // Only the header + index were parsed; payload records fault
-            // in (or seek in) on first lookup.
-            self.bytes_read
-                .fetch_add(view.warm_bytes() as u64, Ordering::Relaxed);
-            let n = view.count();
-            cache.set_warm(Arc::new(MappedTier::new(view)));
-            n
-        } else {
-            // Legacy TGARTv1 (or junk): decode wholesale. The next
-            // persist rewrites the file as v2.
-            let Some(map) = decode_v1::<K, V>(bytes, self.fingerprint) else {
-                self.disk_rejected.fetch_add(1, Ordering::Relaxed);
-                return 0;
-            };
-            self.bytes_read
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            let source_bytes = bytes.len() as u64;
-            let n = map.len();
-            cache.set_warm(Arc::new(DecodedTier::new(map, source_bytes)));
-            n
-        }
+        let Some(view) = ArtifactView::parse(backing, cache.kind().tag(), self.fingerprint) else {
+            self.disk_rejected.fetch_add(1, Ordering::Relaxed);
+            return 0;
+        };
+        // Only the header + index were parsed; payload records fault in
+        // (or seek in) on first lookup.
+        self.bytes_read
+            .fetch_add(view.warm_bytes() as u64, Ordering::Relaxed);
+        let n = view.count();
+        cache.set_warm(Arc::new(MappedTier::new(view)));
+        n
     }
 
     fn persist_cache<K, V>(
@@ -664,8 +668,8 @@ impl ArtifactStore {
         stats: &mut PersistStats,
     ) -> io::Result<()>
     where
-        K: DiskCodec + Eq + Hash + Clone + Send + Sync + 'static,
-        V: DiskCodec + Clone + Send + Sync + 'static,
+        K: DiskCodec + Eq + Hash + Clone,
+        V: DiskCodec + Clone,
     {
         // Merge-on-persist: start from whatever the file currently holds
         // (a concurrent process of the same zoo may have added entries we
@@ -676,10 +680,10 @@ impl ArtifactStore {
         let path = self.artifact_path(dir, cache.kind());
         let mut union: HashMap<K, V> = std::fs::read(&path)
             .ok()
-            .and_then(|buf| decode_any::<K, V>(buf, cache.kind(), self.fingerprint))
+            .and_then(|buf| decode_all::<K, V>(buf, cache.kind(), self.fingerprint))
             .unwrap_or_default();
         if let Some(tier) = cache.warm_tier() {
-            tier.for_each(&mut |k, v| {
+            tier.for_each(|k, v| {
                 union.insert(k, v);
             });
         }
@@ -699,13 +703,13 @@ impl ArtifactStore {
             .collect();
         let buf = encode_v2(cache.kind().tag(), self.fingerprint, entries);
 
-        let tmp = dir.join(format!(
-            ".{}.{:016x}.{}.tmp",
-            cache.kind().file_stem(),
-            self.fingerprint,
-            std::process::id()
-        ));
-        std::fs::write(&tmp, &buf)?;
+        // Sync the data before the rename publishes it: otherwise a power
+        // loss could keep the rename but not the bytes behind it.
+        let tmp = self.temp_path(dir, cache.kind());
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&buf)?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, &path)?;
         self.bytes_written
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
@@ -716,120 +720,30 @@ impl ArtifactStore {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (v1 + v2)
+// Decoding
 // ---------------------------------------------------------------------------
 
-/// Decodes a whole artifact buffer of either version into a map.
-/// Returns `None` on any structural problem.
-fn decode_any<K, V>(buf: Vec<u8>, kind: ArtifactKind, fingerprint: u64) -> Option<HashMap<K, V>>
+/// Decodes a whole `TGARTv2` buffer into a map (the merge-on-persist
+/// input). Returns `None` on any structural problem, a foreign
+/// fingerprint or kind, or a non-v2 file.
+fn decode_all<K, V>(buf: Vec<u8>, kind: ArtifactKind, fingerprint: u64) -> Option<HashMap<K, V>>
 where
     K: DiskCodec + Eq + Hash,
     V: DiskCodec,
 {
-    if buf.len() >= 8 && buf[..8] == MAGIC_V2 {
-        let view = ArtifactView::parse(Backing::Owned(buf), kind.tag(), fingerprint)?;
-        let mut map = HashMap::with_capacity(view.count());
-        for i in 0..view.count() {
-            let record = view.record(i);
-            let mut pos = 0;
-            let k = K::decode(record, &mut pos)?;
-            let v = V::decode(record, &mut pos)?;
-            if pos != record.len() {
-                return None;
-            }
-            map.insert(k, v);
+    let view = ArtifactView::parse(Backing::Owned(buf), kind.tag(), fingerprint)?;
+    let mut map = HashMap::with_capacity(view.count());
+    for i in 0..view.count() {
+        let record = view.record(i);
+        let mut pos = 0;
+        let k = K::decode(record, &mut pos)?;
+        let v = V::decode(record, &mut pos)?;
+        if pos != record.len() {
+            return None;
         }
-        Some(map)
-    } else {
-        decode_v1(&buf, fingerprint)
-    }
-}
-
-/// Decodes one legacy `TGARTv1` file: magic, fingerprint, entry count,
-/// entries. Returns `None` (file ignored) on any structural problem:
-/// wrong magic, foreign fingerprint, truncation, invalid tags, or
-/// trailing bytes.
-fn decode_v1<K, V>(buf: &[u8], fingerprint: u64) -> Option<HashMap<K, V>>
-where
-    K: DiskCodec + Eq + Hash,
-    V: DiskCodec,
-{
-    let mut pos = 0;
-    if take::<8>(buf, &mut pos)? != MAGIC_V1 {
-        return None;
-    }
-    if u64::decode(buf, &mut pos)? != fingerprint {
-        return None;
-    }
-    let count = u64::decode(buf, &mut pos)? as usize;
-    // Each entry is at least 16 bytes (two u64-backed fields); an absurd
-    // count is corruption — refuse before reserving memory for it.
-    if count.checked_mul(16)? > buf.len() {
-        return None;
-    }
-    let mut map = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let k = K::decode(buf, &mut pos)?;
-        let v = V::decode(buf, &mut pos)?;
         map.insert(k, v);
     }
-    if pos != buf.len() {
-        return None; // trailing garbage: treat as corrupted
-    }
     Some(map)
-}
-
-/// Rewrites every artifact file of `fingerprint` under `dir` in the
-/// legacy `TGARTv1` layout, returning the number of files rewritten.
-///
-/// Exists for migration testing and the `artifact` bench (which times a
-/// v1 full-decode warm start against the v2 mapped one); production code
-/// never writes v1. Files that are missing are skipped; files that parse
-/// in neither format are left untouched.
-pub fn rewrite_as_v1(dir: &Path, fingerprint: u64) -> io::Result<usize> {
-    fn one<K, V>(dir: &Path, fingerprint: u64, kind: ArtifactKind) -> io::Result<usize>
-    where
-        K: DiskCodec + Eq + Hash,
-        V: DiskCodec,
-    {
-        let path = dir.join(format!("{:016x}.{}.bin", fingerprint, kind.file_stem()));
-        let buf = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let Some(map) = decode_any::<K, V>(buf, kind, fingerprint) else {
-            return Ok(0);
-        };
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC_V1);
-        fingerprint.encode(&mut out);
-        (map.len() as u64).encode(&mut out);
-        for (k, v) in &map {
-            k.encode(&mut out);
-            v.encode(&mut out);
-        }
-        let tmp = dir.join(format!(
-            ".{}.{:016x}.{}.v1.tmp",
-            kind.file_stem(),
-            fingerprint,
-            std::process::id()
-        ));
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(1)
-    }
-
-    Ok(
-        one::<(ModelId, DatasetId), f64>(dir, fingerprint, ArtifactKind::LogMe)?
-            + one::<DatasetId, Arc<[f64]>>(dir, fingerprint, ArtifactKind::DsEmbed)?
-            + one::<DatasetId, Arc<[f64]>>(dir, fingerprint, ArtifactKind::T2vEmbed)?
-            + one::<(Representation, DatasetId, DatasetId), f64>(
-                dir,
-                fingerprint,
-                ArtifactKind::Similarity,
-            )?,
-    )
 }
 
 #[cfg(test)]
@@ -950,44 +864,69 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_warm_and_migrate_to_v2_on_persist() {
-        let dir = temp_store_dir("v1migrate");
+    fn v1_files_are_refused_and_replaced_on_persist() {
+        let dir = temp_store_dir("v1hostile");
         let store = open_in(0x1111, &dir);
-        store
-            .logme
-            .get_or_insert_with((ModelId(3), DatasetId(4)), true, || 2.5);
-        store.persist().unwrap();
-        assert_eq!(
-            rewrite_as_v1(&dir, 0x1111).unwrap(),
-            4,
-            "all four files rewritten"
-        );
         let path = store.artifact_path(&dir, ArtifactKind::LogMe);
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], b"TGARTv1\0");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A well-formed TGARTv1 file: magic, fingerprint, count, one entry.
+        let mut v1 = b"TGARTv1\0".to_vec();
+        0x1111u64.encode(&mut v1);
+        1u64.encode(&mut v1);
+        (ModelId(3), DatasetId(4)).encode(&mut v1);
+        2.5f64.encode(&mut v1);
+        std::fs::write(&path, &v1).unwrap();
 
-        // A v1 file warms (wholesale decode)…
+        // Warm start refuses it, once…
         let legacy = open_in(0x1111, &dir);
-        assert_eq!(legacy.disk_stats().rejected, 0);
+        assert_eq!(legacy.disk_stats().rejected, 1, "v1 file counted once");
+        let mut computed = false;
         let v = legacy
             .logme
-            .get_or_insert_with((ModelId(3), DatasetId(4)), true, || panic!("must be warm"));
-        assert_eq!(v.to_bits(), 2.5f64.to_bits());
-        let decoded = legacy
-            .tier_stats()
-            .into_iter()
-            .any(|(k, t, _)| k == ArtifactKind::LogMe && t == TierKind::DecodedDisk);
-        assert!(decoded, "v1 backing must be the decoded tier");
+            .get_or_insert_with((ModelId(3), DatasetId(4)), true, || {
+                computed = true;
+                -1.0
+            });
+        assert!(computed, "v1 bytes must not be served");
+        assert_eq!(v.to_bits(), (-1.0f64).to_bits());
 
-        // …and the next persist rewrites it as v2 without losing entries.
+        // …and the next persist replaces it with a v2 file that warms clean.
         legacy.persist().unwrap();
         assert_eq!(&std::fs::read(&path).unwrap()[..8], b"TGARTv2\0");
-        let migrated = open_in(0x1111, &dir);
-        let v = migrated
+        let fresh = open_in(0x1111, &dir);
+        assert_eq!(fresh.disk_stats().rejected, 0);
+        assert_eq!(fresh.warm(), 1);
+        let v = fresh
             .logme
             .get_or_insert_with((ModelId(3), DatasetId(4)), true, || {
-                panic!("lost in migration")
+                panic!("must serve the v2 replacement")
             });
-        assert_eq!(v.to_bits(), 2.5f64.to_bits());
+        assert_eq!(v.to_bits(), (-1.0f64).to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persist_reclaims_orphaned_temp_files() {
+        let dir = temp_store_dir("orphans");
+        let store = open_in(0x5555, &dir);
+        store
+            .logme
+            .get_or_insert_with((ModelId(1), DatasetId(2)), true, || 0.5);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A writer killed between write and rename left its temp behind.
+        let orphan = dir.join(".logme.0000000000005555.4242.tmp");
+        std::fs::write(&orphan, b"half-written").unwrap();
+        // Another fingerprint's temp belongs to a writer under another
+        // lock and must survive.
+        let foreign = dir.join(".logme.0000000000006666.4242.tmp");
+        std::fs::write(&foreign, b"in flight").unwrap();
+
+        store.persist().unwrap();
+        assert!(!orphan.exists(), "orphaned temp must be reclaimed");
+        assert!(foreign.exists(), "other fingerprints' temps are left alone");
+        let warm = open_in(0x5555, &dir);
+        assert_eq!(warm.disk_stats().rejected, 0);
+        assert_eq!(warm.warm(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1187,19 +1126,5 @@ mod tests {
         assert_eq!(store.disk_stats(), DiskStats::default());
         assert_eq!(store.persist().unwrap(), PersistStats::default());
         assert_eq!(store.warm(), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let dir = temp_store_dir("shims");
-        let store = ArtifactStore::with_dir(0xAA, &dir);
-        store
-            .logme
-            .get_or_insert_with((ModelId(0), DatasetId(0)), true, || 3.0);
-        store.persist().unwrap();
-        let warm = ArtifactStore::with_dir(0xAA, &dir);
-        assert_eq!(warm.warm_from_disk(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

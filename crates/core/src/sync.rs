@@ -2,13 +2,12 @@
 //! workspace-wide [`tg_sync`] leaf crate.
 //!
 //! The tracker used to live here, but the lock table spans crates on
-//! *both* sides of this one: `tg-linalg`'s per-column Jacobi locks
-//! (rank `jacobi_col`) sit below it and `tg-serve`'s connection queue
-//! (rank `conn_queue`) above it. Extracting the tracker into `tg-sync`
-//! (a dependency-free leaf) turned those two formerly static-only ranks
-//! into runtime-enforced ones: every crate in the workspace now takes
-//! the same `rank_guard` before its ranked lock calls, and Condvar
-//! waits release their rank for the park and re-assert it on wake via
+//! both sides of this one: `tg-serve`'s connection queue (rank
+//! `conn_queue`) sits above it. Extracting the tracker into `tg-sync`
+//! (a dependency-free leaf) made that formerly static-only rank
+//! runtime-enforced: every crate in the workspace takes the same
+//! `rank_guard` before its ranked lock calls, and Condvar waits release
+//! their rank for the park and re-assert it on wake via
 //! [`RankGuard::suspended`].
 //!
 //! See `tg_sync`'s crate docs for the full rank table and the call-site

@@ -1,21 +1,16 @@
-//! The [`Tier`] abstraction of the redesigned artifact store: memory,
-//! decoded-disk, and mapped-disk backings behind one object-safe trait
-//! with explicit per-tier [`TierStats`].
+//! The two tiers of the artifact store, with explicit per-tier
+//! [`TierStats`].
 //!
-//! `TGARTv1` hard-wired two tiers (sharded memory + a decoded
-//! `HashMap` snapshot); the v2 format adds a third backing — records
-//! served straight out of a mapped file — which the old shape could
-//! not express. A [`TieredCache`] now owns a [`MemoryTier`] plus one
-//! optional *warm tier* slot holding whichever disk tier the warm
-//! start produced: a [`DecodedTier`] for legacy v1 files (decoded
-//! once, rewritten as v2 on the next persist) or a [`MappedTier`]
-//! serving lookups by index search + single-record decode.
+//! A [`TieredCache`] owns a [`MemoryTier`] plus one optional *warm
+//! tier* slot holding the [`MappedTier`] a warm start produced: a
+//! `TGARTv2` file served by index search + single-record decode, out of
+//! a memory mapping or (mmap off or unavailable) owned bytes.
 //!
-//! Lock shape: the warm slot is an `RwLock<Option<Arc<dyn Tier>>>` at
+//! Lock shape: the warm slot is an `RwLock<Option<Arc<MappedTier>>>` at
 //! rank `store_shard`. Readers clone the `Arc` out under the read
-//! guard and query the tier *outside* the lock — the tiers themselves
-//! are immutable after construction (their stats are atomics), so the
-//! slot guard is held only for the pointer copy.
+//! guard and query the tier *outside* the lock — the tier is
+//! immutable after construction (its stats are atomics), so the slot
+//! guard is held only for the pointer copy.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -37,11 +32,13 @@ const SHARDS: usize = 16;
 pub enum TierKind {
     /// The sharded in-memory maps every worker thread shares.
     Memory,
-    /// A disk artifact decoded wholesale into a `HashMap` at warm start
-    /// (the only disk tier v1 files can have).
+    /// A `TGARTv2` file read into owned bytes at warm start (mmap
+    /// disabled via `TG_ARTIFACT_MMAP` or unavailable): served by the
+    /// same index lookup as [`TierKind::MappedDisk`].
     DecodedDisk,
-    /// A `TGARTv2` file served in place: index binary search plus
-    /// single-record decode, no up-front parse of the payload.
+    /// A `TGARTv2` file served in place from a memory mapping: index
+    /// binary search plus single-record decode, no up-front parse of
+    /// the payload.
     MappedDisk,
 }
 
@@ -67,30 +64,9 @@ pub struct TierStats {
     /// record count of the backing artifact).
     pub entries: u64,
     /// Approximate bytes behind the tier (memory: estimated heap;
-    /// decoded: source file size; mapped: mapped file size — page
-    /// cache, not heap, but it bounds what a reload would touch).
+    /// disk: file size — page cache rather than heap when mapped, but
+    /// it bounds what a reload would touch).
     pub bytes: u64,
-}
-
-/// One backing layer of a [`TieredCache`], object-safe so the warm
-/// slot can hold either disk tier behind `Arc<dyn Tier>`.
-///
-/// Implementations are immutable after construction apart from their
-/// hit/miss counters; `get` therefore takes `&self` and is safe to
-/// call outside any lock.
-pub(crate) trait Tier<K, V>: Send + Sync {
-    /// Which backing this is.
-    fn kind(&self) -> TierKind;
-    /// Looks `key` up, counting a hit or miss.
-    fn get(&self, key: &K) -> Option<V>;
-    /// Number of entries.
-    fn entries(&self) -> usize;
-    /// Approximate bytes behind the tier (see [`TierStats::bytes`]).
-    fn bytes(&self) -> u64;
-    /// Visits every entry (used by merge-on-persist).
-    fn for_each(&self, f: &mut dyn FnMut(K, V));
-    /// Counter snapshot plus size.
-    fn stats(&self) -> TierStats;
 }
 
 // ---------------------------------------------------------------------------
@@ -172,17 +148,8 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoryTier<K, V> {
     fn insert(&self, key: K, value: V) -> V {
         self.map.insert(key, value)
     }
-}
 
-impl<K, V> Tier<K, V> for MemoryTier<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn kind(&self) -> TierKind {
-        TierKind::Memory
-    }
-
+    /// Looks `key` up, counting a hit or miss.
     fn get(&self, key: &K) -> Option<V> {
         let found = self.map.get(key);
         match found {
@@ -202,7 +169,7 @@ where
         total
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(K, V)) {
+    fn for_each(&self, mut f: impl FnMut(K, V)) {
         self.map.for_each(|k, v| f(k.clone(), v.clone()));
     }
 
@@ -217,71 +184,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Disk tiers
+// Disk tier
 // ---------------------------------------------------------------------------
-
-/// A disk artifact decoded wholesale at warm start. Immutable after
-/// construction; this is how legacy `TGARTv1` files are served (and
-/// how any file is served when mmap is disabled or unavailable).
-pub(crate) struct DecodedTier<K, V> {
-    map: HashMap<K, V>,
-    source_bytes: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<K: Eq + Hash, V> DecodedTier<K, V> {
-    pub(crate) fn new(map: HashMap<K, V>, source_bytes: u64) -> Self {
-        DecodedTier {
-            map,
-            source_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<K, V> Tier<K, V> for DecodedTier<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn kind(&self) -> TierKind {
-        TierKind::DecodedDisk
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        let found = self.map.get(key).cloned();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn entries(&self) -> usize {
-        self.map.len()
-    }
-
-    fn bytes(&self) -> u64 {
-        self.source_bytes
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(K, V)) {
-        for (k, v) in &self.map {
-            f(k.clone(), v.clone());
-        }
-    }
-
-    fn stats(&self) -> TierStats {
-        TierStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.len() as u64,
-            bytes: self.source_bytes,
-        }
-    }
-}
 
 /// A `TGARTv2` file served in place: every lookup encodes the key,
 /// binary-searches the index, and decodes exactly one record. The
@@ -305,21 +209,17 @@ impl<K, V> MappedTier<K, V> {
     }
 }
 
-impl<K, V> Tier<K, V> for MappedTier<K, V>
-where
-    K: DiskCodec + Eq + Hash + Clone + Send + Sync,
-    V: DiskCodec + Clone + Send + Sync,
-{
+impl<K: DiskCodec, V: DiskCodec> MappedTier<K, V> {
+    /// Which backing serves the file: a mapping, or owned bytes.
     fn kind(&self) -> TierKind {
         if self.view.is_mapped() {
             TierKind::MappedDisk
         } else {
-            // v2 file read into owned bytes (mmap off / unavailable):
-            // still index-served, but honesty in stats matters.
             TierKind::DecodedDisk
         }
     }
 
+    /// Looks `key` up, counting a hit or miss.
     fn get(&self, key: &K) -> Option<V> {
         let mut kb = Vec::new();
         key.encode(&mut kb);
@@ -337,15 +237,12 @@ where
         decoded
     }
 
-    fn entries(&self) -> usize {
-        self.view.count()
-    }
-
     fn bytes(&self) -> u64 {
         self.view.byte_len() as u64
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(K, V)) {
+    /// Visits every decodable entry (merge-on-persist input).
+    pub(crate) fn for_each(&self, mut f: impl FnMut(K, V)) {
         for i in 0..self.view.count() {
             let record = self.view.record(i);
             let mut pos = 0;
@@ -386,7 +283,7 @@ pub(crate) struct TieredCache<K, V> {
     mem: MemoryTier<K, V>,
     /// The warm tier swapped in at warm start; rank `store_shard`.
     /// Readers clone the `Arc` out and drop the guard before querying.
-    warm: RwLock<Option<Arc<dyn Tier<K, V>>>>,
+    warm: RwLock<Option<Arc<MappedTier<K, V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -395,8 +292,8 @@ pub(crate) struct TieredCache<K, V> {
 
 impl<K, V> TieredCache<K, V>
 where
-    K: Eq + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
+    K: DiskCodec + Eq + Hash + Clone,
+    V: DiskCodec + Clone,
 {
     pub(crate) fn new(kind: ArtifactKind, cost: fn(&K, &V) -> u64) -> Self {
         TieredCache {
@@ -416,13 +313,13 @@ where
     }
 
     /// The current warm tier, if a warm start installed one.
-    pub(crate) fn warm_tier(&self) -> Option<Arc<dyn Tier<K, V>>> {
+    pub(crate) fn warm_tier(&self) -> Option<Arc<MappedTier<K, V>>> {
         let _rank = rank_guard(Rank::StoreShard);
         unpoisoned(self.warm.read()).clone()
     }
 
     /// Installs (or replaces) the warm tier.
-    pub(crate) fn set_warm(&self, tier: Arc<dyn Tier<K, V>>) {
+    pub(crate) fn set_warm(&self, tier: Arc<MappedTier<K, V>>) {
         let _rank = rank_guard(Rank::StoreShard);
         *unpoisoned(self.warm.write()) = Some(tier);
     }
@@ -461,8 +358,8 @@ where
     }
 
     /// Visits every memory-tier entry (merge-on-persist input).
-    pub(crate) fn mem_for_each(&self, mut f: impl FnMut(K, V)) {
-        self.mem.for_each(&mut f);
+    pub(crate) fn mem_for_each(&self, f: impl FnMut(K, V)) {
+        self.mem.for_each(f);
     }
 
     /// Approximate bytes across both tiers. Entries promoted from disk

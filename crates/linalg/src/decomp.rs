@@ -1,23 +1,16 @@
 //! Matrix decompositions: Cholesky, symmetric eigendecomposition (cyclic
-//! Jacobi), thin SVD, and a one-sided (Hestenes) Jacobi SVD with optional
-//! blocked-parallel sweeps.
+//! Jacobi), thin SVD, and Householder QR.
 //!
 //! These are the numeric workhorses of the reproduction:
 //! * ridge regression (`tg-predict`) solves normal equations with
 //!   [`cholesky_solve`];
-//! * LogME (`tg-transfer`) projects labels onto the right singular basis of
-//!   the feature matrix, obtained with [`thin_svd`] or
-//!   [`one_sided_jacobi_svd`];
+//! * LogME (`tg-transfer`) projects labels onto the left singular basis of
+//!   the feature matrix, obtained with [`thin_svd`] (or, for tall inputs,
+//!   from the Gram spectrum of [`symmetric_eigen_with_sweeps`]);
 //! * PARC and dataset-similarity computations use the eigen routines
 //!   indirectly through correlation matrices.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-use tg_sync::{rank_guard, unpoisoned, Rank};
-
 use crate::matrix::Matrix;
-use crate::pool;
 
 /// Singular values at or below this absolute threshold are treated as zero:
 /// the corresponding left singular vectors are not formed (columns of `U`
@@ -307,199 +300,6 @@ pub fn thin_svd_with_sweeps(a: &Matrix) -> Result<(Svd, usize), DecompError> {
     }
 }
 
-/// Options for [`one_sided_jacobi_svd`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JacobiOpts {
-    /// Full-sweep budget before the iteration gives up with
-    /// [`DecompError::NoConvergence`].
-    pub max_sweeps: usize,
-    /// Relative per-pair orthogonality threshold: columns `(p, q)` are
-    /// rotated only while `|aₚ·a_q| > tol · ‖aₚ‖ ‖a_q‖`. A sweep that
-    /// applies no rotation means every pair is orthogonal to tolerance and
-    /// the iteration has converged.
-    pub tol: f64,
-    /// Worker threads for the rotation rounds (`<= 1` = sequential). Any
-    /// value produces bit-identical factors — see the determinism note on
-    /// [`one_sided_jacobi_svd`].
-    pub workers: usize,
-}
-
-impl Default for JacobiOpts {
-    fn default() -> Self {
-        JacobiOpts {
-            max_sweeps: MAX_SWEEPS,
-            tol: 1e-12,
-            workers: 1,
-        }
-    }
-}
-
-/// One column of the matrix being orthogonalised, paired with the matching
-/// column of the accumulated right singular basis.
-struct JacobiCol {
-    a: Vec<f64>,
-    v: Vec<f64>,
-}
-
-/// Round-robin (circle method) rotation schedule: `d` columns are paired
-/// over `d − 1` rounds (`d` padded to even with a bye), every unordered pair
-/// appearing exactly once per sweep and the pairs within one round being
-/// mutually disjoint. Pairs are emitted `(min, max)`.
-fn tournament_rounds(d: usize) -> Vec<Vec<(usize, usize)>> {
-    if d < 2 {
-        return Vec::new();
-    }
-    let m = d + (d % 2);
-    let mut ring: Vec<usize> = (0..m).collect();
-    let mut rounds = Vec::with_capacity(m - 1);
-    for _ in 0..m - 1 {
-        let mut pairs = Vec::with_capacity(m / 2);
-        for k in 0..m / 2 {
-            let (x, y) = (ring[k], ring[m - 1 - k]);
-            // Skip the padding bye column when d is odd.
-            if x < d && y < d {
-                pairs.push((x.min(y), x.max(y)));
-            }
-        }
-        rounds.push(pairs);
-        ring[1..].rotate_right(1);
-    }
-    rounds
-}
-
-/// One Hestenes rotation: orthogonalises columns `p` (in `cp`) and `q` (in
-/// `cq`), `p < q`, returning whether a rotation was applied. The same plane
-/// rotation is accumulated into the `v` columns.
-fn rotate_pair(cp: &mut JacobiCol, cq: &mut JacobiCol, tol: f64) -> bool {
-    let mut alpha = 0.0;
-    let mut beta = 0.0;
-    let mut gamma = 0.0;
-    for (x, y) in cp.a.iter().zip(&cq.a) {
-        alpha += x * x;
-        beta += y * y;
-        gamma += x * y;
-    }
-    if gamma.abs() <= tol * (alpha * beta).sqrt() {
-        return false;
-    }
-    let zeta = (beta - alpha) / (2.0 * gamma);
-    let t = zeta.signum() / (zeta.abs() + (zeta * zeta + 1.0).sqrt());
-    let c = 1.0 / (t * t + 1.0).sqrt();
-    let s = c * t;
-    for (x, y) in cp.a.iter_mut().zip(cq.a.iter_mut()) {
-        let (xi, yi) = (*x, *y);
-        *x = c * xi - s * yi;
-        *y = s * xi + c * yi;
-    }
-    for (x, y) in cp.v.iter_mut().zip(cq.v.iter_mut()) {
-        let (xi, yi) = (*x, *y);
-        *x = c * xi - s * yi;
-        *y = s * xi + c * yi;
-    }
-    true
-}
-
-/// Thin SVD by one-sided (Hestenes) Jacobi: the columns of `A` are rotated
-/// until mutually orthogonal, giving `A·V = U·Σ` without ever forming the
-/// Gram matrix. Returns the factorisation plus the number of full sweeps
-/// (including the final all-orthogonal sweep that detects convergence).
-///
-/// # Determinism under parallelism
-///
-/// Rotations follow a fixed round-robin tournament schedule: each sweep is
-/// `d − 1` rounds of up to `⌊d/2⌋` column pairs, and the pairs within one
-/// round touch *disjoint* columns. Rounds are barrier-separated on the
-/// shared [`pool::drain_rounds`] worker pool, so every rotation reads
-/// exactly the column state produced by the previous round regardless of
-/// worker count or interleaving — the factors are bit-identical for any
-/// `workers`, which the test suite asserts.
-///
-/// Parallelism pays only when the per-round rotation work (`⌊d/2⌋ · O(n)`)
-/// dwarfs the pool's per-sweep synchronisation; at this repo's paper-scale
-/// shapes (`d = 32`) sequential is faster, and the default is `workers: 1`.
-pub fn one_sided_jacobi_svd(a: &Matrix, opts: &JacobiOpts) -> Result<(Svd, usize), DecompError> {
-    let (n, d) = a.shape();
-    if n < d {
-        let (sv, sweeps) = one_sided_jacobi_svd(&a.transpose(), opts)?;
-        return Ok((
-            Svd {
-                u: sv.v,
-                sigma: sv.sigma,
-                v: sv.u,
-            },
-            sweeps,
-        ));
-    }
-    let cols: Vec<Mutex<JacobiCol>> = (0..d)
-        .map(|j| {
-            let col: Vec<f64> = (0..n).map(|r| a.get(r, j)).collect();
-            let mut v = vec![0.0; d];
-            v[j] = 1.0;
-            Mutex::new(JacobiCol { a: col, v })
-        })
-        .collect();
-    let rounds = tournament_rounds(d);
-    let round_sizes: Vec<usize> = rounds.iter().map(Vec::len).collect();
-    let mut converged_after = None;
-    if rounds.is_empty() {
-        // 0 or 1 columns: nothing to orthogonalise.
-        converged_after = Some(0);
-    }
-    for sweep in 1..=opts.max_sweeps {
-        if converged_after.is_some() {
-            break;
-        }
-        let rotated = AtomicBool::new(false);
-        pool::drain_rounds(&round_sizes, opts.workers, |round, k| {
-            let (p, q) = rounds[round][k];
-            // p < q and pairs within a round are disjoint, so these two
-            // same-rank (`jacobi_col`) acquisitions never contend with any
-            // concurrently running pair, let alone deadlock; the mutexes
-            // only exist to prove disjointness to the compiler without
-            // `unsafe`. Poison is unreachable (rotations don't panic), and
-            // recovering the inner value is the no-panic fallback. The
-            // rank guards make the debug-build tracker in `tg-sync` see
-            // both equal-rank leaf acquisitions.
-            let _rank_p = rank_guard(Rank::JacobiCol);
-            let mut cp = unpoisoned(cols[p].lock());
-            let _rank_q = rank_guard(Rank::JacobiCol);
-            let mut cq = unpoisoned(cols[q].lock());
-            if rotate_pair(&mut cp, &mut cq, opts.tol) {
-                rotated.store(true, Ordering::Relaxed);
-            }
-        });
-        if !rotated.load(Ordering::Relaxed) {
-            converged_after = Some(sweep);
-        }
-    }
-    let Some(sweeps) = converged_after else {
-        return Err(DecompError::NoConvergence);
-    };
-    let cols: Vec<JacobiCol> = cols
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let norms: Vec<f64> = cols
-        .iter()
-        .map(|c| c.a.iter().map(|x| x * x).sum::<f64>().sqrt())
-        .collect();
-    let mut order: Vec<usize> = (0..d).collect();
-    // Descending by singular value; the stable sort keeps original column
-    // order on ties, so the output ordering is deterministic.
-    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-    let sigma: Vec<f64> = order.iter().map(|&j| norms[j]).collect();
-    let u = Matrix::from_fn(n, d, |r, c| {
-        let j = order[c];
-        if norms[j] > SIGMA_CLAMP {
-            cols[j].a[r] / norms[j]
-        } else {
-            0.0
-        }
-    });
-    let v = Matrix::from_fn(d, d, |r, c| cols[order[c]].v[r]);
-    Ok((Svd { u, sigma, v }, sweeps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,135 +481,6 @@ mod tests {
         for (a, b) in vals_tight.iter().zip(&vals_default) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn tournament_rounds_cover_every_pair_once_disjointly() {
-        for d in [2usize, 3, 5, 8, 13] {
-            let rounds = tournament_rounds(d);
-            let mut seen = std::collections::HashSet::new();
-            for round in &rounds {
-                let mut touched = std::collections::HashSet::new();
-                for &(p, q) in round {
-                    assert!(p < q && q < d, "bad pair ({p},{q}) at d={d}");
-                    assert!(touched.insert(p) && touched.insert(q), "overlap in round");
-                    assert!(seen.insert((p, q)), "pair ({p},{q}) repeated");
-                }
-            }
-            assert_eq!(seen.len(), d * (d - 1) / 2, "missing pairs at d={d}");
-        }
-        assert!(tournament_rounds(0).is_empty());
-        assert!(tournament_rounds(1).is_empty());
-    }
-
-    #[test]
-    fn jacobi_svd_reconstructs_tall_and_wide() {
-        for (n, d) in [(9usize, 4usize), (4, 9)] {
-            let a = Matrix::from_fn(n, d, |r, c| ((r * d + c) as f64 * 0.83).cos() * 3.0);
-            let (svd, sweeps) = one_sided_jacobi_svd(&a, &JacobiOpts::default()).unwrap();
-            assert!(sweeps > 0);
-            let k = svd.sigma.len();
-            assert_eq!(k, n.min(d));
-            let sig = Matrix::from_fn(k, k, |r, c| if r == c { svd.sigma[r] } else { 0.0 });
-            let rec = svd.u.matmul(&sig).matmul(&svd.v.transpose());
-            for i in 0..n {
-                for j in 0..d {
-                    assert!(approx(rec.get(i, j), a.get(i, j), 1e-9), "({i},{j})");
-                }
-            }
-            for w in svd.sigma.windows(2) {
-                assert!(w[0] >= w[1]);
-            }
-        }
-    }
-
-    #[test]
-    fn jacobi_svd_matches_thin_svd_spectrum() {
-        let a = Matrix::from_fn(20, 7, |r, c| ((r as f64 + 1.3) * (c as f64 + 0.7)).sin());
-        let (jac, _) = one_sided_jacobi_svd(&a, &JacobiOpts::default()).unwrap();
-        let svd = thin_svd(&a).unwrap();
-        for (x, y) in jac.sigma.iter().zip(&svd.sigma) {
-            assert!(approx(*x, *y, 1e-8), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn jacobi_svd_zeroes_rank_deficient_directions() {
-        // Duplicate column: rank 1, second σ exactly-ish zero, matching the
-        // thin_svd σ≈0 clamping contract (zero U column).
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let (svd, _) = one_sided_jacobi_svd(&a, &JacobiOpts::default()).unwrap();
-        assert!(svd.sigma[1] <= SIGMA_CLAMP, "σ₁={}", svd.sigma[1]);
-        for r in 0..3 {
-            assert_eq!(svd.u.get(r, 1), 0.0);
-        }
-    }
-
-    #[test]
-    fn jacobi_svd_parallel_is_bit_identical_to_sequential() {
-        let a = Matrix::from_fn(40, 12, |r, c| ((r * 12 + c) as f64 * 0.311).sin() * 5.0);
-        let (seq, seq_sweeps) = one_sided_jacobi_svd(&a, &JacobiOpts::default()).unwrap();
-        for workers in [2usize, 4, 7] {
-            let opts = JacobiOpts {
-                workers,
-                ..JacobiOpts::default()
-            };
-            let (par, par_sweeps) = one_sided_jacobi_svd(&a, &opts).unwrap();
-            assert_eq!(seq_sweeps, par_sweeps);
-            for c in 0..12 {
-                assert_eq!(seq.sigma[c].to_bits(), par.sigma[c].to_bits(), "σ[{c}]");
-                for r in 0..40 {
-                    assert_eq!(
-                        seq.u.get(r, c).to_bits(),
-                        par.u.get(r, c).to_bits(),
-                        "u({r},{c}) at workers={workers}"
-                    );
-                }
-                for r in 0..12 {
-                    assert_eq!(seq.v.get(r, c).to_bits(), par.v.get(r, c).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn jacobi_svd_signals_no_convergence() {
-        let a = Matrix::from_fn(16, 6, |r, c| ((r * 6 + c) as f64 * 0.59).cos());
-        let opts = JacobiOpts {
-            max_sweeps: 1,
-            ..JacobiOpts::default()
-        };
-        assert_eq!(
-            one_sided_jacobi_svd(&a, &opts).map(|(_, s)| s),
-            Err(DecompError::NoConvergence)
-        );
-        assert!(one_sided_jacobi_svd(&a, &JacobiOpts::default()).is_ok());
-    }
-
-    /// `jacobi_col` is no longer a static-only rank: the per-column
-    /// rotation locks register with the debug-build tracker in
-    /// `tg-sync`, and a deliberate inversion trips it.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn jacobi_col_rank_inversion_trips_the_runtime_tracker() {
-        let _col = rank_guard(Rank::JacobiCol);
-        let _registry = rank_guard(Rank::Registry);
-    }
-
-    /// The real parallel sweep path runs clean under the tracker, even
-    /// for a caller already holding every rank below `jacobi_col` —
-    /// the leaf rank is reachable from anywhere in the stack.
-    #[test]
-    fn parallel_jacobi_runs_clean_under_the_runtime_tracker() {
-        let _held = rank_guard(Rank::CacheShard);
-        let a = Matrix::from_fn(24, 8, |r, c| ((r * 8 + c) as f64 * 0.173).sin());
-        let opts = JacobiOpts {
-            workers: 3,
-            ..JacobiOpts::default()
-        };
-        let (svd, _) = one_sided_jacobi_svd(&a, &opts).expect("converges");
-        assert_eq!(svd.sigma.len(), 8);
     }
 
     #[test]

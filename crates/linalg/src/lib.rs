@@ -26,7 +26,6 @@ pub mod decomp;
 pub mod distance;
 pub mod matrix;
 pub mod pca;
-pub mod pool;
 pub mod stats;
 
 pub use matrix::Matrix;

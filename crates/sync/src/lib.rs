@@ -2,9 +2,9 @@
 //!
 //! The reproduction holds a small family of locks with one declared
 //! partial order (see `tg-check.toml` at the repo root and DESIGN.md
-//! §6b). The table spans three crates — `tg-linalg` below the core
-//! crate, `transfergraph` itself, and `tg-serve` above it — so the
-//! tracker lives in this leaf crate, where all three can reach it:
+//! §6b). The table spans two crates — `transfergraph` and `tg-serve`,
+//! which sits above it — so the tracker lives in this leaf crate, where
+//! both can reach it:
 //!
 //! | rank | class        | locks                                          |
 //! |------|--------------|------------------------------------------------|
@@ -15,13 +15,11 @@
 //! | 4    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
 //! | 5    | `store_shard`| `TieredCache`'s warm-tier slot                 |
 //! | 6    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
-//! | 7    | `jacobi_col` | per-column rotation locks of parallel Jacobi   |
-//! | 8    | `conn_queue` | `tg-serve`'s bounded connection queue          |
+//! | 7    | `conn_queue` | `tg-serve`'s bounded connection queue          |
 //!
 //! A thread may only acquire locks in non-decreasing rank order (equal
-//! ranks may nest: the persist path reads the warm tier and the memory
-//! shards while holding the file lock, a Jacobi rotation holds two
-//! same-rank column locks). Any thread obeying the order can never
+//! ranks may nest: a coalescing pass leader takes the pass map while
+//! holding its own pass cell). Any thread obeying the order can never
 //! participate in a deadlock cycle across these locks. The `file_lock`
 //! rank is special in one way: it is backed by an OS advisory lock, so
 //! it also serialises against *other processes* — but the rank rules it
@@ -90,23 +88,19 @@ pub enum Rank {
     /// warm tier and the memory shards while holding it.
     FileLock = 4,
     /// The warm-tier slot of a `TieredCache` (an `RwLock` around the
-    /// decoded- or mapped-disk tier swapped in at warm start).
+    /// mapped-disk tier swapped in at warm start).
     StoreShard = 5,
     /// One shard of a `ShardedCache`.
     CacheShard = 6,
-    /// Per-column rotation locks of the parallel one-sided Jacobi
-    /// sweeps (`tg-linalg`). A rotation holds two of these at once —
-    /// equal-rank nesting — and acquires nothing else: a leaf rank.
-    JacobiCol = 7,
     /// `tg-serve`'s bounded connection queue. Push/pop/shed are
     /// self-contained critical sections that acquire nothing else: the
     /// final leaf rank.
-    ConnQueue = 8,
+    ConnQueue = 7,
 }
 
 impl Rank {
     /// Every rank, in declared acquisition order.
-    pub const ALL: [Rank; 9] = [
+    pub const ALL: [Rank; 8] = [
         Rank::Registry,
         Rank::BuildSlot,
         Rank::Inductive,
@@ -114,7 +108,6 @@ impl Rank {
         Rank::FileLock,
         Rank::StoreShard,
         Rank::CacheShard,
-        Rank::JacobiCol,
         Rank::ConnQueue,
     ];
 
@@ -129,7 +122,6 @@ impl Rank {
             Rank::FileLock => "file_lock",
             Rank::StoreShard => "store_shard",
             Rank::CacheShard => "cache_shard",
-            Rank::JacobiCol => "jacobi_col",
             Rank::ConnQueue => "conn_queue",
         }
     }
@@ -138,9 +130,9 @@ impl Rank {
 /// Recovers the guard from a possibly poisoned lock result.
 ///
 /// Every value behind the ranked locks is a pure function of its key
-/// (cached artifacts, rotated columns) or simple bookkeeping that stays
-/// internally consistent under panic (routing tables, queues,
-/// counters), so observing the state a panicking thread left behind is
+/// (cached artifacts) or simple bookkeeping that stays internally
+/// consistent under panic (routing tables, queues, counters), so
+/// observing the state a panicking thread left behind is
 /// always safe — unlike propagating the poison, which turns one
 /// worker's panic into a process-wide outage.
 pub fn unpoisoned<G>(result: Result<G, PoisonError<G>>) -> G {
@@ -180,7 +172,7 @@ mod tracker {
                     "lock-order violation: acquiring {:?} (rank {}) while holding \
                      {:?} (rank {}); declared order is registry -> build_slot -> \
                      inductive -> coalesce -> file_lock -> store_shard -> \
-                     cache_shard -> jacobi_col -> conn_queue",
+                     cache_shard -> conn_queue",
                     rank,
                     rank as u8,
                     max,
@@ -353,8 +345,9 @@ mod tests {
 
     #[test]
     fn equal_ranks_may_nest() {
-        let _a = rank_guard(Rank::JacobiCol);
-        let _b = rank_guard(Rank::JacobiCol);
+        // The coalescing leader's publish: pass map under its pass cell.
+        let _a = rank_guard(Rank::Coalesce);
+        let _b = rank_guard(Rank::Coalesce);
         let _c = rank_guard(Rank::ConnQueue);
     }
 
@@ -390,7 +383,7 @@ mod tests {
     #[should_panic(expected = "lock-order violation")]
     fn leaf_rank_inversions_trip_the_tracker() {
         let _queue = rank_guard(Rank::ConnQueue);
-        let _col = rank_guard(Rank::JacobiCol);
+        let _shard = rank_guard(Rank::CacheShard);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, Gbc, Labels, ScoreError, Scorer};
+use crate::scorer::{Labels, ScoreError};
 
 /// Variance floor to keep the Bhattacharyya distance defined for
 //  near-degenerate dimensions.
@@ -82,17 +82,10 @@ pub(crate) fn gbc_impl(features: &Matrix, labels: &Labels) -> Result<f64, ScoreE
     Ok(score)
 }
 
-/// GBC score of features against labels. Higher is better.
-#[deprecated(note = "use `Gbc` through the `Scorer` trait")]
-pub fn gbc(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored = Labels::new(labels, num_classes).and_then(|labels| Gbc.score(features, &labels));
-    assert!(scored.is_ok(), "gbc: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::{Gbc, Scorer};
     use crate::testutil::clustered_features;
     use tg_rng::Rng;
 

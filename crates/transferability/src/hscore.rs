@@ -8,7 +8,7 @@
 use tg_linalg::decomp::cholesky_solve;
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, HScore, Labels, ScoreError, Scorer};
+use crate::scorer::{Labels, ScoreError};
 
 /// Ridge added to the covariance diagonal (relative to mean variance).
 const SHRINKAGE: f64 = 1e-3;
@@ -67,18 +67,10 @@ pub(crate) fn h_score_impl(features: &Matrix, labels: &Labels) -> Result<f64, Sc
     Ok(score)
 }
 
-/// H-score of features against labels. Higher is better.
-#[deprecated(note = "use `HScore` through the `Scorer` trait")]
-pub fn h_score(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored =
-        Labels::new(labels, num_classes).and_then(|labels| HScore.score(features, &labels));
-    assert!(scored.is_ok(), "h_score: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::{HScore, Scorer};
     use crate::testutil::clustered_features;
     use tg_rng::Rng;
 

@@ -3,10 +3,15 @@
 
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, Labels, Leep, ScoreError, Scorer};
+use crate::scorer::{Labels, ScoreError};
 
-/// Fallible LEEP implementation behind [`crate::Leep`]: `source_probs` is
-/// the `n × Z` source-head soft-prediction matrix (rows sum to 1).
+/// LEEP: log expected empirical prediction, behind [`crate::Leep`].
+///
+/// Given the source-head soft predictions `θ` (`source_probs`, `n × Z`, rows
+/// sum to 1) and target labels `y`, LEEP builds the empirical joint
+/// `P(y, z)`, forms the conditional `P(y | z)`, and scores the mean
+/// log-likelihood of the target labels under the composed classifier
+/// `x ↦ Σ_z P(y|z) θ(x)_z`.
 pub(crate) fn leep_impl(source_probs: &Matrix, labels: &Labels) -> Result<f64, ScoreError> {
     let n = source_probs.rows();
     labels.check_rows(n)?;
@@ -50,9 +55,9 @@ pub(crate) fn leep_impl(source_probs: &Matrix, labels: &Labels) -> Result<f64, S
     Ok(total / n as f64)
 }
 
-/// Fallible NCE implementation shared by [`crate::Nce`] (which derives the
-/// hard pseudo-labels by argmax) and the deprecated [`nce`] shim (which
-/// takes them directly).
+/// NCE: negative conditional entropy `−H(Y | Z)` of target labels given
+/// hard source pseudo-labels, behind [`crate::Nce`] (which derives the
+/// pseudo-labels by argmax). Higher (closer to 0) is better.
 pub(crate) fn nce_impl(
     source_labels: &[usize],
     labels: &Labels,
@@ -102,39 +107,10 @@ pub(crate) fn nce_impl(
     Ok(nce)
 }
 
-/// LEEP: log expected empirical prediction.
-///
-/// Given the source-head soft predictions `θ` (`n × Z`, rows sum to 1) and
-/// target labels `y`, LEEP builds the empirical joint `P(y, z)`, forms the
-/// conditional `P(y | z)`, and scores the mean log-likelihood of the target
-/// labels under the composed classifier `x ↦ Σ_z P(y|z) θ(x)_z`.
-#[deprecated(note = "use `Leep` through the `Scorer` trait")]
-pub fn leep(source_probs: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored =
-        Labels::new(labels, num_classes).and_then(|labels| Leep.score(source_probs, &labels));
-    assert!(scored.is_ok(), "leep: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
-/// NCE: negative conditional entropy `−H(Y | Z)` of target labels given
-/// hard source pseudo-labels. Higher (closer to 0) is better.
-#[deprecated(note = "use `Nce` through the `Scorer` trait (it derives the argmax pseudo-labels)")]
-pub fn nce(
-    source_labels: &[usize],
-    labels: &[usize],
-    num_source_classes: usize,
-    num_classes: usize,
-) -> f64 {
-    let scored = Labels::new(labels, num_classes)
-        .and_then(|labels| nce_impl(source_labels, &labels, num_source_classes));
-    assert!(scored.is_ok(), "nce: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::Nce;
+    use crate::scorer::{Leep, Nce, Scorer};
     use tg_rng::Rng;
 
     fn leep(p: &Matrix, y: &[usize], c: usize) -> f64 {

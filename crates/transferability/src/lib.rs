@@ -10,8 +10,7 @@
 //! Every estimator is reachable through the unified, fallible [`Scorer`]
 //! trait: construct a validated [`Labels`] view once, then call
 //! `score(&features, &labels)`, which returns [`ScoreError`] instead of
-//! panicking on bad input. The historical free functions ([`log_me`],
-//! [`leep`], …) remain as `#[deprecated]` panicking shims.
+//! panicking on bad input.
 //!
 //! * [`LogMe`] — the paper's primary baseline and the source of the
 //!   transferability edges in the TransferGraph graph (§V-A3). Runs the
@@ -47,22 +46,10 @@ mod parc;
 mod scorer;
 mod transrate;
 
-#[allow(deprecated)]
-pub use gbc::gbc;
-#[allow(deprecated)]
-pub use hscore::h_score;
-#[allow(deprecated)]
-pub use leep_nce::{leep, nce};
-#[allow(deprecated)]
-pub use logme::log_me;
-#[allow(deprecated)]
-pub use parc::parc;
 pub use scorer::{
-    DecompArm, DecompPath, Gbc, HScore, JacobiConfig, Labels, Leep, LogMe, LogMeKernel,
-    LogMeReport, Nce, Parc, ScoreError, Scorer, TransRate,
+    DecompArm, DecompPath, Gbc, HScore, Labels, Leep, LogMe, LogMeKernel, LogMeReport, Nce, Parc,
+    ScoreError, Scorer, TransRate,
 };
-#[allow(deprecated)]
-pub use transrate::trans_rate;
 
 use tg_zoo::ForwardPass;
 

@@ -24,9 +24,8 @@
 //!
 //! On the SVD reference path both kernels produce **bit-identical** scores
 //! (asserted by unit and property tests, see `tests/property_tests.rs`);
-//! the other decomposition arms are deterministic but agree to tolerances
-//! rather than bits (see *Decomposition paths* below). The bit-identity
-//! argument:
+//! the Gram arm is deterministic but agrees to a tolerance rather than bits
+//! (see *Decomposition paths* below). The bit-identity argument:
 //!
 //! * every reduction accumulates in ascending sample-row order `r` — the
 //!   GEMM blocks only tile the *output*, never the reduction;
@@ -47,7 +46,7 @@
 //!
 //! # Decomposition paths
 //!
-//! The batched kernel can obtain its `(σ², z)` inputs along several arms
+//! The batched kernel obtains its `(σ², z)` inputs along one of two arms
 //! (selected by [`crate::DecompPath`], heuristically by default):
 //!
 //! * **Svd** — the historical thin SVD of `F` (`n × d`), projecting
@@ -64,30 +63,19 @@
 //!   `n < d`, where the Gram spectrum carries `d − n` exact zeros — and
 //!   agrees with the SVD path to ~1e-6 in floating point (property-tested,
 //!   bench-gated).
-//! * **Jacobi** — one-sided Hestenes SVD with deterministic (optionally
-//!   parallel) rotation sweeps; same projections as Svd.
-//! * **Truncated** — the Gram path plus spectral truncation: trailing
-//!   eigenvalues whose cumulative energy is at most `TG_LOGME_TRUNC_TOL`
-//!   (default `1e-6`) of the total are dropped like σ≈0 directions. An
-//!   explicit fast mode with a relaxed (~1e-3) accuracy contract on the
-//!   evidence.
 //!
 //! Per-arm decomposition wall-clock is measured here (this file is on the
 //! tg-check TG02 allowlist for exactly that) and reported through
 //! [`crate::LogMeReport`] into the workbench telemetry.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use tg_linalg::decomp::{
-    one_sided_jacobi_svd, symmetric_eigen_with_sweeps, thin_svd_with_sweeps, JacobiOpts,
-    MAX_SWEEPS, SIGMA_CLAMP,
+    symmetric_eigen_with_sweeps, thin_svd_with_sweeps, MAX_SWEEPS, SIGMA_CLAMP,
 };
 use tg_linalg::Matrix;
 
-use crate::scorer::{
-    shim_error, DecompArm, DecompPath, JacobiConfig, Labels, LogMe, LogMeReport, ScoreError, Scorer,
-};
+use crate::scorer::{DecompArm, DecompPath, Labels, LogMeReport, ScoreError};
 
 /// Number of fixed-point iterations; the original implementation uses 11
 /// and observes convergence well before that.
@@ -97,19 +85,6 @@ const FIXED_POINT_ITERS: usize = 11;
 /// Gram path: the Gram arm saves two `O(n·d²)` passes but pays an extra
 /// `O(C·d²)` projection, so it needs `n` comfortably above `d` to win.
 const GRAM_RATIO: usize = 4;
-
-/// `TG_LOGME_TRUNC_TOL` with its documented default: the maximum fraction
-/// of total spectral energy the truncated arm may discard.
-fn trunc_tol() -> f64 {
-    static TOL: OnceLock<f64> = OnceLock::new();
-    *TOL.get_or_init(|| {
-        std::env::var("TG_LOGME_TRUNC_TOL")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|t| t.is_finite() && *t >= 0.0 && *t < 1.0)
-            .unwrap_or(1e-6)
-    })
-}
 
 /// Shape/finiteness validation shared by every kernel and path.
 fn validate(features: &Matrix, labels: &Labels) -> Result<(), ScoreError> {
@@ -267,7 +242,6 @@ fn decompose(
     features: &Matrix,
     labels: &Labels,
     path: DecompPath,
-    jacobi: JacobiConfig,
 ) -> Result<(Vec<f64>, Matrix, LogMeReport), ScoreError> {
     let (n, d) = features.shape();
     let arm = match path {
@@ -280,8 +254,6 @@ fn decompose(
         }
         DecompPath::Svd => DecompArm::Svd,
         DecompPath::Gram => DecompArm::Gram,
-        DecompPath::Jacobi => DecompArm::Jacobi,
-        DecompPath::Truncated => DecompArm::Truncated,
     };
     let start = Instant::now();
     let (sigma2, z, sweeps) = match arm {
@@ -290,24 +262,11 @@ fn decompose(
             let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
             (sigma2, labels.one_hot().matmul_at_b(&svd.u), sweeps)
         }
-        DecompArm::Jacobi => {
-            let opts = JacobiOpts {
-                max_sweeps: jacobi.max_sweeps,
-                workers: jacobi.workers,
-                ..JacobiOpts::default()
-            };
-            let (svd, sweeps) = one_sided_jacobi_svd(features, &opts)?;
-            let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-            (sigma2, labels.one_hot().matmul_at_b(&svd.u), sweeps)
-        }
-        DecompArm::Gram | DecompArm::Truncated => {
+        DecompArm::Gram => {
             let (evals, v, sweeps) = symmetric_eigen_with_sweeps(&features.gram(), MAX_SWEEPS)?;
             // The Gram eigenvalues *are* σ² (zero-clamped); keeping them
             // avoids the sqrt-then-square round trip of the SVD path.
-            let mut sigma2: Vec<f64> = evals.iter().map(|e| e.max(0.0)).collect();
-            if arm == DecompArm::Truncated {
-                truncate_spectrum(&mut sigma2, trunc_tol());
-            }
+            let sigma2: Vec<f64> = evals.iter().map(|e| e.max(0.0)).collect();
             // Z = P V Σ⁻¹ with P = YᵀF: each projection zᵢ = vᵢᵀ(Fᵀy)/σᵢ,
             // never materialising U. σ≈0 directions project to exactly 0,
             // matching the SVD path's zeroed U columns.
@@ -333,29 +292,6 @@ fn decompose(
     Ok((sigma2, z, report))
 }
 
-/// Zeroes the trailing (ascending-energy) eigenvalues whose cumulative sum
-/// is at most `tol` of the total, leaving them as exact σ≈0 directions.
-/// `sigma2` must be sorted descending (the eigen routines guarantee it).
-fn truncate_spectrum(sigma2: &mut [f64], tol: f64) {
-    let total: f64 = sigma2.iter().sum();
-    if !total.is_finite() || total <= 0.0 || tol <= 0.0 {
-        return;
-    }
-    let budget = tol * total;
-    let mut tail = 0.0;
-    let mut cut = sigma2.len();
-    for (i, &s2) in sigma2.iter().enumerate().rev() {
-        if tail + s2 > budget {
-            break;
-        }
-        tail += s2;
-        cut = i;
-    }
-    for s2 in &mut sigma2[cut..] {
-        *s2 = 0.0;
-    }
-}
-
 /// Batched kernel: all classes at once.
 ///
 /// One blocked GEMM `Z = YᵀU` over the dense one-hot label matrix replaces
@@ -372,10 +308,9 @@ pub(crate) fn log_me_batched(
     features: &Matrix,
     labels: &Labels,
     path: DecompPath,
-    jacobi: JacobiConfig,
 ) -> Result<(f64, LogMeReport), ScoreError> {
     validate(features, labels)?;
-    let (sigma2, z, report) = decompose(features, labels, path, jacobi)?;
+    let (sigma2, z, report) = decompose(features, labels, path)?;
     let n = features.rows();
     let d = features.cols();
     let k = sigma2.len();
@@ -442,20 +377,10 @@ pub(crate) fn log_me_batched(
     Ok((total / num_classes as f64, report))
 }
 
-/// LogME score of features (`n × D`) against integer labels in
-/// `0..num_classes`. Higher is better. Returns the mean per-class log
-/// evidence per sample.
-#[deprecated(note = "use `LogMe` (batched by default) through the `Scorer` trait")]
-pub fn log_me(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored = Labels::new(labels, num_classes)
-        .and_then(|labels| LogMe::batched().score(features, &labels));
-    assert!(scored.is_ok(), "log_me: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::{LogMe, Scorer};
     use crate::testutil::clustered_features;
     use tg_rng::Rng;
 
@@ -636,59 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_path_matches_svd_path_within_tolerance() {
-        let mut rng = Rng::seed_from_u64(43);
-        let (f, y) = clustered_features(&mut rng, 80, 10, 3, 2.0);
-        let labels = Labels::new(&y, 3).unwrap();
-        let svd = LogMe::batched()
-            .with_path(DecompPath::Svd)
-            .score(&f, &labels)
-            .unwrap();
-        let (jac, report) = LogMe::batched()
-            .with_path(DecompPath::Jacobi)
-            .score_with_report(&f, &labels)
-            .unwrap();
-        assert_eq!(report.arm, DecompArm::Jacobi);
-        assert!(close(jac, svd, 1e-6), "jacobi {jac} vs svd {svd}");
-    }
-
-    #[test]
-    fn truncated_path_matches_within_relaxed_tolerance() {
-        let mut rng = Rng::seed_from_u64(44);
-        let (f, y) = clustered_features(&mut rng, 160, 12, 4, 2.0);
-        let labels = Labels::new(&y, 4).unwrap();
-        let svd = LogMe::batched()
-            .with_path(DecompPath::Svd)
-            .score(&f, &labels)
-            .unwrap();
-        let (tr, report) = LogMe::batched()
-            .with_path(DecompPath::Truncated)
-            .score_with_report(&f, &labels)
-            .unwrap();
-        assert_eq!(report.arm, DecompArm::Truncated);
-        assert!(report.rank <= 12);
-        assert!(close(tr, svd, 1e-3), "truncated {tr} vs svd {svd}");
-    }
-
-    #[test]
-    fn truncate_spectrum_respects_energy_budget() {
-        let mut s = vec![100.0, 10.0, 1.0, 1e-8, 1e-9];
-        truncate_spectrum(&mut s, 1e-6);
-        assert_eq!(&s[..3], &[100.0, 10.0, 1.0]);
-        assert_eq!(&s[3..], &[0.0, 0.0]);
-        // A zero tolerance keeps everything.
-        let mut s = vec![5.0, 1e-12];
-        truncate_spectrum(&mut s, 0.0);
-        assert_eq!(s, vec![5.0, 1e-12]);
-        // Degenerate all-zero spectrum is untouched.
-        let mut s = vec![0.0, 0.0];
-        truncate_spectrum(&mut s, 1e-6);
-        assert_eq!(s, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn sigma_zero_edge_case_all_paths_finite_and_agree() {
-        // Zero column + duplicated column: two σ≈0 directions. Every arm
+    fn sigma_zero_edge_case_gram_finite_and_agrees() {
+        // Zero column + duplicated column: two σ≈0 directions. The Gram arm
         // must stay finite and agree with the reference to tolerance.
         let mut rng = Rng::seed_from_u64(45);
         let (base, y) = clustered_features(&mut rng, 60, 4, 2, 2.0);
@@ -703,61 +577,11 @@ mod tests {
             .score(&f, &labels)
             .unwrap();
         assert!(svd.is_finite());
-        for path in [DecompPath::Gram, DecompPath::Jacobi, DecompPath::Truncated] {
-            let s = LogMe::batched().with_path(path).score(&f, &labels).unwrap();
-            assert!(s.is_finite(), "{path:?} non-finite");
-            assert!(close(s, svd, 1e-6), "{path:?}: {s} vs {svd}");
-        }
-    }
-
-    #[test]
-    fn jacobi_non_convergence_propagates_as_score_error() {
-        use tg_linalg::decomp::DecompError;
-        let mut rng = Rng::seed_from_u64(46);
-        let (f, y) = clustered_features(&mut rng, 60, 8, 3, 2.0);
-        let labels = Labels::new(&y, 3).unwrap();
-        let starved = LogMe::batched()
-            .with_path(DecompPath::Jacobi)
-            .with_jacobi(JacobiConfig {
-                max_sweeps: 1,
-                ..JacobiConfig::DEFAULT
-            });
-        assert_eq!(
-            starved.score(&f, &labels),
-            Err(ScoreError::Decomposition(DecompError::NoConvergence))
-        );
-    }
-
-    #[test]
-    fn decomp_path_env_parsing() {
-        assert_eq!(LogMe::path_from_str("svd"), DecompPath::Svd);
-        assert_eq!(LogMe::path_from_str("GRAM"), DecompPath::Gram);
-        assert_eq!(LogMe::path_from_str(" jacobi "), DecompPath::Jacobi);
-        assert_eq!(LogMe::path_from_str("truncated"), DecompPath::Truncated);
-        assert_eq!(LogMe::path_from_str("auto"), DecompPath::Auto);
-        assert_eq!(LogMe::path_from_str("nonsense"), DecompPath::Auto);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_and_panics() {
-        let mut rng = Rng::seed_from_u64(8);
-        let (f, y) = clustered_features(&mut rng, 120, 8, 3, 2.0);
-        let via_shim = log_me(&f, &y, 3);
-        // The shim routes through the default (Auto-path) batched scorer.
-        assert_eq!(
-            via_shim.to_bits(),
-            score(LogMe::batched(), &f, &y, 3).to_bits()
-        );
-        // And the SVD reference path remains kernel-bit-identical.
-        assert!(both_identical(&f, &y, 3).is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "log_me")]
-    #[allow(deprecated)]
-    fn rejects_mismatched_labels() {
-        let f = Matrix::zeros(10, 4);
-        log_me(&f, &[0, 1], 2);
+        let gram = LogMe::batched()
+            .with_path(DecompPath::Gram)
+            .score(&f, &labels)
+            .unwrap();
+        assert!(gram.is_finite(), "gram non-finite");
+        assert!(close(gram, svd, 1e-6), "gram {gram} vs svd {svd}");
     }
 }

@@ -9,7 +9,7 @@
 use tg_linalg::stats::spearman;
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, Labels, Parc, ScoreError, Scorer};
+use crate::scorer::{Labels, ScoreError};
 
 /// Maximum number of samples used; PARC is O(n²) in memory so the reference
 /// implementation subsamples.
@@ -56,14 +56,6 @@ pub(crate) fn parc_impl(features: &Matrix, labels: &Labels) -> Result<f64, Score
     Ok(spearman(&xs, &ys).unwrap_or(0.0) * 100.0)
 }
 
-/// PARC score of features against labels. Higher is better.
-#[deprecated(note = "use `Parc` through the `Scorer` trait")]
-pub fn parc(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored = Labels::new(labels, num_classes).and_then(|labels| Parc.score(features, &labels));
-    assert!(scored.is_ok(), "parc: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 /// `1 − pearson(row_i, row_j)` for the selected rows.
 fn pearson_distance_rows(m: &Matrix, idx: &[usize]) -> Matrix {
     let n = idx.len();
@@ -96,6 +88,7 @@ fn pearson_distance_rows(m: &Matrix, idx: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::{Parc, Scorer};
     use crate::testutil::clustered_features;
     use tg_rng::Rng;
 

@@ -6,9 +6,6 @@
 //! [`Labels`] view — scorers then assume labels are in range and only report
 //! the failure modes they can actually hit (shape mismatch against the
 //! feature matrix, too few samples, a numerical decomposition failing).
-//!
-//! The historical panicking free functions ([`crate::log_me`],
-//! [`crate::h_score`], …) remain as `#[deprecated]` shims over this trait.
 
 use std::fmt;
 
@@ -240,12 +237,12 @@ pub enum LogMeKernel {
 /// Which decomposition feeds the batched LogME kernel's spectrum and label
 /// projections.
 ///
-/// The evidence is mathematically identical along every path (see the
-/// `logme` module docs for the identity); the paths differ in cost and in
+/// The evidence is mathematically identical along both paths (see the
+/// `logme` module docs for the identity); they differ in cost and in
 /// floating-point rounding. `Svd` is the bit-exactness reference — the
 /// historical thin-SVD pipeline, bit-identical to the scalar kernel and the
-/// seed implementation. `Gram`, `Jacobi` and `Truncated` agree with it to
-/// documented tolerances, asserted by property tests and the bench gates.
+/// seed implementation. `Gram` agrees with it to ~1e-6, asserted by
+/// property tests and the bench gates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DecompPath {
     /// Heuristic: `Gram` when `n >= 4·d` (the paper-scale regime), `Svd`
@@ -260,15 +257,6 @@ pub enum DecompPath {
     /// removing the two `O(n·d²)` passes that dominate the SVD path when
     /// `n ≫ d`.
     Gram,
-    /// One-sided (Hestenes) Jacobi SVD with deterministic, optionally
-    /// parallel rotation sweeps ([`tg_linalg::decomp::one_sided_jacobi_svd`]).
-    Jacobi,
-    /// The Gram path plus spectral truncation: trailing eigenvalues whose
-    /// cumulative energy is below the documented tolerance
-    /// (`TG_LOGME_TRUNC_TOL`, default `1e-6`) are dropped like σ≈0
-    /// directions. An explicit opt-in fast mode with a relaxed accuracy
-    /// contract (`~1e-3` on the evidence).
-    Truncated,
 }
 
 /// The decomposition a LogME score actually ran (the [`DecompPath::Auto`]
@@ -279,28 +267,18 @@ pub enum DecompArm {
     Svd,
     /// Gram-only projection path.
     Gram,
-    /// One-sided Jacobi SVD.
-    Jacobi,
-    /// Gram path with spectral truncation.
-    Truncated,
 }
 
 impl DecompArm {
-    /// Every arm, in [`DecompArm::index`] order.
-    pub const ALL: [DecompArm; 4] = [
-        DecompArm::Svd,
-        DecompArm::Gram,
-        DecompArm::Jacobi,
-        DecompArm::Truncated,
-    ];
+    /// Every arm, in [`DecompArm::index`] order. Per-arm accumulators are
+    /// sized from this array's length.
+    pub const ALL: [DecompArm; 2] = [DecompArm::Svd, DecompArm::Gram];
 
-    /// Dense index for per-arm accumulator arrays (`0..4`).
+    /// Dense index for per-arm accumulator arrays (`0..ALL.len()`).
     pub const fn index(self) -> usize {
         match self {
             DecompArm::Svd => 0,
             DecompArm::Gram => 1,
-            DecompArm::Jacobi => 2,
-            DecompArm::Truncated => 3,
         }
     }
 
@@ -309,35 +287,7 @@ impl DecompArm {
         match self {
             DecompArm::Svd => "svd",
             DecompArm::Gram => "gram",
-            DecompArm::Jacobi => "jacobi",
-            DecompArm::Truncated => "truncated",
         }
-    }
-}
-
-/// Jacobi-path tuning carried inside [`LogMe`]. Field semantics match
-/// [`tg_linalg::decomp::JacobiOpts`]; the orthogonality tolerance is fixed
-/// (the `JacobiOpts` default) so this stays `Eq`-comparable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JacobiConfig {
-    /// Worker threads for the rotation rounds (results are bit-identical at
-    /// any value; `1` = sequential).
-    pub workers: usize,
-    /// Full-sweep budget before `ScoreError::Decomposition(NoConvergence)`.
-    pub max_sweeps: usize,
-}
-
-impl JacobiConfig {
-    /// Sequential sweeps with the default budget.
-    pub const DEFAULT: JacobiConfig = JacobiConfig {
-        workers: 1,
-        max_sweeps: tg_linalg::decomp::MAX_SWEEPS,
-    };
-}
-
-impl Default for JacobiConfig {
-    fn default() -> Self {
-        JacobiConfig::DEFAULT
     }
 }
 
@@ -352,11 +302,9 @@ pub struct LogMeReport {
     /// Wall-clock spent inside the decomposition (spectrum + label
     /// projections), excluding the evidence fixed point.
     pub decomp: std::time::Duration,
-    /// Jacobi sweeps the decomposition used (eigen sweeps for `Svd`/`Gram`
-    /// paths, Hestenes sweeps for `Jacobi`).
+    /// Jacobi sweeps of the Gram eigendecomposition behind either arm.
     pub sweeps: usize,
-    /// Number of retained directions with `σ` above the clamp (equals the
-    /// kept rank for `Truncated`).
+    /// Number of retained directions with `σ` above the clamp.
     pub rank: usize,
 }
 
@@ -370,7 +318,6 @@ pub struct LogMeReport {
 pub struct LogMe {
     kernel: LogMeKernel,
     path: DecompPath,
-    jacobi: JacobiConfig,
 }
 
 impl LogMe {
@@ -380,7 +327,6 @@ impl LogMe {
         LogMe {
             kernel: LogMeKernel::Batched,
             path: DecompPath::Auto,
-            jacobi: JacobiConfig::DEFAULT,
         }
     }
 
@@ -389,7 +335,6 @@ impl LogMe {
         LogMe {
             kernel: LogMeKernel::Scalar,
             path: DecompPath::Auto,
-            jacobi: JacobiConfig::DEFAULT,
         }
     }
 
@@ -398,11 +343,6 @@ impl LogMe {
     /// exists to pin the historical bits.
     pub const fn with_path(self, path: DecompPath) -> Self {
         LogMe { path, ..self }
-    }
-
-    /// Overrides the Jacobi-path tuning (worker count and sweep budget).
-    pub const fn with_jacobi(self, jacobi: JacobiConfig) -> Self {
-        LogMe { jacobi, ..self }
     }
 
     /// Which kernel this instance runs.
@@ -415,41 +355,6 @@ impl LogMe {
         self.path
     }
 
-    /// The Jacobi-path tuning.
-    pub const fn jacobi(&self) -> JacobiConfig {
-        self.jacobi
-    }
-
-    /// Builds the serving configuration from the environment: the batched
-    /// kernel with `TG_LOGME_DECOMP` selecting the path
-    /// (`auto`|`svd`|`gram`|`jacobi`|`truncated`; anything else, including
-    /// unset, means `auto`) and `TG_JACOBI_WORKERS` the Jacobi worker count.
-    pub fn from_env() -> Self {
-        let path = std::env::var("TG_LOGME_DECOMP")
-            .map(|v| Self::path_from_str(&v))
-            .unwrap_or_default();
-        let workers = std::env::var("TG_JACOBI_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        LogMe::batched().with_path(path).with_jacobi(JacobiConfig {
-            workers,
-            ..JacobiConfig::DEFAULT
-        })
-    }
-
-    /// `TG_LOGME_DECOMP` value parser (case-insensitive; unknown → `Auto`).
-    pub(crate) fn path_from_str(v: &str) -> DecompPath {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "svd" => DecompPath::Svd,
-            "gram" => DecompPath::Gram,
-            "jacobi" => DecompPath::Jacobi,
-            "truncated" => DecompPath::Truncated,
-            _ => DecompPath::Auto,
-        }
-    }
-
     /// [`Scorer::score`] plus a [`LogMeReport`] describing the
     /// decomposition arm that ran and what it cost.
     pub fn score_with_report(
@@ -458,7 +363,7 @@ impl LogMe {
         labels: &Labels,
     ) -> Result<(f64, LogMeReport), ScoreError> {
         match self.kernel {
-            LogMeKernel::Batched => log_me_batched(features, labels, self.path, self.jacobi),
+            LogMeKernel::Batched => log_me_batched(features, labels, self.path),
             LogMeKernel::Scalar => log_me_scalar(features, labels),
         }
     }
@@ -578,15 +483,6 @@ impl Scorer for Gbc {
 
     fn score(&self, features: &Matrix, labels: &Labels) -> Result<f64, ScoreError> {
         gbc_impl(features, labels)
-    }
-}
-
-/// Formats the error of a failed score for the deprecated panicking shims
-/// (empty string when `Ok`, so it can sit inside a lazy `assert!` message).
-pub(crate) fn shim_error(r: &Result<f64, ScoreError>) -> String {
-    match r {
-        Ok(_) => String::new(),
-        Err(e) => e.to_string(),
     }
 }
 

@@ -8,7 +8,7 @@
 use tg_linalg::decomp::{cholesky, DecompError};
 use tg_linalg::Matrix;
 
-use crate::scorer::{shim_error, Labels, ScoreError, Scorer, TransRate};
+use crate::scorer::{Labels, ScoreError};
 
 /// Distortion parameter ε of the coding rate. The reference implementation
 /// defaults to values in this ballpark; results are insensitive within an
@@ -70,18 +70,10 @@ pub(crate) fn trans_rate_impl(features: &Matrix, labels: &Labels) -> Result<f64,
     Ok(whole - conditional)
 }
 
-/// TransRate score. Higher is better.
-#[deprecated(note = "use `TransRate` through the `Scorer` trait")]
-pub fn trans_rate(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let scored =
-        Labels::new(labels, num_classes).and_then(|labels| TransRate.score(features, &labels));
-    assert!(scored.is_ok(), "trans_rate: {}", shim_error(&scored));
-    scored.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scorer::{Scorer, TransRate};
     use crate::testutil::clustered_features;
     use tg_rng::Rng;
 

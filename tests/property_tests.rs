@@ -338,35 +338,6 @@ proptest! {
         prop_assert!(dev <= GRAM_PARITY_TOL, "svd {svd} gram {gram} dev {dev:.3e} at n={n} d={d}");
     }
 
-    /// Parallel Jacobi sweeps are bit-identical to sequential ones at any
-    /// worker count: rotation pairs within a round are disjoint and rounds
-    /// are barrier-separated, so the floating-point operation order never
-    /// depends on scheduling.
-    #[test]
-    fn logme_jacobi_parallel_is_bit_identical_to_sequential(
-        n in 2usize..25,
-        d in 2usize..9,
-        num_classes in 2usize..5,
-        workers in 2usize..5,
-        vals in prop::collection::vec(-10f64..10.0, 25 * 8),
-        raw_labels in prop::collection::vec(0usize..64, 25),
-    ) {
-        use transfergraph_repro::transfer::{DecompPath, JacobiConfig, Labels, LogMe, Scorer};
-        let features = Matrix::from_fn(n, d, |r, c| vals[r * 8 + c]);
-        let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
-        let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let jacobi = LogMe::batched().with_path(DecompPath::Jacobi);
-        let seq = jacobi.score(&features, &labels).unwrap();
-        let par = jacobi
-            .with_jacobi(JacobiConfig { workers, ..JacobiConfig::DEFAULT })
-            .score(&features, &labels)
-            .unwrap();
-        prop_assert!(
-            seq.to_bits() == par.to_bits(),
-            "sequential {seq:?} != {workers}-worker {par:?} at n={n} d={d}"
-        );
-    }
-
     /// A label vector of the wrong length surfaces as `ScoreError` from
     /// every kernel — never a panic.
     #[test]

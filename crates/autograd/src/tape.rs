@@ -693,10 +693,13 @@ impl Tape {
     /// Flushes gradients of all `param` leaves into the store. Must be
     /// called after [`Tape::backward`].
     pub fn accumulate_grads(&self, store: &mut ParamStore) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented API contract: backward() must run before gradients are read"
+        )]
         let grads = self
             .cached_grads
             .as_ref()
-            // tg-check: allow(tg01, reason = "documented API contract: backward() must run before gradients are read")
             .expect("accumulate_grads: call backward first");
         for (node, grad) in self.nodes.iter().zip(grads) {
             if let Op::Param(id) = node.op {
@@ -706,11 +709,14 @@ impl Tape {
     }
 
     /// Gradient of a specific node from the last [`Tape::backward`] call.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented API contract: backward() must run before gradients are read"
+    )]
     pub fn grad(&self, v: Var) -> &Matrix {
         &self
             .cached_grads
             .as_ref()
-            // tg-check: allow(tg01, reason = "documented API contract: backward() must run before gradients are read")
             .expect("grad: call backward first")[v.0]
     }
 }

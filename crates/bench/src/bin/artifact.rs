@@ -27,6 +27,13 @@
 //! deterministic re-persist. Results land in
 //! `results/BENCH_artifact.json`.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    reason = "benchmark binary: times its own run, aborts loudly on a failed step and cleans scratch dirs best-effort"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

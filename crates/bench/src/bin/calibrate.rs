@@ -3,6 +3,11 @@
 //! that the simulated world reproduces the information structure the paper
 //! relies on (see DESIGN.md §2).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_bench::{
     evaluate_over_targets_on, mean_pearson, persist_artifacts, reported_targets,
     zoo_handle_from_env,

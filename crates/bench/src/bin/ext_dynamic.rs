@@ -7,6 +7,12 @@
 //! (a) full Node2Vec+ retrain and (b) warm-start refresh, on wall time and
 //! on the dot-product ranking signal for stanfordcars.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    reason = "benchmark binary: times its own run and aborts loudly on a failed step"
+)]
+
 use std::time::Instant;
 use tg_embed::{DynamicEmbedder, SgnsConfig};
 use tg_graph::{EdgeKind, NodeKind, WalkConfig};

@@ -3,6 +3,12 @@
 //! domains (the structure Fig. 4 sketches) and places models near the
 //! datasets they transfer to.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_linalg::pca::Pca;
 use tg_rng::Rng;
 use tg_zoo::{FineTuneMethod, Modality};

@@ -4,6 +4,12 @@
 //! Completes the paper's §II-A related-work table with measured numbers on
 //! the simulated zoo.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use std::sync::Mutex;
 use tg_bench::{reported_targets, zoo_handle_from_env};
 use tg_transfer::Estimator;

@@ -6,6 +6,11 @@
 //! evaluated on the dot-product ranking signal (cheap proxy that needs no
 //! regressor) over two image targets.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_embed::{GraphLearner, Node2VecPlus};
 use tg_graph::{NodeKind, WalkConfig};
 use tg_rng::Rng;

@@ -6,6 +6,11 @@
 //! achievable. Our absolute accuracies live in the simulator's bands; the
 //! *ordering* and the random-vs-learned gap are the reproduced shape.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_bench::{persist_artifacts, summaries_enabled, zoo_handle_from_env};
 use tg_zoo::FineTuneMethod;
 use transfergraph::runner::{run_jobs, EvalJob};

@@ -2,6 +2,11 @@
 //! each target dataset, sorted by standard deviation — the plot motivating
 //! which datasets need model selection at all.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_bench::zoo_handle_from_env;
 use tg_zoo::{FineTuneMethod, Modality};
 use transfergraph::report::Table;

@@ -21,6 +21,12 @@
 //! exits nonzero on any gate violation. Respects `TG_SEED`, `TG_SCALE`
 //! and `TG_LOADGEN_REQUESTS` (steady-state request count, default 3000).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "benchmark binary: times its own run and aborts loudly on a failed step"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -24,6 +24,14 @@
 //! `warm_logme`, not re-derived). Results land in
 //! `results/BENCH_logme.json` with per-arm total and decomposition time.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    clippy::panic,
+    reason = "benchmark binary: times its own run, aborts loudly on a failed step and cleans scratch dirs best-effort"
+)]
+
 use std::fs;
 use std::time::{Duration, Instant};
 

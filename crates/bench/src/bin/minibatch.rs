@@ -26,6 +26,13 @@
 //! the minibatch arm within [`PARITY_TOL`] of the full-graph arm. Results
 //! land in `results/BENCH_minibatch.json`.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    reason = "benchmark binary: times its own run, aborts loudly on a failed step and cleans scratch dirs best-effort"
+)]
+
 use std::fs;
 use std::time::{Duration, Instant};
 

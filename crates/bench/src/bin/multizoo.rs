@@ -18,6 +18,11 @@
 //!
 //! [`ZooRegistry`]: transfergraph::ZooRegistry
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

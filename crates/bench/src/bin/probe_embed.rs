@@ -1,6 +1,11 @@
 //! Diagnostic sweep: how well do graph-learner embeddings capture the
 //! history signal, across walk/SGNS hyperparameters? Not a paper figure.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_embed::{GraphLearner, Node2VecPlus};
 use tg_graph::WalkConfig;
 use tg_rng::Rng;

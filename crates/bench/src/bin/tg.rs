@@ -9,6 +9,11 @@
 //!
 //! Environment: `TG_SEED`, `TG_SCALE` as for the experiment binaries.
 
+#![allow(
+    clippy::expect_used,
+    reason = "CLI binary: a failed setup step exits with its message"
+)]
+
 use std::collections::HashMap;
 use tg_zoo::{DatasetRole, FineTuneMethod, Modality};
 use transfergraph::recommend::{greedy_top_k, successive_halving};

@@ -152,7 +152,10 @@ pub fn evaluate_over_targets_on(
     opts: &EvalOptions,
 ) -> RunSummary {
     let before = wb.stats();
-    // tg-check: allow(tg02, reason = "run-summary wall time is reporting-only telemetry, never an input to predictions")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "run-summary wall time is reporting-only telemetry, never an input to predictions"
+    )]
     let start = std::time::Instant::now();
     // Warm the expensive shared artefacts (LogME over every model × target
     // pair) once; afterwards every worker thread hits the shared cache.

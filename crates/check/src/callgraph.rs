@@ -17,7 +17,7 @@
 //! collisions. The debug-build runtime tracker in `tg-sync` backstops
 //! all of these blind spots.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::config::Config;
 use crate::lexer::{Lexed, Tok};
@@ -49,7 +49,6 @@ struct Call {
 struct FnInfo {
     name: String,
     path: String,
-    returns_result: bool,
     acquires: Vec<Acquire>,
     calls: Vec<Call>,
     /// The minimum lock rank reachable from this function (directly or
@@ -83,17 +82,6 @@ impl FnIndex {
         }
         index.fixpoint();
         index
-    }
-
-    /// Names of functions whose signature returns a `Result` — merged
-    /// over same-named functions (any `Result`-returning overload makes
-    /// the name count), which is the conservative direction for TG09.
-    pub fn result_fn_names(&self) -> HashSet<String> {
-        self.fns
-            .iter()
-            .filter(|f| f.returns_result)
-            .map(|f| f.name.clone())
-            .collect()
     }
 
     /// Propagates minimum reachable ranks until stable. Cycles converge
@@ -189,8 +177,8 @@ fn is_edge_call_shape(toks: &[Tok], i: usize) -> bool {
     toks.get(i.wrapping_sub(2)).and_then(Tok::ident) == Some("self")
 }
 
-/// Indexes one file's `fn` items: name, `Result`-ness of the signature,
-/// direct lock acquisitions, and call sites with the lexically held rank.
+/// Indexes one file's `fn` items: name, direct lock acquisitions, and
+/// call sites with the lexically held rank.
 /// Tokens are attributed to the innermost enclosing `fn` (closures fold
 /// into their parent).
 fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
@@ -207,30 +195,15 @@ fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
             continue; // `fn(` pointer type
         };
         // Scan the signature to the body `{` or a bodyless `;`.
-        let mut j = i + 2;
-        let mut saw_arrow_result = false;
-        let mut arrow = false;
-        let mut open = None;
-        while let Some(t) = toks.get(j) {
-            match t {
-                Tok::Punct('{') => {
-                    open = Some(j);
-                    break;
-                }
-                Tok::Punct(';') => break,
-                Tok::Punct('-') if toks.get(j + 1).is_some_and(|t| t.is_punct('>')) => {
-                    arrow = true;
-                }
-                Tok::Ident(id) if arrow && id == "Result" => saw_arrow_result = true,
-                _ => {}
-            }
-            j += 1;
-        }
+        let open = toks[i + 2..]
+            .iter()
+            .position(|t| t.is_punct('{') || t.is_punct(';'))
+            .map(|k| i + 2 + k)
+            .filter(|&j| toks[j].is_punct('{'));
         let id = out.len();
         out.push(FnInfo {
             name: name.to_string(),
             path: path.to_string(),
-            returns_result: saw_arrow_result,
             acquires: Vec::new(),
             calls: Vec::new(),
             min_rank: None,

@@ -3,10 +3,11 @@
 //! container has no crates.io access.
 //!
 //! The file declares everything repo-specific so the lint logic stays
-//! generic: scan roots and exclusions, the TG02 telemetry allowlist, the
-//! TG04 lock-rank table (`order` plus one receiver-name list per class),
-//! the TG06 condvar registry, the TG07 blocking-call list, and the TG08
-//! env-knob registry.
+//! generic: scan roots and exclusions, the TG04 lock-rank table (`order`
+//! plus one receiver-name list per class), the TG06 condvar registry, the
+//! TG07 blocking-call list, and the TG08 env-knob registry. The tool and
+//! its config ship together, so an unknown section or key is an error: a
+//! typo must not silently turn a lint off.
 
 use std::collections::HashMap;
 
@@ -32,8 +33,6 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path substrings never scanned (vendored stand-ins, lint fixtures).
     pub exclude: Vec<String>,
-    /// Files where wall-clock reads are legitimate telemetry (TG02).
-    pub tg02_allow_files: Vec<String>,
     /// Lock classes in acquisition order: a thread may only take locks in
     /// non-decreasing rank (index) order.
     pub lock_order: Vec<String>,
@@ -66,8 +65,9 @@ impl Config {
         None
     }
 
-    /// Parses the TOML subset; unknown sections/keys are ignored so the
-    /// config can grow without breaking older binaries.
+    /// Parses the TOML subset. An unknown section, or an unknown key in a
+    /// fixed-key section (`[scan]`, `[lock_order]`, `[tg07]`), is an error
+    /// naming its line.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
         let mut section = String::new();
@@ -78,6 +78,12 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
+                if !SECTIONS.contains(&section.as_str()) {
+                    return Err(format!(
+                        "tg-check.toml:{}: unknown section [{section}]",
+                        ln + 1
+                    ));
+                }
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -90,7 +96,6 @@ impl Config {
             match (section.as_str(), key) {
                 ("scan", "roots") => cfg.roots = parsed,
                 ("scan", "exclude") => cfg.exclude = parsed,
-                ("tg02", "allow_files") => cfg.tg02_allow_files = parsed,
                 ("lock_order", "order") => cfg.lock_order = parsed,
                 ("lock_order.classes", class) => {
                     cfg.lock_classes.insert(class.to_string(), parsed);
@@ -122,7 +127,12 @@ impl Config {
                         line: (ln + 1) as u32,
                     });
                 }
-                _ => {} // forward compatibility: ignore unknown keys
+                _ => {
+                    return Err(format!(
+                        "tg-check.toml:{}: unknown key `{key}` in [{section}]",
+                        ln + 1
+                    ));
+                }
             }
         }
         for class in cfg.lock_classes.keys() {
@@ -150,6 +160,16 @@ impl Config {
         Ok(cfg)
     }
 }
+
+/// Every section `Config::parse` accepts.
+const SECTIONS: [&str; 6] = [
+    "scan",
+    "lock_order",
+    "lock_order.classes",
+    "condvars",
+    "tg07",
+    "knobs",
+];
 
 /// Strips a trailing `#` comment, respecting `"…"` strings.
 fn strip_toml_comment(line: &str) -> &str {
@@ -197,9 +217,6 @@ mod tests {
 roots = ["crates", "src"]
 exclude = ["vendor/"]
 
-[tg02]
-allow_files = ["crates/core/src/artifacts.rs"]
-
 [lock_order]
 order = ["registry", "cache_shard"]
 
@@ -223,7 +240,6 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.roots, ["crates", "src"]);
         assert_eq!(cfg.exclude, ["vendor/"]);
-        assert_eq!(cfg.tg02_allow_files, ["crates/core/src/artifacts.rs"]);
         assert_eq!(cfg.lock_rank_of("inner"), Some((0, "registry")));
         assert_eq!(cfg.lock_rank_of("shards"), Some((1, "cache_shard")));
         assert_eq!(cfg.lock_rank_of("unrelated"), None);
@@ -264,6 +280,20 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
     fn rejects_classes_missing_from_the_order() {
         let bad = "[lock_order]\norder = [\"a\"]\n[lock_order.classes]\nb = [\"x\"]\n";
         assert!(Config::parse(bad).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_sections_and_keys_naming_the_line() {
+        let typo = "[tg07]\nblocking = [\"sleep\"]\n\n[tg07]\nblockng = [\"sleep\"]\n";
+        let err = Config::parse(typo).unwrap_err();
+        assert!(err.contains(":5:") && err.contains("`blockng`"), "{err}");
+        let err = Config::parse("[scan]\nroots = []\n[tg02]\n").unwrap_err();
+        assert!(err.contains(":3:") && err.contains("[tg02]"), "{err}");
+        assert!(
+            Config::parse("roots = [\"crates\"]\n").is_err(),
+            "key outside any section"
+        );
+        assert!(Config::parse("[lock_order]\nordr = [\"a\"]\n").is_err());
     }
 
     #[test]

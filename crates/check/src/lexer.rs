@@ -173,8 +173,9 @@ pub fn lex(source: &str) -> Lexed {
             }
             '\'' => {
                 // Char literal vs lifetime: a lifetime is `'ident` with no
-                // closing quote right after the identifier.
+                // closing quote right after its first (maybe multi-byte) char.
                 let mut j = i + 1;
+                let width = source[j..].chars().next().map_or(0, char::len_utf8);
                 if bytes.get(j) == Some(&b'\\') {
                     // Escaped char literal: consume to closing quote.
                     j += 2;
@@ -185,7 +186,7 @@ pub fn lex(source: &str) -> Lexed {
                     tokens.push(Tok::Literal);
                     lines.push(line);
                 } else if bytes.get(j).is_some_and(|b| is_ident_char(*b))
-                    && bytes.get(j + 1) != Some(&b'\'')
+                    && bytes.get(j + width) != Some(&b'\'')
                 {
                     // Lifetime: skip the identifier, emit nothing.
                     while j < bytes.len() && is_ident_char(bytes[j]) {
@@ -193,8 +194,9 @@ pub fn lex(source: &str) -> Lexed {
                     }
                     i = j;
                 } else {
-                    // Plain char literal like 'x' (or the degenerate `'''`).
-                    i = (j + 2).min(bytes.len());
+                    // Plain char literal like 'x' or 'λ' (or the degenerate
+                    // `'''`): skip the char by its UTF-8 width.
+                    i = (j + width + 1).min(bytes.len());
                     tokens.push(Tok::Literal);
                     lines.push(line);
                 }
@@ -210,7 +212,7 @@ pub fn lex(source: &str) -> Lexed {
                 tokens.push(Tok::Literal);
                 lines.push(line);
             }
-            c if c.is_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == '_' || !c.is_ascii() => {
                 let start = i;
                 while i < bytes.len() && is_ident_char(bytes[i]) {
                     i += 1;
@@ -235,8 +237,11 @@ pub fn lex(source: &str) -> Lexed {
     }
 }
 
+/// Identifier bytes: ASCII alphanumerics, `_`, and every byte of a
+/// non-ASCII char (Rust identifiers may be Unicode; outside strings,
+/// comments and char literals nothing else is non-ASCII).
 fn is_ident_char(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
+    b.is_ascii_alphanumeric() || b == b'_' || !b.is_ascii()
 }
 
 /// Consumes a `"…"` string body starting after the opening quote, handling
@@ -509,6 +514,43 @@ mod tests {
         assert!(lexed.tokens[after].is_punct('('), "lands on the call paren");
         // Not a turbofish: the index comes back unchanged.
         assert_eq!(skip_turbofish(&lexed.tokens, 0), 0);
+    }
+
+    #[test]
+    fn non_ascii_identifiers_terminate_as_one_token() {
+        let lexed = lex("let λ = 1; let naïve_x = λ;");
+        let idents: Vec<&str> = lexed.tokens.iter().filter_map(Tok::ident).collect();
+        assert_eq!(idents, ["let", "λ", "let", "naïve_x", "λ"]);
+    }
+
+    #[test]
+    fn multi_byte_char_literals_keep_the_rest_of_the_line() {
+        let lexed = lex("let c = 'λ';\nlet d = '×';\nlet e: &'static str = \"\";\n");
+        let toks: Vec<(&Tok, u32)> = lexed
+            .tokens
+            .iter()
+            .zip(lexed.lines.iter().copied())
+            .collect();
+        let semis: Vec<u32> = toks
+            .iter()
+            .filter(|(t, _)| t.is_punct(';'))
+            .map(|&(_, line)| line)
+            .collect();
+        assert_eq!(
+            semis,
+            [1, 2, 3],
+            "each statement keeps its `;` on its own line"
+        );
+        let lets: Vec<u32> = toks
+            .iter()
+            .filter(|(t, _)| t.ident() == Some("let"))
+            .map(|&(_, line)| line)
+            .collect();
+        assert_eq!(lets, [1, 2, 3]);
+        assert!(
+            !lexed.tokens.iter().any(|t| t.ident() == Some("static")),
+            "lifetime skipped"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the same line or the line directly above:
 //!
 //! ```text
-//! // tg-check: allow(tg01, reason = "SPD precondition documented on the fn")
+//! // tg-check: allow(tg07, reason = "startup path: no other thread can contend yet")
 //! ```
 //!
 //! The `reason` is mandatory and must be non-empty; a malformed directive
@@ -22,16 +22,10 @@ use crate::lexer::{lex, Lexed, Tok};
 pub enum Lint {
     /// Malformed or reason-less `tg-check: allow` directive.
     Tg00BadAllow,
-    /// `unwrap()` / `expect(` / `panic!` in library code.
-    Tg01NoPanic,
-    /// Wall-clock reads outside the declared telemetry allowlist.
-    Tg02Determinism,
     /// Non-`Relaxed` atomic ordering without a justification comment.
     Tg03AtomicOrdering,
     /// Lock acquisition violating the declared rank order.
     Tg04LockOrder,
-    /// `partial_cmp(..).unwrap()` on floats — use `total_cmp`.
-    Tg05FloatTotalOrder,
     /// Condvar discipline: `.wait(g)` outside a re-testing loop, or on a
     /// condvar missing from the `[condvars]` registry.
     Tg06CondvarDiscipline,
@@ -40,8 +34,6 @@ pub enum Lint {
     Tg07BlockingWhileLocked,
     /// `TG_*` env knob not registered in `[knobs]`, or registry/doc drift.
     Tg08KnobRegistry,
-    /// `let _ =` discarding a `Result`-returning call in library code.
-    Tg09IgnoredResult,
 }
 
 impl Lint {
@@ -49,15 +41,11 @@ impl Lint {
     pub fn code(self) -> &'static str {
         match self {
             Lint::Tg00BadAllow => "TG00",
-            Lint::Tg01NoPanic => "TG01",
-            Lint::Tg02Determinism => "TG02",
             Lint::Tg03AtomicOrdering => "TG03",
             Lint::Tg04LockOrder => "TG04",
-            Lint::Tg05FloatTotalOrder => "TG05",
             Lint::Tg06CondvarDiscipline => "TG06",
             Lint::Tg07BlockingWhileLocked => "TG07",
             Lint::Tg08KnobRegistry => "TG08",
-            Lint::Tg09IgnoredResult => "TG09",
         }
     }
 
@@ -67,15 +55,11 @@ impl Lint {
     pub fn from_code(code: &str) -> Option<Lint> {
         match code.to_ascii_lowercase().as_str() {
             "tg00" => Some(Lint::Tg00BadAllow),
-            "tg01" => Some(Lint::Tg01NoPanic),
-            "tg02" => Some(Lint::Tg02Determinism),
             "tg03" => Some(Lint::Tg03AtomicOrdering),
             "tg04" => Some(Lint::Tg04LockOrder),
-            "tg05" => Some(Lint::Tg05FloatTotalOrder),
             "tg06" => Some(Lint::Tg06CondvarDiscipline),
             "tg07" => Some(Lint::Tg07BlockingWhileLocked),
             "tg08" => Some(Lint::Tg08KnobRegistry),
-            "tg09" => Some(Lint::Tg09IgnoredResult),
             _ => None,
         }
     }
@@ -125,60 +109,25 @@ impl Finding {
     }
 }
 
-/// How a file is linted, derived from its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileScope {
-    /// Library code: all lints apply.
-    Lib,
-    /// Binaries, benches, examples: panics, wall-clock and float sorting
-    /// are tolerated (display/timing code), but lock-order and atomic
-    /// hygiene still apply.
-    Bin,
-    /// Integration tests: no lints.
-    Skip,
-}
-
-/// Classifies a repo-relative path (forward slashes).
-pub fn scope_of(rel_path: &str) -> FileScope {
-    let p = rel_path;
-    if p.starts_with("tests/") || p.contains("/tests/") {
-        return FileScope::Skip;
-    }
-    if p.starts_with("examples/")
-        || p.contains("/examples/")
-        || p.contains("/benches/")
-        || p.contains("/src/bin/")
-        || p.ends_with("build.rs")
-        || p.ends_with("/main.rs")
-        || p == "src/main.rs"
-    {
-        return FileScope::Bin;
-    }
-    FileScope::Lib
-}
-
 /// One input file for [`check_sources`].
 pub struct SourceFile {
     /// Repo-relative path (forward slashes).
     pub rel_path: String,
     /// File contents.
     pub source: String,
-    /// Lint scope, usually `scope_of(&rel_path)`.
-    pub scope: FileScope,
 }
 
 /// Lints one file in isolation, returning findings sorted by line.
 ///
 /// Workspace-wide passes degrade gracefully: the cross-function lock
-/// analysis and the TG09 `Result` index see only this file's functions,
-/// and the TG08 registry/doc drift checks (which need the whole tree plus
-/// README/DESIGN) are skipped.
-pub fn check_source(rel_path: &str, source: &str, scope: FileScope, cfg: &Config) -> Vec<Finding> {
+/// analysis sees only this file's functions, and the TG08 registry/doc
+/// drift checks (which need the whole tree plus README/DESIGN) are
+/// skipped.
+pub fn check_source(rel_path: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     check_sources(
         &[SourceFile {
             rel_path: rel_path.to_string(),
             source: source.to_string(),
-            scope,
         }],
         cfg,
         &[],
@@ -188,8 +137,7 @@ pub fn check_source(rel_path: &str, source: &str, scope: FileScope, cfg: &Config
 /// Lints a set of files as one workspace, returning findings sorted by
 /// path and line. This is the full pipeline: per-file token lints, the
 /// cross-function lock-order analysis over the intra-workspace call
-/// graph, the TG09 ignored-`Result` check against the workspace function
-/// index, and — when `docs` is non-empty (workspace mode) — the TG08
+/// graph, and — when `docs` is non-empty (workspace mode) — the TG08
 /// knob-registry and doc-anchor drift checks. `docs` carries
 /// `(name, contents)` pairs for README.md / DESIGN.md.
 pub fn check_sources(
@@ -206,9 +154,6 @@ pub fn check_sources(
     let mut findings = Vec::new();
     let mut units = Vec::new();
     for file in files {
-        if file.scope == FileScope::Skip {
-            continue;
-        }
         let lexed = lex(&file.source);
         let (allows, bad) = parse_allow_directives(&file.rel_path, &lexed);
         findings.extend(bad);
@@ -223,21 +168,12 @@ pub fn check_sources(
         units.iter().map(|u| (u.file.rel_path.as_str(), &u.lexed)),
         cfg,
     );
-    let result_fns = index.result_fn_names();
     let mut cross = index.cross_function_findings(cfg);
     let mut knob_refs: Vec<(String, String)> = Vec::new();
 
     for u in &units {
         let path = &u.file.rel_path;
         let mut raw = Vec::new();
-        if u.file.scope == FileScope::Lib {
-            tg01_no_panic(path, &u.lexed, &mut raw);
-            if !cfg.tg02_allow_files.iter().any(|f| f == path) {
-                tg02_determinism(path, &u.lexed, &mut raw);
-            }
-            tg05_float_total_order(path, &u.lexed, &mut raw);
-            tg09_ignored_result(path, &u.lexed, &result_fns, &mut raw);
-        }
         tg03_atomic_ordering(path, &u.lexed, &mut raw);
         lock_discipline(path, &u.lexed, cfg, &mut raw);
         tg08_knob_refs(path, &u.lexed, cfg, &mut knob_refs, &mut raw);
@@ -355,72 +291,6 @@ fn parse_allow_directives(path: &str, lexed: &Lexed) -> (AllowMap, Vec<Finding>)
         }
     }
     (allows, bad)
-}
-
-// ---------------------------------------------------------------------------
-// TG01 — no panics in library code
-// ---------------------------------------------------------------------------
-
-fn tg01_no_panic(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    for (i, tok) in lexed.tokens.iter().enumerate() {
-        if lexed.in_test[i] {
-            continue;
-        }
-        let Some(name) = tok.ident() else { continue };
-        let flagged = match name {
-            "unwrap" | "expect" => prev_is(lexed, i, '.') && next_is(lexed, i, '('),
-            "panic" => next_is(lexed, i, '!'),
-            _ => false,
-        };
-        if flagged {
-            out.push(Finding {
-                lint: Lint::Tg01NoPanic,
-                path: path.to_string(),
-                line: lexed.lines[i],
-                message: format!(
-                    "`{name}` in library code; return a recoverable error, fall back, \
-                     or annotate why it is unreachable"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TG02 — determinism: no wall-clock outside the telemetry allowlist
-// ---------------------------------------------------------------------------
-
-fn tg02_determinism(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    for (i, tok) in lexed.tokens.iter().enumerate() {
-        if lexed.in_test[i] {
-            continue;
-        }
-        let Some(name) = tok.ident() else { continue };
-        let flagged = match name {
-            // Any touch of the system clock types is wall-clock.
-            "SystemTime" | "DateTime" | "chrono" => true,
-            "Instant" | "Utc" | "Local" => path_call_is(lexed, i, "now"),
-            _ => false,
-        };
-        if flagged {
-            out.push(Finding {
-                lint: Lint::Tg02Determinism,
-                path: path.to_string(),
-                line: lexed.lines[i],
-                message: format!(
-                    "wall-clock read (`{name}`) outside the telemetry allowlist; \
-                     pure paths must not observe time"
-                ),
-            });
-        }
-    }
-}
-
-/// Whether token `i` is followed by `::method` for the given method name.
-fn path_call_is(lexed: &Lexed, i: usize, method: &str) -> bool {
-    next_is(lexed, i, ':')
-        && lexed.tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && lexed.tokens.get(i + 3).and_then(Tok::ident) == Some(method)
 }
 
 // ---------------------------------------------------------------------------
@@ -746,7 +616,10 @@ pub(crate) fn receiver_of(toks: &[Tok], method_idx: usize) -> Option<String> {
 
 /// If the statement holding the acquisition starts with `let`, the name it
 /// binds (`None` for tuple/struct patterns — still treated as held).
-#[allow(clippy::option_option)]
+#[allow(
+    clippy::option_option,
+    reason = "outer None: not a `let`; inner None: a `let` with a pattern instead of a name"
+)]
 pub(crate) fn let_binding_name(
     toks: &[Tok],
     stmt_start: usize,
@@ -877,146 +750,6 @@ fn tg08_registry_drift(
                         .join(", ")
                 ),
             );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TG09 — ignored Results in library code
-// ---------------------------------------------------------------------------
-
-/// Std calls that return `Result` (or a must-handle `Result`-like) and
-/// show up on `let _ =` discards — the workspace function index covers
-/// first-party functions, this list covers the standard library.
-const RESULT_BUILTINS: [&str; 16] = [
-    "connect",
-    "join",
-    "flush",
-    "write_all",
-    "read_to_string",
-    "read_to_end",
-    "send",
-    "recv",
-    "try_with",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir_all",
-    "rename",
-    "set_read_timeout",
-    "set_write_timeout",
-    "set_nonblocking",
-];
-
-/// Flags `let _ = <call>;` in library code when the discarded value is a
-/// `Result` — from the workspace function index (`result_fns`), the std
-/// builtin list, or a `write!`/`writeln!` macro. A deliberate discard
-/// needs a `tg-check: allow(tg09, reason = "...")` saying why the error
-/// does not matter.
-fn tg09_ignored_result(
-    path: &str,
-    lexed: &Lexed,
-    result_fns: &std::collections::HashSet<String>,
-    out: &mut Vec<Finding>,
-) {
-    let toks = &lexed.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        let is_discard = toks[i].ident() == Some("let")
-            && !lexed.in_test[i]
-            && toks.get(i + 1).and_then(Tok::ident) == Some("_")
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('='));
-        if !is_discard {
-            i += 1;
-            continue;
-        }
-        // Walk the discarded expression to its `;`, tracking the last
-        // top-level call — `a.b(x).c()` discards what `c` returns.
-        let mut j = i + 3;
-        let mut depth = 0i32;
-        let mut last_call: Option<String> = None;
-        while let Some(t) = toks.get(j) {
-            match t {
-                Tok::Punct('(' | '[' | '{') => depth += 1,
-                Tok::Punct(')' | ']' | '}') => depth -= 1,
-                Tok::Punct(';') if depth == 0 => break,
-                Tok::Ident(name) if depth == 0 => {
-                    if call_paren_after(toks, j).is_some() {
-                        last_call = Some(name.clone());
-                    } else if matches!(name.as_str(), "write" | "writeln")
-                        && toks.get(j + 1).is_some_and(|t| t.is_punct('!'))
-                    {
-                        last_call = Some(format!("{name}!"));
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if let Some(call) = last_call {
-            let is_result = call.ends_with('!')
-                || RESULT_BUILTINS.contains(&call.as_str())
-                || result_fns.contains(&call);
-            if is_result {
-                out.push(Finding {
-                    lint: Lint::Tg09IgnoredResult,
-                    path: path.to_string(),
-                    line: lexed.lines[i],
-                    message: format!(
-                        "`let _ =` discards the `Result` of `{call}`; handle the \
-                         error, or annotate with tg09 and a reason it is ignorable"
-                    ),
-                });
-            }
-        }
-        i = j;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TG05 — float comparisons must be total
-// ---------------------------------------------------------------------------
-
-fn tg05_float_total_order(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if lexed.in_test[i]
-            || tok.ident() != Some("partial_cmp")
-            || !prev_is(lexed, i, '.')
-            || !next_is(lexed, i, '(')
-        {
-            continue;
-        }
-        // Skip the balanced argument list, then look for `.unwrap(`/`.expect(`.
-        let mut j = i + 1;
-        let mut depth = 0;
-        loop {
-            match toks.get(j) {
-                Some(Tok::Punct('(')) => depth += 1,
-                Some(Tok::Punct(')')) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                None => return,
-                _ => {}
-            }
-            j += 1;
-        }
-        let unwrapped = toks.get(j + 1).is_some_and(|t| t.is_punct('.'))
-            && matches!(
-                toks.get(j + 2).and_then(Tok::ident),
-                Some("unwrap" | "expect")
-            );
-        if unwrapped {
-            out.push(Finding {
-                lint: Lint::Tg05FloatTotalOrder,
-                path: path.to_string(),
-                line: lexed.lines[i],
-                message: "`partial_cmp(..).unwrap()` is not a total order over floats; \
-                          use `f64::total_cmp` (deterministic, NaN-safe)"
-                    .to_string(),
-            });
         }
     }
 }

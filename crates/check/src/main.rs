@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tg_check::{check_source, find_root, load_config, scan_workspace, scope_of, FileScope, Lint};
+use tg_check::{check_source, find_root, load_config, scan_workspace, Lint};
 
 fn main() -> ExitCode {
     let mut workspace = false;
@@ -78,14 +78,10 @@ fn main() -> ExitCode {
             match std::fs::read_to_string(file) {
                 Ok(source) => {
                     scanned += 1;
-                    // An explicitly named file is always linted: demote the
-                    // test-scope skip to Lib so fixtures and scratch files
-                    // can be checked directly instead of silently passing.
-                    let scope = match scope_of(&rel) {
-                        FileScope::Skip => FileScope::Lib,
-                        s => s,
-                    };
-                    findings.extend(check_source(&rel, &source, scope, &cfg));
+                    // An explicitly named file is always linted, even under
+                    // tests/, so fixtures and scratch files can be checked
+                    // directly instead of silently passing.
+                    findings.extend(check_source(&rel, &source, &cfg));
                 }
                 Err(e) => {
                     eprintln!("tg-check: cannot read {}: {e}", file.display());

@@ -1,7 +1,6 @@
-// A representative clean library file: recoverable errors, Relaxed
-// counters, total float comparisons, well-ordered locking, a loop-shaped
-// condvar wait, a registered env knob and handled Results. tg-check must
-// report zero findings here (the self-test's false-positive guard).
+// A representative clean library file: Relaxed counters, well-ordered
+// locking, a loop-shaped condvar wait and a registered env knob. tg-check
+// must report zero findings here (the self-test's false-positive guard).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,21 +22,6 @@ impl Clean {
         guard.get(&key).copied()
     }
 
-    pub fn ranked(&self, scores: &mut [(u64, f64)]) {
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1));
-    }
-
-    pub fn parse(&self, text: &str) -> Result<u64, std::num::ParseIntError> {
-        text.trim().parse()
-    }
-
-    pub fn parsed_or_default(&self, text: &str) -> u64 {
-        match self.parse(text) {
-            Ok(n) => n,
-            Err(_) => 0,
-        }
-    }
-
     pub fn next_ready(&self) -> u64 {
         let mut pass = self.pass.lock().unwrap_or_else(|e| e.into_inner());
         while *pass == 0 {
@@ -52,16 +36,4 @@ pub fn seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2024)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn tests_are_free_to_panic() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3);
-        if false {
-            panic!("test-only panic");
-        }
-    }
 }

@@ -24,6 +24,11 @@
 //! ([`crate::runner`]) so experiment trajectories can attribute wins to the
 //! stage that produced them.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "stage timers are telemetry; the wall-clock never feeds back into predictions"
+)]
+
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -229,7 +229,10 @@ fn regression_rows(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "threads the LOO pipeline state one stage deeper; a params struct would only rename it"
+)]
 fn fit_and_predict(
     wb: &Workbench,
     regressor: tg_predict::RegressorKind,
@@ -249,7 +252,10 @@ fn fit_and_predict(
 /// `fit_and_predict` with an optional permutation-importance hook: after the
 /// prediction matrix is assembled, the given column block is shuffled across
 /// models (one shared row permutation) before predicting.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "fit_and_predict's arguments plus the permutation-importance hook"
+)]
 fn fit_and_predict_inner(
     wb: &Workbench,
     regressor: tg_predict::RegressorKind,
@@ -379,7 +385,10 @@ pub(crate) fn evaluate_with_permuted_block(
                 Some((block, perm_rng)),
             )
         }
-        // tg-check: allow(tg01, reason = "crate-internal helper; its only caller (explain) filters to learned strategies first")
+        #[expect(
+            clippy::panic,
+            reason = "crate-internal helper; its only caller (explain) filters to learned strategies first"
+        )]
         _ => panic!("evaluate_with_permuted_block: only learned strategies"),
     }
 }

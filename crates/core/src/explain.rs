@@ -73,7 +73,10 @@ pub fn block_importance(
 ) -> Vec<BlockImportance> {
     let set = match strategy {
         Strategy::Learned { features, .. } | Strategy::TransferGraph { features, .. } => *features,
-        // tg-check: allow(tg01, reason = "documented API contract: permutation importance is only defined for learned strategies")
+        #[expect(
+            clippy::panic,
+            reason = "documented API contract: permutation importance is only defined for learned strategies"
+        )]
         _ => panic!("block_importance: only learned strategies have feature blocks"),
     };
     let baseline = evaluate(wb, strategy, target, opts);

@@ -38,7 +38,10 @@ pub fn metadata_features(wb: &Workbench, m: ModelId, d: DatasetId) -> Vec<f64> {
 /// node); `node_of` maps a zoo entity to its graph node index. Pairs whose
 /// entity is missing from the graph (never happens in the standard
 /// pipeline) get zero embeddings.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per feature source of the pair row; all are needed together"
+)]
 pub fn pair_features(
     wb: &Workbench,
     m: ModelId,
@@ -61,7 +64,10 @@ pub fn pair_features(
         v.push(wb.logme(m, d));
     }
     if set.has_graph() {
-        // tg-check: allow(tg01, reason = "every caller that enables graph features threads embeddings; a None here is a pipeline wiring bug")
+        #[expect(
+            clippy::expect_used,
+            reason = "every caller that enables graph features threads embeddings; a None here is a pipeline wiring bug"
+        )]
         let emb = embeddings.expect("pair_features: graph features requested without embeddings");
         for node in [model_node, dataset_node] {
             match node {

@@ -154,9 +154,12 @@ impl InductiveEmbedder {
             let inputs = modality_graph_inputs(wb, self.modality, &[], &self.excluded);
             let graph = build_graph(&inputs, &GraphConfig::default());
             let features = node_feature_matrix(wb, &graph, self.representation);
+            #[expect(
+                clippy::expect_used,
+                reason = "every modality dataset is a node of the exclude-free graph by construction"
+            )]
             let node = graph
                 .node_index(NodeKind::Dataset(d))
-                // tg-check: allow(tg01, reason = "every modality dataset is a node of the exclude-free graph by construction")
                 .expect("admitted dataset is a node of the full modality graph");
             let emb = self.trained.embed_nodes(&graph, &features, &[node]);
             emb.row(0).to_vec()

@@ -13,6 +13,11 @@
 //! stage (feature collection / graph learning / regression) and per-cache
 //! hit rates over the run ([`RunSummary`]).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "run summaries report wall time; it never feeds back into predictions"
+)]
+
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -129,6 +134,10 @@ pub fn run_jobs_on(
     let workers = workers.clamp(1, jobs.len().max(1));
     let before = wb.stats();
     let start = Instant::now();
+    #[expect(
+        clippy::expect_used,
+        reason = "the claim counter hands out every index in 0..jobs.len() before any worker exits the scope"
+    )]
     let outcomes = if workers == 1 {
         jobs.iter()
             .map(|j| evaluate(wb, &j.strategy, j.target, opts))
@@ -142,7 +151,6 @@ pub fn run_jobs_on(
         });
         unpoisoned(slots.into_inner())
             .into_iter()
-            // tg-check: allow(tg01, reason = "the claim counter hands out every index in 0..jobs.len() before any worker exits the scope")
             .map(|o| o.expect("every job index was claimed"))
             .collect()
     };

@@ -747,6 +747,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "temp-dir cleanup is best-effort; a leftover directory cannot fail a test"
+)]
 mod tests {
     use super::*;
 

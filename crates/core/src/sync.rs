@@ -8,14 +8,12 @@
 //! runtime-enforced: every crate in the workspace takes the same
 //! `rank_guard` before its ranked lock calls, and Condvar waits release
 //! their rank for the park and re-assert it on wake via
-//! [`RankGuard::suspended`].
+//! [`tg_sync::RankGuard::suspended`].
 //!
 //! See `tg_sync`'s crate docs for the full rank table and the call-site
 //! discipline, `tg-check.toml` for the static spelling of the same
 //! table, and DESIGN.md §6b for the rationale.
 
-#[allow(unused_imports)] // re-exported for call sites that only bind it
-pub(crate) use tg_sync::RankGuard;
 pub(crate) use tg_sync::{rank_guard, unpoisoned, LockFile, Rank};
 
 #[cfg(test)]

@@ -10,6 +10,11 @@
 //! variables are deliberately *not* `TG_*`-prefixed: they are a private
 //! parent→child channel of this test, not user-facing knobs.
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "temp-dir cleanup is best-effort; a leftover directory cannot fail a test"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

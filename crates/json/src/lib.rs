@@ -209,17 +209,26 @@ fn write_value(out: &mut String, value: &Value, depth: usize) {
     match value {
         Value::Str(s) => write_escaped(out, s),
         Value::U64(v) => {
-            // tg-check: allow(tg09, reason = "fmt::Write into a String is infallible")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write into a String is infallible"
+            )]
             let _ = write!(out, "{v}");
         }
         Value::Bool(v) => {
-            // tg-check: allow(tg09, reason = "fmt::Write into a String is infallible")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write into a String is infallible"
+            )]
             let _ = write!(out, "{v}");
         }
         // `{}` on a finite f64 is the shortest round-trip decimal form,
         // always a valid JSON number.
         Value::F64(v) => {
-            // tg-check: allow(tg09, reason = "fmt::Write into a String is infallible")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write into a String is infallible"
+            )]
             let _ = write!(out, "{v}");
         }
         Value::Null => out.push_str("null"),
@@ -291,7 +300,10 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                // tg-check: allow(tg09, reason = "fmt::Write into a String is infallible")
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write into a String is infallible"
+                )]
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),

@@ -7,8 +7,8 @@
 //! * nesting depth is capped at [`MAX_DEPTH`] so a `[[[[…` bomb errors out
 //!   instead of overflowing the stack;
 //! * every malformed input path returns a [`JsonError`] carrying the byte
-//!   offset of the problem — nothing panics, which keeps the TG01
-//!   no-panic invariant over the serving path.
+//!   offset of the problem — nothing panics, which keeps the serving path
+//!   clean under clippy's no-panic lints.
 //!
 //! Numbers are parsed as `f64` (like JavaScript); [`JsonValue::as_u64`]
 //! recovers exact small integers for fields like seeds and counts.

@@ -83,17 +83,23 @@ impl Regressor for RidgeRegression {
             a.set(j, j, a.get(j, j) + reg);
         }
         let b = z.transpose().matvec(&yc);
-        // tg-check: allow(tg01, reason = "ZᵀZ + λnI with λ > 0 is symmetric positive definite by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "ZᵀZ + λnI with λ > 0 is symmetric positive definite by construction"
+        )]
         let w = cholesky_solve(&a, &b).expect("RidgeRegression: normal equations not SPD");
         self.weights = Some(w);
         self.intercept = y_mean;
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Predictor contract: fit() precedes predict()"
+        )]
         let w = self
             .weights
             .as_ref()
-            // tg-check: allow(tg01, reason = "documented Predictor contract: fit() precedes predict()")
             .expect("RidgeRegression::predict called before fit");
         assert_eq!(
             x.cols(),

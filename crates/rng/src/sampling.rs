@@ -45,10 +45,13 @@ impl AliasTable {
         // below, aliasing it to `self` with probability 1 would make the
         // zero-weight index sampleable — alias it to the fallback with
         // probability 0 instead.
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by the positive-total check above: a positive sum of non-negative weights has a positive element"
+        )]
         let fallback = weights
             .iter()
             .position(|&w| w > 0.0)
-            // tg-check: allow(tg01, reason = "guarded by the positive-total check above: a positive sum of non-negative weights has a positive element")
             .expect("AliasTable: positive total implies a positive weight");
         while let Some(s) = small.pop() {
             let Some(l) = large.pop() else {

@@ -3,8 +3,8 @@
 //! Implements exactly the slice of HTTP/1.1 the recommendation server
 //! needs: one request per connection, `Content-Length` bodies, and a
 //! strict set of size limits so a hostile peer can neither exhaust
-//! memory nor trip a panic (the crate is under the repo's TG01
-//! no-panic lint). Every malformed input maps to a typed
+//! memory nor trip a panic (the crate is under the workspace's clippy
+//! no-panic lints). Every malformed input maps to a typed
 //! [`ParseError`] that the server renders as a `4xx` response.
 //!
 //! Limits (documented in DESIGN.md §5):
@@ -262,6 +262,10 @@ pub fn status_text(status: u16) -> &'static str {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "the hostile-input test only checks that parsing returns instead of unwinding"
+)]
 mod tests {
     use super::*;
     use std::io::BufReader;

@@ -184,21 +184,33 @@ impl Shared {
     fn shed_conn(&self, conn: TcpStream) {
         // Relaxed: independent telemetry counter, read only by snapshots.
         self.shed.fetch_add(1, Ordering::Relaxed);
-        // tg-check: allow(tg09, reason = "best-effort courtesy reply to a shed conn")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort courtesy reply to a shed conn"
+        )]
         let _ = conn.set_write_timeout(Some(Duration::from_secs(1)));
         let mut resp = Response::error(503, "server saturated; retry shortly");
         resp.retry_after = Some(1);
         let mut w = &conn;
-        // tg-check: allow(tg09, reason = "best-effort courtesy reply to a shed conn")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort courtesy reply to a shed conn"
+        )]
         let _ = resp.write_to(&mut w);
         drain_briefly(&conn);
     }
 
     /// Serves one connection end to end: parse, route, respond.
     fn handle(&self, conn: TcpStream) {
-        // tg-check: allow(tg09, reason = "timeouts are defense in depth; serving without them is still correct")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "timeouts are defense in depth; serving without them is still correct"
+        )]
         let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
-        // tg-check: allow(tg09, reason = "timeouts are defense in depth; serving without them is still correct")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "timeouts are defense in depth; serving without them is still correct"
+        )]
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
         let response = match parse_request(&mut BufReader::new(&conn)) {
             Ok(request) => self.route(&request),
@@ -212,7 +224,10 @@ impl Shared {
         self.served.fetch_add(1, Ordering::Relaxed);
         let is_client_error = (400..500).contains(&response.status);
         let mut w = &conn;
-        // tg-check: allow(tg09, reason = "client may have hung up; nothing to do with a failed reply")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "client may have hung up; nothing to do with a failed reply"
+        )]
         let _ = response.write_to(&mut w);
         if is_client_error {
             // A 4xx may leave request bytes unread (parse errors bail
@@ -354,7 +369,10 @@ impl Shared {
 /// instead of FIN, which can destroy the response before the client
 /// reads it; a brief drain turns the close into an orderly FIN.
 fn drain_briefly(conn: &TcpStream) {
-    // tg-check: allow(tg09, reason = "the drain is best-effort by design; a failed timeout only shortens it")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the drain is best-effort by design; a failed timeout only shortens it"
+    )]
     let _ = conn.set_read_timeout(Some(Duration::from_millis(10)));
     let mut sink = [0u8; 4096];
     let mut reader = conn;
@@ -631,16 +649,25 @@ impl Server {
         // observes the flag after its accept() call returns.
         if self.shared.running.swap(false, Ordering::Release) {
             // Wake the accept thread out of its blocking accept().
-            // tg-check: allow(tg09, reason = "the wake-up connection's only job is the accept() return")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the wake-up connection's only job is the accept() return"
+            )]
             let _ = TcpStream::connect(self.addr);
         }
         if let Some(handle) = self.accept.take() {
-            // tg-check: allow(tg09, reason = "a panicked accept thread already aborted its loop; shutdown proceeds")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked accept thread already aborted its loop; shutdown proceeds"
+            )]
             let _ = handle.join();
         }
         self.shared.close();
         for handle in self.workers.drain(..) {
-            // tg-check: allow(tg09, reason = "a panicked worker is already dead; joining the rest matters more")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked worker is already dead; joining the rest matters more"
+            )]
             let _ = handle.join();
         }
     }

@@ -1,6 +1,12 @@
 //! End-to-end tests: a real server on an ephemeral port, raw TCP
 //! clients, all three endpoints round-tripped, plus the overload path.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

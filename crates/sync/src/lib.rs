@@ -163,7 +163,10 @@ mod tracker {
     fn assert_and_push(rank: Rank) {
         // `try_with` so guards created during thread-local teardown
         // degrade to untracked instead of aborting the process.
-        // tg-check: allow(tg09, reason = "AccessError only during TLS teardown; untracked is the intended fallback")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "AccessError only during TLS teardown; untracked is the intended fallback"
+        )]
         let _ = HELD.try_with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&max) = held.iter().max() {
@@ -185,7 +188,10 @@ mod tracker {
 
     /// Removes the most recent entry of `rank` from the held stack.
     fn release(rank: Rank) {
-        // tg-check: allow(tg09, reason = "AccessError only during TLS teardown; untracked is the intended fallback")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "AccessError only during TLS teardown; untracked is the intended fallback"
+        )]
         let _ = HELD.try_with(|held| {
             let mut held = held.borrow_mut();
             // Guards may drop out of acquisition order; release the
@@ -309,12 +315,19 @@ impl Drop for LockGuard<'_> {
         // An unlock failure leaves the lock to be released when the
         // descriptor closes; Drop cannot report it and nothing useful
         // could be done with it.
-        // tg-check: allow(tg09, reason = "unlock failure falls back to release-on-close; Drop cannot propagate")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "unlock failure falls back to release-on-close; Drop cannot propagate"
+        )]
         let _ = self.file.unlock();
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "the poisoning thread panics on purpose; its join error is the expected outcome"
+)]
 mod tests {
     use super::*;
 

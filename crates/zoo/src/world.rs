@@ -173,11 +173,14 @@ impl ModelZoo {
     }
 
     /// Dataset id by name (panics if absent — registry names are static).
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: registry names are static constants, so a miss is a typo caught by any test run"
+    )]
     pub fn dataset_by_name(&self, name: &str) -> DatasetId {
         self.datasets
             .iter()
             .find(|d| d.name == name)
-            // tg-check: allow(tg01, reason = "documented contract: registry names are static constants, so a miss is a typo caught by any test run")
             .unwrap_or_else(|| panic!("unknown dataset {name}"))
             .id
     }

@@ -7,6 +7,11 @@
 //! cargo run --release --example lora_study
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "example: unwraps keep the walkthrough short"
+)]
+
 use transfergraph_repro::core::{evaluate, EvalOptions, Strategy, Workbench};
 use transfergraph_repro::zoo::{FineTuneMethod, Modality, ModelZoo, ZooConfig};
 

@@ -4,6 +4,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "example: unwraps keep the walkthrough short"
+)]
+
 use transfergraph_repro::core::{evaluate, EvalOptions, Strategy, Workbench};
 use transfergraph_repro::zoo::{Modality, ModelZoo, ZooConfig};
 

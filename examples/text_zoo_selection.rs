@@ -9,6 +9,11 @@
 //! cargo run --release --example text_zoo_selection
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "example: unwraps keep the walkthrough short"
+)]
+
 use transfergraph_repro::core::{evaluate, EvalOptions, FeatureSet, Strategy, Workbench};
 use transfergraph_repro::embed::LearnerKind;
 use transfergraph_repro::predict::RegressorKind;

@@ -1,6 +1,11 @@
 //! Cross-crate integration tests: the full TransferGraph pipeline on a
 //! small zoo, exercising every subsystem together.
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "temp-dir cleanup is best-effort; a leftover directory cannot fail a test"
+)]
+
 use transfergraph_repro::core::{
     evaluate, EvalOptions, FeatureSet, StoreOptions, Strategy, Workbench,
 };

@@ -1,16 +1,14 @@
-//! Artifact-format benchmark: `TGARTv2` mapped vs owned-bytes warm start,
-//! plus a multi-process persist storm.
+//! Artifact-format benchmark: `TGARTv2` warm start plus a multi-process
+//! persist storm.
 //!
 //! Two phases:
 //!
 //! * **format** — builds the environment's zoo (`TG_SEED` / `TG_SCALE`,
 //!   paper scale by default), fills every artifact cache (LogME over both
 //!   modalities, probe embeddings, pairwise similarities), persists, then
-//!   times two warm-start arms (best of [`REPS`] each): `v2-mapped`
-//!   (mmap + header/index parse) and `v2-owned` (`TG_ARTIFACT_MMAP=off`
-//!   equivalent: one buffered read, still lookup-on-demand), then checks
-//!   that a warm workbench serves the whole LogME grid bit-identically
-//!   from disk.
+//!   times the warm start (`ArtifactStore::open`: one read per file plus
+//!   an index check, best of [`REPS`]) and checks that a warm workbench
+//!   serves the whole LogME grid bit-identically from disk.
 //! * **storm** — always at the small smoke scale: [`STORM_CHILDREN`]
 //!   child *processes* (re-exec of this binary with the `storm-child`
 //!   argv) hammer persist on one shared directory, each computing a
@@ -22,7 +20,7 @@
 //!   byte-identical files (the v2 encoder sorts its index, so equal
 //!   content means equal bytes).
 //!
-//! Gates (nonzero exit on violation): both warm-start arms load every
+//! Gates (nonzero exit on violation): the warm start loads every
 //! persisted entry, `lost_entries=0`, `bit_identical=true` and
 //! deterministic re-persist. Results land in
 //! `results/BENCH_artifact.json`.
@@ -41,7 +39,7 @@ use std::time::{Duration, Instant};
 use tg_bench::json::JsonObject;
 use tg_bench::{seed_from_env, zoo_config_from_env};
 use tg_zoo::{DatasetId, Modality, ModelId, ModelZoo, ZooConfig};
-use transfergraph::{ArtifactStore, Representation, StoreOptions, TierKind, Workbench};
+use transfergraph::{ArtifactKind, ArtifactStore, Representation, StoreOptions, Workbench};
 
 /// Warm-start timing repetitions; the minimum is kept.
 const REPS: usize = 5;
@@ -130,16 +128,14 @@ fn fill_all_caches(wb: &Workbench) -> Vec<(ModelId, DatasetId)> {
 /// the entry count the last warm start loaded.
 fn time_warm(fingerprint: u64, options: &StoreOptions) -> (Duration, u64) {
     let mut best = Duration::MAX;
-    let mut entries = 0u64;
+    let mut entries = 0;
     for _ in 0..REPS {
         let start = Instant::now();
         let store = ArtifactStore::open(fingerprint, options.clone());
         let took = start.elapsed();
-        entries = store
-            .tier_stats()
+        entries = ArtifactKind::ALL
             .iter()
-            .filter(|(_, tier, _)| *tier != TierKind::Memory)
-            .map(|(_, _, s)| s.entries)
+            .map(|&kind| store.warm_entries(kind) as u64)
             .sum();
         best = best.min(took);
     }
@@ -162,7 +158,7 @@ fn main() {
     let seed = seed_from_env();
     let mut failed = false;
 
-    // ---- Phase 1: format (mapped vs owned warm start) ----
+    // ---- Phase 1: format (warm start) ----
     let config = zoo_config_from_env();
     let zoo = ModelZoo::build(&config);
     let fingerprint = config.fingerprint();
@@ -176,12 +172,10 @@ fn main() {
     let persisted = wb.persist().expect("persist artifacts");
 
     let in_dir = StoreOptions::in_dir(&dir);
-    let (mapped_warm, mapped_entries) = time_warm(fingerprint, &in_dir);
-    let (owned_warm, owned_entries) = time_warm(fingerprint, &in_dir.clone().mmap(false));
-    if mapped_entries != persisted.entries || owned_entries != mapped_entries {
+    let (warm, warm_entries) = time_warm(fingerprint, &in_dir);
+    if warm_entries != persisted.entries {
         eprintln!(
-            "[artifact] FAIL: warm-start arms disagree on entries \
-             (persisted {}, mapped {mapped_entries}, owned {owned_entries})",
+            "[artifact] FAIL: warm start loaded {warm_entries} of {} persisted entries",
             persisted.entries
         );
         failed = true;
@@ -228,14 +222,7 @@ fn main() {
     let storm_fp = ZooConfig::small(STORM_SEED).fingerprint();
     let expected = storm_pairs(&storm_zoo);
     let merged = ArtifactStore::open(storm_fp, StoreOptions::in_dir(&storm_dir));
-    let survived: u64 = merged
-        .tier_stats()
-        .iter()
-        .filter(|(kind, tier, _)| {
-            *kind == transfergraph::ArtifactKind::LogMe && *tier != TierKind::Memory
-        })
-        .map(|(_, _, s)| s.entries)
-        .sum();
+    let survived = merged.warm_entries(ArtifactKind::LogMe) as u64;
     let lost_entries = (expected.len() as u64).saturating_sub(survived);
     if lost_entries > 0 {
         eprintln!(
@@ -282,8 +269,7 @@ fn main() {
             JsonObject::new()
                 .u64("entries", persisted.entries)
                 .u64("bytes", persisted.bytes)
-                .f64("v2_mapped_warm_ms", secs(mapped_warm) * 1e3)
-                .f64("v2_owned_warm_ms", secs(owned_warm) * 1e3)
+                .f64("warm_ms", secs(warm) * 1e3)
                 .bool("bit_identical", format_identical),
         )
         .object(
@@ -306,13 +292,12 @@ fn main() {
     fs::write(&out_path, &json).expect("write BENCH_artifact.json");
 
     println!(
-        "[artifact] entries={} bytes={} warm_ms mapped={:.3} owned={:.3} \
+        "[artifact] entries={} bytes={} warm_ms={:.3} \
          storm children={STORM_CHILDREN} lost_entries={lost_entries} \
          bit_identical={} deterministic_repersist={deterministic_repersist} -> {out_path}",
         persisted.entries,
         persisted.bytes,
-        secs(mapped_warm) * 1e3,
-        secs(owned_warm) * 1e3,
+        secs(warm) * 1e3,
         format_identical && bit_identical,
     );
 

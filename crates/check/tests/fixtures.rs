@@ -118,7 +118,7 @@ fn tg07_fires_on_sleep_and_join_inside_the_critical_section() {
         tg07.len(),
         2,
         "sleep + thread-join while locked (post-release sleep, path.join and \
-         the store-shard exemption stay clean): {findings:?}"
+         the file-lock exemption stay clean): {findings:?}"
     );
     assert!(
         findings

@@ -1,6 +1,6 @@
 // Seeded TG04 violation: taking the registry lock while holding a cache
-// shard inverts the declared order `registry -> build_slot -> store_shard
-// -> cache_shard`. The well-ordered function and the drop-then-reacquire
+// shard inverts the declared order `registry -> build_slot -> ... ->
+// cache_shard`. The well-ordered function and the drop-then-reacquire
 // pattern must stay clean.
 
 use std::collections::HashMap;

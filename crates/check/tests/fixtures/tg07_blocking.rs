@@ -1,7 +1,8 @@
 // Seeded TG07 violations: sleeping and thread-joining inside a registry
 // critical section. Blocking after the guard releases, `path.join(seg)`
 // (non-empty args: path concatenation, not a thread join) and blocking
-// inside the exempt store-shard class must all stay clean.
+// under the advisory file lock (`lockfile`, the exempt `file_lock` class)
+// must all stay clean.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -11,7 +12,7 @@ use std::time::Duration;
 
 pub struct Fixture {
     inner: Mutex<HashMap<u64, u64>>,
-    disk: Mutex<HashMap<u64, u64>>,
+    lockfile: Mutex<()>,
 }
 
 impl Fixture {
@@ -37,8 +38,8 @@ impl Fixture {
         dir.join("artifacts")
     }
 
-    pub fn store_shard_sections_may_block(&self) {
-        let _disk = self.disk.lock();
+    pub fn file_lock_sections_may_block(&self) {
+        let _flock = self.lockfile.lock();
         std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -344,8 +344,9 @@ impl ZooRef<'_> {
 /// [`persist`](Workbench::persist)ed collection artifacts of the *same zoo
 /// fingerprint* are served instead of recomputed, making a warm re-run
 /// collection-free while keeping results bit-identical. `TGARTv2` files
-/// are served in place (mmap where available); see [`crate::store`] for
-/// the tiering and the cross-process merge-on-persist protocol.
+/// are read once when the store opens and served by index lookup; see
+/// [`crate::store`] for the tiering and the cross-process
+/// merge-on-persist protocol.
 ///
 /// ```
 /// use tg_zoo::{Modality, ModelZoo, ZooConfig};
@@ -384,8 +385,7 @@ impl<'z> Workbench<'z> {
     }
 
     /// Workbench configured from the environment: disk-backed when
-    /// `TG_ARTIFACT_DIR` is set and non-empty (with `TG_ARTIFACT_MMAP`
-    /// choosing the warm-start backing), memory-only otherwise.
+    /// `TG_ARTIFACT_DIR` is set and non-empty, memory-only otherwise.
     pub fn from_env(zoo: &'z ModelZoo) -> Self {
         Self::open(zoo, StoreOptions::from_env())
     }
@@ -432,13 +432,6 @@ impl<'z> Workbench<'z> {
     /// artifact directory.
     pub fn persist(&self) -> io::Result<PersistStats> {
         self.store.persist()
-    }
-
-    /// (Re)loads persisted artifacts of this zoo's fingerprint from the
-    /// artifact directory, returning the number of disk-tier entries now
-    /// available. A no-op returning 0 without an artifact directory.
-    pub fn warm(&self) -> usize {
-        self.store.warm()
     }
 
     /// The workbench's stage timers (used by [`mod@crate::evaluate`] to

@@ -1,10 +1,9 @@
-//! The `TGARTv2` on-disk artifact format and its [`Backing`] abstraction.
+//! The `TGARTv2` on-disk artifact format.
 //!
 //! Records use the [`DiskCodec`](crate::store::DiskCodec) encodings,
-//! fronted by a fixed-offset index, so a warm start is an mmap
-//! (or one buffered read via the fallback backing) plus page-cache
-//! reads — lookups binary-search the index and decode exactly one
-//! record:
+//! fronted by a fixed-offset index, so a warm start is one
+//! `std::fs::read` plus an index check — lookups binary-search the
+//! index and decode exactly one record:
 //!
 //! ```text
 //! offset  size   field                              (every field u64 LE)
@@ -22,10 +21,8 @@
 //!
 //! **Alignment.** Every `DiskCodec` encoding is a whole number of u64
 //! words, the header is 40 bytes and an index triple 24, so every
-//! record offset is naturally 8-byte aligned and the `f64` payloads can
-//! be read word-at-a-time from a mapped file without ever splitting a
-//! word across a page boundary. [`ArtifactView::parse`] re-checks
-//! `len % 8 == 0` per entry anyway: an unaligned length marks a foreign
+//! record offset is naturally 8-byte aligned. [`ArtifactView::parse`]
+//! checks `len % 8 == 0` per entry: an unaligned length marks a foreign
 //! or corrupt file.
 //!
 //! **Key hashing.** The index hash is FNV-1a 64 over the *encoded* key
@@ -41,16 +38,6 @@
 //! sorted. Anything else — including a file in the retired `TGARTv1`
 //! layout — returns `None` and the caller treats the file as absent
 //! (recompute + rewrite), bumping its `disk_rejected` counter.
-//!
-//! **Why reading without decoding is safe.** Artifact files are only
-//! ever replaced wholesale via temp-file + rename; no writer truncates
-//! or patches an inode in place. A mapped file therefore observes one
-//! immutable byte image for the lifetime of the mapping, which is the
-//! entire safety argument for the `unsafe` blocks in [`Backing`]'s mmap
-//! arm.
-
-use std::io;
-use std::path::Path;
 
 /// Magic prefix of a `TGARTv2` artifact file.
 pub(crate) const MAGIC_V2: [u8; 8] = *b"TGARTv2\0";
@@ -121,168 +108,15 @@ pub(crate) fn encode_v2(
 }
 
 // ---------------------------------------------------------------------------
-// Backing: owned bytes or a read-only memory mapping
-// ---------------------------------------------------------------------------
-
-/// The bytes behind a parsed artifact: a plain owned read, or a
-/// read-only mmap on 64-bit unix. The seek-and-read arm keeps the
-/// format std-only and portable; the mapped arm makes warm start a
-/// page-table operation.
-pub(crate) enum Backing {
-    /// Bytes owned in memory (`std::fs::read`).
-    Owned(Vec<u8>),
-    /// A read-only private memory mapping of the file.
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    Mapped(map::Mmap),
-}
-
-impl Backing {
-    /// Opens `path`, preferring an mmap when asked for (and available
-    /// on this target); any mapping failure — including the zero-length
-    /// file mmap cannot represent — quietly degrades to an owned read.
-    /// `NotFound` and read errors propagate to the caller.
-    pub(crate) fn open(path: &Path, prefer_mmap: bool) -> io::Result<Backing> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if prefer_mmap {
-            if let Ok(Some(m)) = map::Mmap::open(path) {
-                return Ok(Backing::Mapped(m));
-            }
-        }
-        #[cfg(not(all(unix, target_pointer_width = "64")))]
-        let _unused = prefer_mmap;
-        Ok(Backing::Owned(std::fs::read(path)?))
-    }
-
-    /// The full byte image.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Owned(v) => v,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            Backing::Mapped(m) => m.bytes(),
-        }
-    }
-
-    /// Whether this backing is a memory mapping (vs an owned read).
-    pub(crate) fn is_mapped(&self) -> bool {
-        match self {
-            Backing::Owned(_) => false,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            Backing::Mapped(_) => true,
-        }
-    }
-}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-mod map {
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-    use std::ptr::NonNull;
-
-    // The two syscall wrappers we need, declared directly: std already
-    // links the platform libc on unix, and declaring them here keeps
-    // the workspace free of external crates.
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private memory mapping of one artifact file,
-    /// unmapped on drop.
-    pub(crate) struct Mmap {
-        ptr: NonNull<c_void>,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ + MAP_PRIVATE over a file the
-    // store never mutates in place (writers replace the inode via
-    // temp-file + rename), so the bytes behind `ptr` are immutable for
-    // the mapping's lifetime; immutable bytes may be read from any
-    // thread.
-    unsafe impl Send for Mmap {}
-    // SAFETY: as for Send — a read-only mapping of immutable bytes.
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `path` read-only. Returns `Ok(None)` for an empty file
-        /// (a zero-length mapping is invalid; the caller falls back to
-        /// an owned read, which represents emptiness fine).
-        pub(crate) fn open(path: &Path) -> io::Result<Option<Mmap>> {
-            let file = File::open(path)?;
-            let len = usize::try_from(file.metadata()?.len())
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "artifact too large"))?;
-            if len == 0 {
-                return Ok(None);
-            }
-            // SAFETY: `file` keeps the descriptor alive across the
-            // call; the kernel validates every argument and reports
-            // failure as MAP_FAILED (-1), handled below. No Rust
-            // invariant depends on the arguments beyond that.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            match NonNull::new(ptr) {
-                Some(ptr) => Ok(Some(Mmap { ptr, len })),
-                None => Err(io::Error::other("mmap returned null")),
-            }
-        }
-
-        /// The mapped byte image.
-        pub(crate) fn bytes(&self) -> &[u8] {
-            // SAFETY: `ptr`/`len` describe a live PROT_READ mapping
-            // created in `open` and released only in Drop; the borrow
-            // of `self` keeps the mapping alive for the slice's
-            // lifetime, and the underlying inode is never written in
-            // place (temp+rename protocol), so the bytes are valid and
-            // immutable.
-            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().cast::<u8>(), self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` describe a mapping created by mmap in
-            // `open` and not yet unmapped; after this call nothing can
-            // observe it (all borrows of `bytes` end with `self`).
-            unsafe {
-                munmap(self.ptr.as_ptr(), self.len);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Parsed view
 // ---------------------------------------------------------------------------
 
-/// A validated view over one v2 artifact file: the backing bytes plus
+/// A validated view over one v2 artifact file: the file's bytes plus
 /// the entry count. All per-entry access goes through the index; the
-/// payload is only touched when a record is actually looked up or
+/// payload is only decoded when a record is actually looked up or
 /// iterated.
 pub(crate) struct ArtifactView {
-    backing: Backing,
+    bytes: Vec<u8>,
     count: usize,
 }
 
@@ -291,8 +125,8 @@ impl ArtifactView {
     /// the rules). Returns `None` on any structural problem, a foreign
     /// fingerprint, or a kind-tag mismatch — the caller treats the file
     /// as absent.
-    pub(crate) fn parse(backing: Backing, kind_tag: u64, fingerprint: u64) -> Option<ArtifactView> {
-        let buf = backing.bytes();
+    pub(crate) fn parse(bytes: Vec<u8>, kind_tag: u64, fingerprint: u64) -> Option<ArtifactView> {
+        let buf = bytes.as_slice();
         if buf.len() < HEADER_LEN || buf[..8] != MAGIC_V2 {
             return None;
         }
@@ -307,9 +141,9 @@ impl ArtifactView {
         // The index must tile the payload exactly: first record at P,
         // each next at the previous end, last ending at the file's end.
         // Hashes must be sorted (binary-search invariant). This loop is
-        // the whole O(N) cost of a mapped warm start, so it reads the
-        // index through `chunks_exact` — one bounds check up front, then
-        // straight-line `from_le_bytes` per field.
+        // the whole O(N) cost of a warm start past the read, so it reads
+        // the index through `chunks_exact` — one bounds check up front,
+        // then straight-line `from_le_bytes` per field.
         let index = buf.get(HEADER_LEN..payload_offset)?;
         let mut expected = payload_offset as u64;
         let mut prev_hash = 0u64;
@@ -326,7 +160,7 @@ impl ArtifactView {
         if expected != buf.len() as u64 {
             return None;
         }
-        Some(ArtifactView { backing, count })
+        Some(ArtifactView { bytes, count })
     }
 
     /// Number of records.
@@ -336,28 +170,14 @@ impl ArtifactView {
 
     /// Total size of the file image in bytes.
     pub(crate) fn byte_len(&self) -> usize {
-        self.backing.bytes().len()
-    }
-
-    /// Whether the backing is a memory mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        self.backing.is_mapped()
-    }
-
-    /// Bytes actually touched by `parse`: header plus index. The
-    /// payload stays untouched (and, when mapped, unfaulted) until a
-    /// record is read — this is what the store charges as warm-start
-    /// read volume.
-    pub(crate) fn warm_bytes(&self) -> usize {
-        HEADER_LEN + INDEX_ENTRY_LEN * self.count
+        self.bytes.len()
     }
 
     fn index_entry(&self, i: usize) -> (u64, usize, usize) {
-        let buf = self.backing.bytes();
         let base = HEADER_LEN + INDEX_ENTRY_LEN * i;
         // Bounds were established by `parse`; the fallback cannot fire,
         // but stays in Option form to keep this file panic-free.
-        match buf.get(base..base + INDEX_ENTRY_LEN) {
+        match self.bytes.get(base..base + INDEX_ENTRY_LEN) {
             Some(e) => (
                 le64(&e[0..8]),
                 le64(&e[8..16]) as usize,
@@ -370,10 +190,7 @@ impl ArtifactView {
     /// The raw `key ‖ value` bytes of record `i` (index order).
     pub(crate) fn record(&self, i: usize) -> &[u8] {
         let (_, offset, len) = self.index_entry(i);
-        self.backing
-            .bytes()
-            .get(offset..offset + len)
-            .unwrap_or(&[])
+        self.bytes.get(offset..offset + len).unwrap_or(&[])
     }
 
     /// Finds the record whose encoded key equals `key` and returns its
@@ -399,7 +216,7 @@ impl ArtifactView {
             if hash != target {
                 return None;
             }
-            let record = self.backing.bytes().get(offset..offset + len)?;
+            let record = self.bytes.get(offset..offset + len)?;
             if record.len() >= key.len() && &record[..key.len()] == key {
                 return Some(&record[key.len()..]);
             }
@@ -410,10 +227,6 @@ impl ArtifactView {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::let_underscore_must_use,
-    reason = "temp-dir cleanup is best-effort; a leftover directory cannot fail a test"
-)]
 mod tests {
     use super::*;
 
@@ -438,8 +251,9 @@ mod tests {
         let b = encode_v2(3, 42, shuffled);
         assert_eq!(a, b, "entry order must not affect the bytes");
 
-        let view = ArtifactView::parse(Backing::Owned(a), 3, 42).expect("valid file");
+        let view = ArtifactView::parse(a, 3, 42).expect("valid file");
         assert_eq!(view.count(), 17);
+        assert_eq!(view.byte_len(), b.len());
         for (k, v) in pairs(17) {
             assert_eq!(view.lookup(&k), Some(v.as_slice()));
         }
@@ -450,7 +264,7 @@ mod tests {
     fn empty_file_round_trips() {
         let buf = encode_v2(1, 9, Vec::new());
         assert_eq!(buf.len(), HEADER_LEN);
-        let view = ArtifactView::parse(Backing::Owned(buf), 1, 9).expect("valid empty file");
+        let view = ArtifactView::parse(buf, 1, 9).expect("valid empty file");
         assert_eq!(view.count(), 0);
         assert_eq!(view.lookup(&[0u8; 8]), None);
     }
@@ -501,11 +315,11 @@ mod tests {
             let mut bad = good.clone();
             mutate(&mut bad);
             assert!(
-                ArtifactView::parse(Backing::Owned(bad), 2, 7).is_none(),
+                ArtifactView::parse(bad, 2, 7).is_none(),
                 "parse must reject: {what}"
             );
         }
-        assert!(ArtifactView::parse(Backing::Owned(good), 2, 7).is_some());
+        assert!(ArtifactView::parse(good, 2, 7).is_some());
     }
 
     #[test]
@@ -537,7 +351,7 @@ mod tests {
         buf.extend_from_slice(&v);
         buf.extend_from_slice(&k2);
         buf.extend_from_slice(&v);
-        let view = ArtifactView::parse(Backing::Owned(buf), 5, 11).expect("valid");
+        let view = ArtifactView::parse(buf, 5, 11).expect("valid");
         // Lookups only find a key when its *bytes* match; the forged
         // shared hash cannot cross-serve records. (`lookup` hashes the
         // probe key, so only the key whose true hash equals the forged
@@ -552,37 +366,5 @@ mod tests {
             assert_eq!(view.lookup(&k2), Some(v.as_slice()));
         }
         assert!(h1 == h || h2 == h);
-    }
-
-    #[test]
-    fn mapped_backing_serves_identical_bytes() {
-        let dir = std::env::temp_dir().join(format!("tg-format-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mapped.bin");
-        let buf = encode_v2(4, 77, pairs(9));
-        std::fs::write(&path, &buf).unwrap();
-
-        let mapped = Backing::open(&path, true).unwrap();
-        let owned = Backing::open(&path, false).unwrap();
-        assert!(!owned.is_mapped());
-        assert_eq!(mapped.bytes(), owned.bytes());
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        assert!(mapped.is_mapped(), "unix 64-bit must actually map");
-
-        let view = ArtifactView::parse(mapped, 4, 77).expect("valid mapped file");
-        for (k, v) in pairs(9) {
-            assert_eq!(view.lookup(&k), Some(v.as_slice()));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_bytes_counts_header_and_index_only() {
-        let buf = encode_v2(1, 1, pairs(10));
-        let total = buf.len();
-        let view = ArtifactView::parse(Backing::Owned(buf), 1, 1).unwrap();
-        assert_eq!(view.warm_bytes(), HEADER_LEN + 10 * INDEX_ENTRY_LEN);
-        assert!(view.warm_bytes() < total);
-        assert_eq!(view.byte_len(), total);
     }
 }

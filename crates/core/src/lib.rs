@@ -71,7 +71,6 @@ pub use registry::{
 pub use runner::{run_jobs, run_over_targets, EvalJob, RunSummary};
 pub use shard::{ShardConfig, ShardMap, SHARD_SELF_ENV, SHARD_SLOTS_ENV};
 pub use store::{
-    ArtifactKind, ArtifactStore, DiskStats, PersistStats, StoreOptions, TierKind, TierStats,
-    ARTIFACT_DIR_ENV, ARTIFACT_MMAP_ENV,
+    ArtifactKind, ArtifactStore, DiskStats, PersistStats, StoreOptions, ARTIFACT_DIR_ENV,
 };
 pub use strategy::Strategy;

@@ -44,7 +44,7 @@ use crate::artifacts::Workbench;
 use crate::config::Representation;
 use crate::inductive::{InductiveConfig, InductiveEmbedder};
 use crate::shard::{ShardConfig, ShardMap};
-use crate::store::{dir_from_env, mmap_from_env, ArtifactStore, PersistStats, StoreOptions};
+use crate::store::{dir_from_env, ArtifactStore, PersistStats, StoreOptions};
 use crate::sync::{rank_guard, unpoisoned, Rank};
 
 /// Environment variable bounding the number of resident zoos. Unset, empty
@@ -225,7 +225,7 @@ impl RegistryStats {
 // ---------------------------------------------------------------------------
 
 /// Bounds and disk configuration of a [`ZooRegistry`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RegistryOptions {
     /// Shared artifact directory: evicted handles persist here, and new
     /// handles warm from it. `None` disables the disk tier (eviction then
@@ -238,9 +238,6 @@ pub struct RegistryOptions {
     /// unbounded. The most recently routed handle is exempt, so one
     /// oversized zoo still serves.
     pub max_bytes: Option<u64>,
-    /// Prefer mmap-backed `TGARTv2` warm starts (default `true`); passed
-    /// through to every handle's [`StoreOptions`].
-    pub mmap: bool,
     /// Consistent-hash sharding across server processes; `None` means
     /// this process owns every fingerprint. With sharding on, handles for
     /// fingerprints owned by *other* slots open their stores read-only:
@@ -248,23 +245,10 @@ pub struct RegistryOptions {
     pub shard: Option<ShardConfig>,
 }
 
-impl Default for RegistryOptions {
-    fn default() -> Self {
-        RegistryOptions {
-            artifact_dir: None,
-            max_zoos: None,
-            max_bytes: None,
-            mmap: true,
-            shard: None,
-        }
-    }
-}
-
 impl RegistryOptions {
     /// Options from the environment: artifact directory from
     /// `TG_ARTIFACT_DIR`, bounds from [`REGISTRY_MAX_ZOOS_ENV`] and
-    /// [`REGISTRY_MAX_BYTES_ENV`], mmap preference from
-    /// `TG_ARTIFACT_MMAP`, sharding from `TG_SHARD_SLOTS` /
+    /// [`REGISTRY_MAX_BYTES_ENV`], sharding from `TG_SHARD_SLOTS` /
     /// `TG_SHARD_SELF` ([`ShardConfig::from_env`]).
     pub fn from_env() -> Self {
         let parse = |name: &str| {
@@ -277,7 +261,6 @@ impl RegistryOptions {
             artifact_dir: dir_from_env(),
             max_zoos: parse(REGISTRY_MAX_ZOOS_ENV).map(|v| v as usize),
             max_bytes: parse(REGISTRY_MAX_BYTES_ENV),
-            mmap: mmap_from_env(),
             shard: ShardConfig::from_env(),
         }
     }
@@ -383,12 +366,11 @@ impl ZooRegistry {
         self.shard_map.owner_of(fingerprint) == self.self_slot
     }
 
-    /// Store options for one fingerprint: the registry's directory and
-    /// mmap preference, read-only unless this process owns it.
+    /// Store options for one fingerprint: the registry's directory,
+    /// read-only unless this process owns it.
     fn store_options(&self, fingerprint: u64) -> StoreOptions {
         StoreOptions {
             dir: self.options.artifact_dir.clone(),
-            mmap: self.options.mmap,
             read_only: !self.owns(fingerprint),
         }
     }
@@ -724,7 +706,7 @@ mod tests {
     fn routing_while_holding_a_store_rank_trips_the_tracker() {
         use crate::sync::{rank_guard, Rank};
         let registry = ZooRegistry::new(RegistryOptions::default());
-        let _shard = rank_guard(Rank::StoreShard);
+        let _shard = rank_guard(Rank::CacheShard);
         let _ = registry.get_or_build(&ZooConfig::small(81));
     }
 

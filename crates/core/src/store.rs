@@ -4,19 +4,19 @@
 //! The paper observes that feature collection (Fig. 5, steps ①–④) "can be
 //! achieved offline": LogME scores, probe embeddings and pairwise
 //! similarities are pure functions of the zoo. The store exploits that with
-//! a memory tier plus an optional disk tier behind the internal `Tier`
-//! abstraction (`crates/core/src/tier.rs`):
+//! a memory tier plus an optional disk tier per cache
+//! (`crates/core/src/tier.rs`):
 //!
 //! * the **memory tier** — sharded `RwLock<HashMap>`s shared by every
 //!   worker thread of a process;
-//! * the **warm tier** — one artifact file per cache under
+//! * the **disk tier** — one artifact file per cache under
 //!   `TG_ARTIFACT_DIR`, keyed by a
 //!   [zoo fingerprint](tg_zoo::ZooConfig::fingerprint) so artifacts of one
-//!   world are never replayed into another. `TGARTv2` files (format in
-//!   `crates/core/src/format.rs` and DESIGN.md §3c) are served in place
-//!   — mmap where available, one buffered read otherwise. Any other
-//!   bytes, legacy `TGARTv1` files included, are refused and replaced by
-//!   the next [`persist`](ArtifactStore::persist).
+//!   world are never replayed into another. [`ArtifactStore::open`] reads
+//!   each `TGARTv2` file (format in `crates/core/src/format.rs` and
+//!   DESIGN.md §3c) once, whole, and serves lookups from those bytes by
+//!   index search. Any other bytes, legacy `TGARTv1` files included, are
+//!   refused and replaced by the next [`persist`](ArtifactStore::persist).
 //!
 //! Persisting is coordinated *across processes*, not last-writer-wins:
 //! writers of the same fingerprint serialise on a per-fingerprint advisory
@@ -31,7 +31,7 @@
 //! process does not own — see [`crate::shard`]) turns `persist` into a
 //! no-op while warm reads keep working.
 //!
-//! A lookup falls through memory → warm tier → compute. Disk-tier hits,
+//! A lookup falls through memory → disk tier → compute. Disk-tier hits,
 //! misses, I/O volume and — new in v2 — *rejected files* (corrupt,
 //! truncated, foreign) are counted ([`DiskStats`]) and surfaced in
 //! [`WorkbenchStats`](crate::artifacts::WorkbenchStats) / the runner's
@@ -54,20 +54,14 @@ use tg_zoo::{DatasetId, ModelId};
 
 use crate::artifacts::Telemetry;
 use crate::config::Representation;
-use crate::format::{encode_v2, ArtifactView, Backing};
+use crate::format::{encode_v2, ArtifactView};
 use crate::sync::LockFile;
-use crate::tier::{MappedTier, TieredCache};
-pub use crate::tier::{TierKind, TierStats};
+use crate::tier::TieredCache;
 
 /// Environment variable naming the artifact directory. When set (and
 /// non-empty), workbenches built via `Workbench::from_env` read previously
 /// persisted collection artifacts from it and `persist()` writes into it.
 pub const ARTIFACT_DIR_ENV: &str = "TG_ARTIFACT_DIR";
-
-/// Environment variable toggling the mmap backing of `TGARTv2` warm
-/// starts. Defaults to on; set to `0`, `off` or `false` to force the
-/// portable read-into-memory backing instead.
-pub const ARTIFACT_MMAP_ENV: &str = "TG_ARTIFACT_MMAP";
 
 // ---------------------------------------------------------------------------
 // Disk codec
@@ -250,30 +244,17 @@ impl ArtifactKind {
 // ---------------------------------------------------------------------------
 
 /// How an [`ArtifactStore`] backs itself.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StoreOptions {
     /// Artifact directory; `None` means memory-only.
     pub dir: Option<PathBuf>,
-    /// Prefer the mmap backing for `TGARTv2` warm starts (falls back to
-    /// a buffered read when mapping is unavailable). Default `true`.
-    pub mmap: bool,
     /// Serve warm state but never persist. Set by the registry for
     /// fingerprints this process does not own under the shard map.
     pub read_only: bool,
 }
 
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            dir: None,
-            mmap: true,
-            read_only: false,
-        }
-    }
-}
-
 impl StoreOptions {
-    /// Options with a disk tier rooted at `dir` (mmap on, writable).
+    /// Options with a disk tier rooted at `dir` (writable).
     pub fn in_dir(dir: impl Into<PathBuf>) -> StoreOptions {
         StoreOptions {
             dir: Some(dir.into()),
@@ -282,24 +263,17 @@ impl StoreOptions {
     }
 
     /// Options from the environment: [`ARTIFACT_DIR_ENV`] for the
-    /// directory, [`ARTIFACT_MMAP_ENV`] for the backing preference.
+    /// directory.
     pub fn from_env() -> StoreOptions {
         StoreOptions {
             dir: dir_from_env(),
-            mmap: mmap_from_env(),
-            read_only: false,
+            ..StoreOptions::default()
         }
     }
 
     /// Returns these options with `read_only` replaced.
     pub fn read_only(mut self, read_only: bool) -> StoreOptions {
         self.read_only = read_only;
-        self
-    }
-
-    /// Returns these options with the mmap preference replaced.
-    pub fn mmap(mut self, mmap: bool) -> StoreOptions {
-        self.mmap = mmap;
         self
     }
 }
@@ -312,18 +286,6 @@ pub fn dir_from_env() -> Option<PathBuf> {
         return None;
     }
     Some(PathBuf::from(v))
-}
-
-/// Reads the mmap preference from [`ARTIFACT_MMAP_ENV`]; on unless
-/// explicitly disabled.
-pub(crate) fn mmap_from_env() -> bool {
-    match std::env::var(ARTIFACT_MMAP_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false"
-        ),
-        Err(_) => true,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,13 +302,12 @@ pub struct DiskStats {
     /// Lookups that missed an *enabled* disk tier (0 when no artifact
     /// directory is configured).
     pub misses: u64,
-    /// Bytes of artifact files read at warm start. `TGARTv2` mapped warm
-    /// starts charge only the header + index actually parsed; payload
-    /// pages fault in on demand and are not counted here.
+    /// Bytes of artifact files read when the store opened: each file is
+    /// read whole, refused ones included.
     pub bytes_read: u64,
     /// Bytes of artifact files written by [`ArtifactStore::persist`].
     pub bytes_written: u64,
-    /// Artifact files refused at warm start: corrupt, truncated,
+    /// Artifact files refused at open: unreadable, corrupt, truncated,
     /// kind-mismatched or carrying a foreign fingerprint. A *missing*
     /// file (plain cold start) does not count — a nonzero value here
     /// means the artifact directory holds bytes this store refused.
@@ -388,9 +349,9 @@ pub struct PersistStats {
 pub struct ArtifactStore {
     fingerprint: u64,
     options: StoreOptions,
-    bytes_read: AtomicU64,
+    bytes_read: u64,
     bytes_written: AtomicU64,
-    disk_rejected: AtomicU64,
+    disk_rejected: u64,
     pub(crate) logme: TieredCache<(ModelId, DatasetId), f64>,
     pub(crate) ds_embed: TieredCache<DatasetId, Arc<[f64]>>,
     pub(crate) t2v_embed: TieredCache<DatasetId, Arc<[f64]>>,
@@ -401,35 +362,57 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     /// Memory-only store for the given zoo fingerprint.
     pub fn new(fingerprint: u64) -> Self {
+        Self::open(fingerprint, StoreOptions::default())
+    }
+
+    /// Store backed per `options`. With a directory configured, each
+    /// artifact file of this fingerprint is read whole, validated and
+    /// kept as its cache's disk tier for the store's lifetime; the
+    /// directory itself is created lazily on the first
+    /// [`persist`](ArtifactStore::persist). A missing file leaves its
+    /// cache cold; an unreadable, truncated, corrupted, kind-mismatched,
+    /// fingerprint-mismatched or non-v2 file (legacy `TGARTv1` included)
+    /// is refused *and counted* in [`DiskStats::rejected`].
+    pub fn open(fingerprint: u64, options: StoreOptions) -> Self {
+        let mut bytes_read = 0;
+        let mut disk_rejected = 0;
+        let [logme, ds_embed, t2v_embed, similarity] = ArtifactKind::ALL.map(|kind| {
+            let dir = options.dir.as_deref()?;
+            let bytes = match std::fs::read(artifact_path(dir, fingerprint, kind)) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return None, // cold, not corrupt
+                Err(_) => {
+                    disk_rejected += 1;
+                    return None;
+                }
+            };
+            bytes_read += bytes.len() as u64;
+            let view = ArtifactView::parse(bytes, kind.tag(), fingerprint);
+            disk_rejected += u64::from(view.is_none());
+            view
+        });
         // Per-entry byte costs for the eviction heuristic: payload plus
         // ~32B of HashMap bucket/entry overhead.
         ArtifactStore {
             fingerprint,
-            options: StoreOptions::default(),
-            bytes_read: AtomicU64::new(0),
+            options,
+            bytes_read,
             bytes_written: AtomicU64::new(0),
-            disk_rejected: AtomicU64::new(0),
-            logme: TieredCache::new(ArtifactKind::LogMe, |_, _| 32 + 16 + 8),
-            ds_embed: TieredCache::new(ArtifactKind::DsEmbed, |_, v| {
-                32 + 8 + 16 + v.len() as u64 * 8
-            }),
-            t2v_embed: TieredCache::new(ArtifactKind::T2vEmbed, |_, v| {
-                32 + 8 + 16 + v.len() as u64 * 8
-            }),
-            similarity: TieredCache::new(ArtifactKind::Similarity, |_, _| 32 + 24 + 8),
+            disk_rejected,
+            logme: TieredCache::new(ArtifactKind::LogMe, |_, _| 32 + 16 + 8, logme),
+            ds_embed: TieredCache::new(
+                ArtifactKind::DsEmbed,
+                |_, v| 32 + 8 + 16 + v.len() as u64 * 8,
+                ds_embed,
+            ),
+            t2v_embed: TieredCache::new(
+                ArtifactKind::T2vEmbed,
+                |_, v| 32 + 8 + 16 + v.len() as u64 * 8,
+                t2v_embed,
+            ),
+            similarity: TieredCache::new(ArtifactKind::Similarity, |_, _| 32 + 24 + 8, similarity),
             telemetry: Telemetry::default(),
         }
-    }
-
-    /// Store backed per `options`. With a directory configured, existing
-    /// artifact files for this fingerprint are loaded immediately (see
-    /// [`warm`](ArtifactStore::warm)); the directory itself is created
-    /// lazily on the first [`persist`](ArtifactStore::persist).
-    pub fn open(fingerprint: u64, options: StoreOptions) -> Self {
-        let mut store = Self::new(fingerprint);
-        store.options = options;
-        store.warm();
-        store
     }
 
     /// The artifact directory, when a disk tier is configured.
@@ -458,22 +441,16 @@ impl ArtifactStore {
         self.fingerprint
     }
 
-    /// (Re)loads every artifact file of this fingerprint from the disk
-    /// directory into the warm tier, returning the number of entries now
-    /// available for disk-tier lookups. `TGARTv2` files are served in
-    /// place (mapped when [`StoreOptions::mmap`] allows). Missing files
-    /// simply leave a cache cold; truncated, corrupted, kind-mismatched,
-    /// fingerprint-mismatched or non-v2 files (legacy `TGARTv1`
-    /// included) are refused *and counted* in [`DiskStats::rejected`].
-    /// A no-op returning 0 without a configured directory.
-    pub fn warm(&self) -> usize {
-        let Some(dir) = self.options.dir.clone() else {
-            return 0;
-        };
-        self.warm_cache(&self.logme, &dir)
-            + self.warm_cache(&self.ds_embed, &dir)
-            + self.warm_cache(&self.t2v_embed, &dir)
-            + self.warm_cache(&self.similarity, &dir)
+    /// Entries the disk tier of `kind` serves: the record count of the
+    /// file read at open, 0 when it was missing or refused (or no
+    /// directory is configured).
+    pub fn warm_entries(&self, kind: ArtifactKind) -> usize {
+        match kind {
+            ArtifactKind::LogMe => self.logme.disk_len(),
+            ArtifactKind::DsEmbed => self.ds_embed.disk_len(),
+            ArtifactKind::T2vEmbed => self.t2v_embed.disk_len(),
+            ArtifactKind::Similarity => self.similarity.disk_len(),
+        }
     }
 
     /// Writes every cache to the artifact directory, one `TGARTv2` file
@@ -487,16 +464,17 @@ impl ArtifactStore {
     /// per-fingerprint advisory file lock ([`tg_sync::LockFile`],
     /// `{fingerprint:016x}.lock` in the artifact directory) across the
     /// whole read-union-write sequence, and each file is rewritten as the
-    /// union of (current file contents) ∪ (warm tier) ∪ (memory tier).
+    /// union of (current file contents) ∪ (disk tier) ∪ (memory tier).
     /// Entries computed by another store of the same zoo are therefore
     /// preserved — and since every cached value is a pure function of its
     /// key, overlapping entries are bit-identical. A file that is not a
     /// valid v2 file of this fingerprint contributes nothing and is
-    /// replaced. Temp files of this fingerprint that a killed writer left
-    /// behind are deleted under the lock.
+    /// replaced; a file that exists but cannot be read fails the call
+    /// before any file is written. Temp files of this fingerprint that a
+    /// killed writer left behind are deleted under the lock.
     ///
     /// ```
-    /// use transfergraph::{ArtifactStore, StoreOptions};
+    /// use transfergraph::{ArtifactKind, ArtifactStore, StoreOptions};
     ///
     /// let dir = std::env::temp_dir().join("tg-doc-persist");
     /// let store = ArtifactStore::open(0xFEED, StoreOptions::in_dir(&dir));
@@ -504,39 +482,57 @@ impl ArtifactStore {
     /// let stats = store.persist()?;
     /// // A fresh store over the same dir + fingerprint starts warm.
     /// let warm = ArtifactStore::open(0xFEED, StoreOptions::in_dir(&dir));
-    /// assert_eq!(warm.warm(), stats.entries as usize);
+    /// let served: usize = ArtifactKind::ALL.iter().map(|&k| warm.warm_entries(k)).sum();
+    /// assert_eq!(served, stats.entries as usize);
     /// # std::fs::remove_dir_all(&dir).ok();
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn persist(&self) -> io::Result<PersistStats> {
-        let Some(dir) = self.options.dir.clone() else {
+        let Some(dir) = self.options.dir.as_deref() else {
             return Ok(PersistStats::default());
         };
         if self.options.read_only {
             return Ok(PersistStats::default());
         }
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         let lockfile = LockFile::open(&dir.join(format!("{:016x}.lock", self.fingerprint)))?;
         let _flock = lockfile.lock()?;
-        self.reclaim_orphaned_temps(&dir)?;
+        self.reclaim_orphaned_temps(dir)?;
+        // Every file is read and merged before any is written, so a read
+        // error leaves the whole directory as it was.
+        let files = [
+            self.merged(&self.logme, dir)?,
+            self.merged(&self.ds_embed, dir)?,
+            self.merged(&self.t2v_embed, dir)?,
+            self.merged(&self.similarity, dir)?,
+        ];
         let mut stats = PersistStats::default();
-        self.persist_cache(&self.logme, &dir, &mut stats)?;
-        self.persist_cache(&self.ds_embed, &dir, &mut stats)?;
-        self.persist_cache(&self.t2v_embed, &dir, &mut stats)?;
-        self.persist_cache(&self.similarity, &dir, &mut stats)?;
+        for (kind, entries, buf) in files {
+            // Sync the data before the rename publishes it: otherwise a
+            // power loss could keep the rename but not the bytes behind it.
+            let tmp = self.temp_path(dir, kind);
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(&buf)?;
+            file.sync_all()?;
+            drop(file);
+            std::fs::rename(&tmp, artifact_path(dir, self.fingerprint, kind))?;
+            self.bytes_written
+                .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            stats.entries += entries;
+            stats.bytes += buf.len() as u64;
+        }
         // The renames become durable once the directory entry is synced.
         #[cfg(unix)]
-        std::fs::File::open(&dir)?.sync_all()?;
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(stats)
     }
 
     /// Approximate bytes held by this store's caches (both tiers).
     ///
     /// Memory entries are priced at payload size plus a flat per-entry
-    /// `HashMap` overhead; a warm tier contributes its backing file size
-    /// (for a mapped tier that is page cache, not heap, but it bounds
-    /// what serving the tier can touch). Meant for the registry's
-    /// byte-bounded eviction policy, not exact accounting.
+    /// `HashMap` overhead; a disk tier contributes the size of the file
+    /// it holds. Meant for the registry's byte-bounded eviction policy,
+    /// not exact accounting.
     pub fn resident_bytes(&self) -> u64 {
         self.logme.approx_bytes()
             + self.similarity.approx_bytes()
@@ -546,57 +542,25 @@ impl ArtifactStore {
 
     /// Snapshot of the disk-tier counters.
     pub fn disk_stats(&self) -> DiskStats {
-        let sum4 = |f: fn(&Self) -> [(u64, u64); 4], s: &Self| {
-            f(s).iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        };
-        let (hits, misses) = sum4(
-            |s| {
-                [
-                    s.logme.disk_counters(),
-                    s.ds_embed.disk_counters(),
-                    s.t2v_embed.disk_counters(),
-                    s.similarity.disk_counters(),
-                ]
-            },
-            self,
-        );
+        let (hits, misses) = [
+            self.logme.disk_counters(),
+            self.ds_embed.disk_counters(),
+            self.t2v_embed.disk_counters(),
+            self.similarity.disk_counters(),
+        ]
+        .iter()
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
         DiskStats {
             hits,
             misses,
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read,
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            rejected: self.disk_rejected.load(Ordering::Relaxed),
+            rejected: self.disk_rejected,
         }
-    }
-
-    /// Per-cache, per-tier statistics: one row per (artifact kind, tier).
-    pub fn tier_stats(&self) -> Vec<(ArtifactKind, TierKind, TierStats)> {
-        let mut out = Vec::new();
-        for (t, s) in self.logme.tier_stats() {
-            out.push((ArtifactKind::LogMe, t, s));
-        }
-        for (t, s) in self.ds_embed.tier_stats() {
-            out.push((ArtifactKind::DsEmbed, t, s));
-        }
-        for (t, s) in self.t2v_embed.tier_stats() {
-            out.push((ArtifactKind::T2vEmbed, t, s));
-        }
-        for (t, s) in self.similarity.tier_stats() {
-            out.push((ArtifactKind::Similarity, t, s));
-        }
-        out
-    }
-
-    fn artifact_path(&self, dir: &Path, kind: ArtifactKind) -> PathBuf {
-        dir.join(format!(
-            "{:016x}.{}.bin",
-            self.fingerprint,
-            kind.file_stem()
-        ))
     }
 
     /// The temp file this process writes `kind` through before renaming
-    /// it over [`artifact_path`](Self::artifact_path).
+    /// it over its [`artifact_path`].
     fn temp_path(&self, dir: &Path, kind: ArtifactKind) -> PathBuf {
         dir.join(format!(
             "{}{}.tmp",
@@ -634,63 +598,35 @@ impl ArtifactStore {
         Ok(())
     }
 
-    fn warm_cache<K, V>(&self, cache: &TieredCache<K, V>, dir: &Path) -> usize
-    where
-        K: DiskCodec + Eq + Hash + Clone,
-        V: DiskCodec + Clone,
-    {
-        let path = self.artifact_path(dir, cache.kind());
-        let backing = match Backing::open(&path, self.options.mmap) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return 0, // cold, not corrupt
-            Err(_) => {
-                self.disk_rejected.fetch_add(1, Ordering::Relaxed);
-                return 0;
-            }
-        };
-        let Some(view) = ArtifactView::parse(backing, cache.kind().tag(), self.fingerprint) else {
-            self.disk_rejected.fetch_add(1, Ordering::Relaxed);
-            return 0;
-        };
-        // Only the header + index were parsed; payload records fault in
-        // (or seek in) on first lookup.
-        self.bytes_read
-            .fetch_add(view.warm_bytes() as u64, Ordering::Relaxed);
-        let n = view.count();
-        cache.set_warm(Arc::new(MappedTier::new(view)));
-        n
-    }
-
-    fn persist_cache<K, V>(
+    /// The `TGARTv2` image of `cache` merged with its file on disk —
+    /// (current file) ∪ (disk tier) ∪ (memory tier) — with its kind and
+    /// entry count. A missing file merges as empty, and so does one that
+    /// is not a valid v2 file of this fingerprint; any other read error
+    /// is returned.
+    fn merged<K, V>(
         &self,
         cache: &TieredCache<K, V>,
         dir: &Path,
-        stats: &mut PersistStats,
-    ) -> io::Result<()>
+    ) -> io::Result<(ArtifactKind, u64, Vec<u8>)>
     where
         K: DiskCodec + Eq + Hash + Clone,
         V: DiskCodec + Clone,
     {
         // Merge-on-persist: start from whatever the file currently holds
         // (a concurrent process of the same zoo may have added entries we
-        // never loaded), then overlay our warm tier and memory tier.
-        // Values are pure, so overlapping entries agree bit-for-bit. The
-        // caller holds the per-fingerprint file lock across this whole
-        // read-union-write sequence.
-        let path = self.artifact_path(dir, cache.kind());
-        let mut union: HashMap<K, V> = std::fs::read(&path)
-            .ok()
-            .and_then(|buf| decode_all::<K, V>(buf, cache.kind(), self.fingerprint))
-            .unwrap_or_default();
-        if let Some(tier) = cache.warm_tier() {
-            tier.for_each(|k, v| {
-                union.insert(k, v);
-            });
-        }
-        cache.mem_for_each(|k, v| {
+        // never loaded). Values are pure, so overlapping entries agree
+        // bit-for-bit. The caller holds the per-fingerprint file lock
+        // across this whole read-union-write sequence.
+        let kind = cache.kind();
+        let path = artifact_path(dir, self.fingerprint, kind);
+        let mut union: HashMap<K, V> = match std::fs::read(path) {
+            Ok(buf) => decode_all(buf, kind, self.fingerprint).unwrap_or_default(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => HashMap::new(),
+            Err(e) => return Err(e),
+        };
+        cache.for_each(|k, v| {
             union.insert(k, v);
         });
-
         let entries: Vec<(Vec<u8>, Vec<u8>)> = union
             .iter()
             .map(|(k, v)| {
@@ -701,22 +637,15 @@ impl ArtifactStore {
                 (kb, vb)
             })
             .collect();
-        let buf = encode_v2(cache.kind().tag(), self.fingerprint, entries);
-
-        // Sync the data before the rename publishes it: otherwise a power
-        // loss could keep the rename but not the bytes behind it.
-        let tmp = self.temp_path(dir, cache.kind());
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&buf)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &path)?;
-        self.bytes_written
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        stats.entries += union.len() as u64;
-        stats.bytes += buf.len() as u64;
-        Ok(())
+        let buf = encode_v2(kind.tag(), self.fingerprint, entries);
+        Ok((kind, union.len() as u64, buf))
     }
+}
+
+/// `{dir}/{fingerprint:016x}.{file_stem}.bin`: where `kind`'s artifact
+/// file of one zoo lives.
+fn artifact_path(dir: &Path, fingerprint: u64, kind: ArtifactKind) -> PathBuf {
+    dir.join(format!("{fingerprint:016x}.{}.bin", kind.file_stem()))
 }
 
 // ---------------------------------------------------------------------------
@@ -731,7 +660,7 @@ where
     K: DiskCodec + Eq + Hash,
     V: DiskCodec,
 {
-    let view = ArtifactView::parse(Backing::Owned(buf), kind.tag(), fingerprint)?;
+    let view = ArtifactView::parse(buf, kind.tag(), fingerprint)?;
     let mut map = HashMap::with_capacity(view.count());
     for i in 0..view.count() {
         let record = view.record(i);
@@ -762,6 +691,14 @@ mod tests {
 
     fn open_in(fingerprint: u64, dir: &Path) -> ArtifactStore {
         ArtifactStore::open(fingerprint, StoreOptions::in_dir(dir))
+    }
+
+    /// Entries served by the disk tiers of every kind.
+    fn warm_total(store: &ArtifactStore) -> usize {
+        ArtifactKind::ALL
+            .iter()
+            .map(|&kind| store.warm_entries(kind))
+            .sum()
     }
 
     #[test]
@@ -837,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn persisted_files_are_v2_and_mapped_at_warm_start() {
+    fn persisted_files_are_v2_and_served_from_the_disk_tier() {
         let dir = temp_store_dir("v2format");
         let store = open_in(0x2222, &dir);
         for i in 0..8 {
@@ -846,16 +783,29 @@ mod tests {
                 .get_or_insert_with((ModelId(i), DatasetId(0)), true, || i as f64 * 0.5);
         }
         store.persist().unwrap();
-        let path = store.artifact_path(&dir, ArtifactKind::LogMe);
+        let path = artifact_path(&dir, 0x2222, ArtifactKind::LogMe);
         let head = std::fs::read(&path).unwrap();
         assert_eq!(&head[..8], b"TGARTv2\0", "persist writes the v2 magic");
 
         let warm = open_in(0x2222, &dir);
-        let mapped = warm
-            .tier_stats()
-            .into_iter()
-            .any(|(k, t, s)| k == ArtifactKind::LogMe && t != TierKind::Memory && s.entries == 8);
-        assert!(mapped, "warm start must install a disk tier with 8 entries");
+        assert_eq!(
+            warm.warm_entries(ArtifactKind::LogMe),
+            8,
+            "open must install a disk tier with 8 entries"
+        );
+        let on_disk: u64 = ArtifactKind::ALL
+            .iter()
+            .map(|&kind| {
+                std::fs::metadata(artifact_path(&dir, 0x2222, kind))
+                    .unwrap()
+                    .len()
+            })
+            .sum();
+        assert_eq!(
+            warm.disk_stats().bytes_read,
+            on_disk,
+            "open reads every file whole"
+        );
         for i in 0..8 {
             let v = warm
                 .logme
@@ -870,8 +820,7 @@ mod tests {
     #[test]
     fn v1_files_are_refused_and_replaced_on_persist() {
         let dir = temp_store_dir("v1hostile");
-        let store = open_in(0x1111, &dir);
-        let path = store.artifact_path(&dir, ArtifactKind::LogMe);
+        let path = artifact_path(&dir, 0x1111, ArtifactKind::LogMe);
         std::fs::create_dir_all(&dir).unwrap();
         // A well-formed TGARTv1 file: magic, fingerprint, count, one entry.
         let mut v1 = b"TGARTv1\0".to_vec();
@@ -899,7 +848,7 @@ mod tests {
         assert_eq!(&std::fs::read(&path).unwrap()[..8], b"TGARTv2\0");
         let fresh = open_in(0x1111, &dir);
         assert_eq!(fresh.disk_stats().rejected, 0);
-        assert_eq!(fresh.warm(), 1);
+        assert_eq!(warm_total(&fresh), 1);
         let v = fresh
             .logme
             .get_or_insert_with((ModelId(3), DatasetId(4)), true, || {
@@ -930,24 +879,7 @@ mod tests {
         assert!(foreign.exists(), "other fingerprints' temps are left alone");
         let warm = open_in(0x5555, &dir);
         assert_eq!(warm.disk_stats().rejected, 0);
-        assert_eq!(warm.warm(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mmap_disabled_still_serves_v2_files() {
-        let dir = temp_store_dir("nommap");
-        let store = open_in(0x3333, &dir);
-        store
-            .logme
-            .get_or_insert_with((ModelId(0), DatasetId(9)), true, || 1.25);
-        store.persist().unwrap();
-
-        let warm = ArtifactStore::open(0x3333, StoreOptions::in_dir(&dir).mmap(false));
-        let v = warm
-            .logme
-            .get_or_insert_with((ModelId(0), DatasetId(9)), true, || panic!("must be warm"));
-        assert_eq!(v.to_bits(), 1.25f64.to_bits());
+        assert_eq!(warm_total(&warm), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -974,7 +906,7 @@ mod tests {
         assert_eq!(follower.disk_stats().bytes_written, 0);
         // …so a fresh store sees only the owner's entry.
         let fresh = open_in(0x4444, &dir);
-        assert_eq!(fresh.warm(), 1);
+        assert_eq!(warm_total(&fresh), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -989,7 +921,7 @@ mod tests {
 
         // Same dir, different fingerprint: nothing loads by name…
         let other = open_in(2, &dir);
-        assert_eq!(other.warm(), 0);
+        assert_eq!(warm_total(&other), 0);
         assert_eq!(
             other.disk_stats().rejected,
             0,
@@ -997,9 +929,10 @@ mod tests {
         );
         // …and even a renamed file is rejected by the in-file fingerprint,
         // which *does* count as a rejection.
-        let stolen = other.artifact_path(&dir, ArtifactKind::LogMe);
-        std::fs::copy(store.artifact_path(&dir, ArtifactKind::LogMe), &stolen).unwrap();
-        assert_eq!(other.warm(), 0);
+        let stolen = artifact_path(&dir, 2, ArtifactKind::LogMe);
+        std::fs::copy(artifact_path(&dir, 1, ArtifactKind::LogMe), &stolen).unwrap();
+        let other = open_in(2, &dir);
+        assert_eq!(warm_total(&other), 0);
         assert!(
             other.disk_stats().rejected > 0,
             "foreign file must be counted"
@@ -1025,33 +958,33 @@ mod tests {
                 .get_or_insert_with((ModelId(i), DatasetId(0)), true, || i as f64);
         }
         store.persist().unwrap();
-        let path = store.artifact_path(&dir, ArtifactKind::LogMe);
+        let path = artifact_path(&dir, 7, ArtifactKind::LogMe);
         let full = std::fs::read(&path).unwrap();
 
         // Truncate mid-payload.
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let s = open_in(7, &dir);
-        assert_eq!((s.warm(), s.disk_stats().rejected >= 1), (0, true));
+        assert_eq!((warm_total(&s), s.disk_stats().rejected >= 1), (0, true));
 
         // Garbage magic.
         let mut garbage = full.clone();
         garbage[0] ^= 0xFF;
         std::fs::write(&path, &garbage).unwrap();
         let s = open_in(7, &dir);
-        assert_eq!((s.warm(), s.disk_stats().rejected >= 1), (0, true));
+        assert_eq!((warm_total(&s), s.disk_stats().rejected >= 1), (0, true));
 
         // Trailing junk after a valid payload.
         let mut trailing = full.clone();
         trailing.extend_from_slice(b"junkjunk");
         std::fs::write(&path, &trailing).unwrap();
         let s = open_in(7, &dir);
-        assert_eq!((s.warm(), s.disk_stats().rejected >= 1), (0, true));
+        assert_eq!((warm_total(&s), s.disk_stats().rejected >= 1), (0, true));
 
         // A file renamed across kinds is refused by the kind tag.
         std::fs::write(&path, &full).unwrap();
-        std::fs::copy(&path, store.artifact_path(&dir, ArtifactKind::Similarity)).unwrap();
+        std::fs::copy(&path, artifact_path(&dir, 7, ArtifactKind::Similarity)).unwrap();
         let s = open_in(7, &dir);
-        assert_eq!(s.warm(), 4, "legitimate file still loads");
+        assert_eq!(warm_total(&s), 4, "legitimate file still loads");
         assert!(s.disk_stats().rejected >= 1, "kind-mismatched copy counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1072,7 +1005,7 @@ mod tests {
         b.persist().unwrap();
 
         let merged = open_in(0x77, &dir);
-        assert_eq!(merged.warm(), 2, "both writers' entries kept");
+        assert_eq!(warm_total(&merged), 2, "both writers' entries kept");
         for (key, expect) in [
             ((ModelId(1), DatasetId(1)), 0.25),
             ((ModelId(2), DatasetId(2)), 0.5),
@@ -1102,7 +1035,7 @@ mod tests {
             }
         });
         let merged = open_in(0x99, &dir);
-        assert_eq!(merged.warm(), 4, "no writer's entry was lost");
+        assert_eq!(warm_total(&merged), 4, "no writer's entry was lost");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1129,6 +1062,36 @@ mod tests {
             .get_or_insert_with((ModelId(0), DatasetId(0)), store.disk_enabled(), || 1.0);
         assert_eq!(store.disk_stats(), DiskStats::default());
         assert_eq!(store.persist().unwrap(), PersistStats::default());
-        assert_eq!(store.warm(), 0);
+        assert_eq!(warm_total(&store), 0);
+    }
+
+    /// A file that exists but cannot be read is not an empty file:
+    /// persisting over it would drop whatever other writers merged in.
+    #[cfg(unix)]
+    #[test]
+    fn persist_refuses_to_replace_a_file_it_cannot_read() {
+        let dir = temp_store_dir("unreadable");
+        let store = open_in(0x6666, &dir);
+        store
+            .logme
+            .get_or_insert_with((ModelId(1), DatasetId(1)), true, || 0.5);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A symlink to itself: every read fails with a filesystem loop.
+        let path = artifact_path(&dir, 0x6666, ArtifactKind::LogMe);
+        std::os::unix::fs::symlink(&path, &path).unwrap();
+
+        assert!(store.persist().is_err(), "an unreadable file fails persist");
+        let link = std::fs::symlink_metadata(&path).unwrap();
+        assert!(link.file_type().is_symlink(), "the link is left in place");
+        for kind in ArtifactKind::ALL {
+            if kind != ArtifactKind::LogMe {
+                assert!(
+                    !artifact_path(&dir, 0x6666, kind).exists(),
+                    "nothing is written when a read fails"
+                );
+            }
+        }
+        assert_eq!(store.disk_stats().bytes_written, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

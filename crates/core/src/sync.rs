@@ -28,7 +28,6 @@ mod tests {
         let _b = rank_guard(Rank::BuildSlot);
         let _i = rank_guard(Rank::Inductive);
         let _p = rank_guard(Rank::Coalesce);
-        let _c = rank_guard(Rank::StoreShard);
         let _d = rank_guard(Rank::CacheShard);
     }
 

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use tg_zoo::{DatasetId, ModelId, ModelZoo, ZooConfig};
-use transfergraph::{ArtifactKind, ArtifactStore, StoreOptions, TierKind, Workbench};
+use transfergraph::{ArtifactKind, ArtifactStore, StoreOptions, Workbench};
 
 /// Fixed storm world: parent and children must agree on the zoo (and so
 /// on the fingerprint and the value bits) without passing it around.
@@ -113,15 +113,9 @@ fn concurrent_processes_persisting_one_dir_lose_nothing() {
         ZooConfig::small(STORM_SEED).fingerprint(),
         StoreOptions::in_dir(&dir),
     );
-    let survived: u64 = store
-        .tier_stats()
-        .iter()
-        .filter(|(kind, tier, _)| *kind == ArtifactKind::LogMe && *tier != TierKind::Memory)
-        .map(|(_, _, s)| s.entries)
-        .sum();
     assert_eq!(
-        survived,
-        expected.len() as u64,
+        store.warm_entries(ArtifactKind::LogMe),
+        expected.len(),
         "merge-on-persist must keep every writer's entries"
     );
     assert_eq!(store.disk_stats().rejected, 0, "no file was corrupted");

@@ -13,9 +13,8 @@
 //! | 2    | `inductive`  | `ZooHandle::inductive` embedder cache          |
 //! | 3    | `coalesce`   | `Coalescer::passes` map + per-key pass cells   |
 //! | 4    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
-//! | 5    | `store_shard`| `TieredCache`'s warm-tier slot                 |
-//! | 6    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
-//! | 7    | `conn_queue` | `tg-serve`'s bounded connection queue          |
+//! | 5    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
+//! | 6    | `conn_queue` | `tg-serve`'s bounded connection queue          |
 //!
 //! A thread may only acquire locks in non-decreasing rank order (equal
 //! ranks may nest: a coalescing pass leader takes the pass map while
@@ -84,29 +83,25 @@ pub enum Rank {
     /// The per-fingerprint advisory *file* lock ([`LockFile`]) guarding
     /// the persist path's read-union-write sequence. Backed by the OS,
     /// so it also serialises persists across processes; within a
-    /// process it ranks below the store locks because persist reads the
-    /// warm tier and the memory shards while holding it.
+    /// process it ranks below `CacheShard` because persist reads the
+    /// memory shards while holding it.
     FileLock = 4,
-    /// The warm-tier slot of a `TieredCache` (an `RwLock` around the
-    /// mapped-disk tier swapped in at warm start).
-    StoreShard = 5,
     /// One shard of a `ShardedCache`.
-    CacheShard = 6,
+    CacheShard = 5,
     /// `tg-serve`'s bounded connection queue. Push/pop/shed are
     /// self-contained critical sections that acquire nothing else: the
     /// final leaf rank.
-    ConnQueue = 7,
+    ConnQueue = 6,
 }
 
 impl Rank {
     /// Every rank, in declared acquisition order.
-    pub const ALL: [Rank; 8] = [
+    pub const ALL: [Rank; 7] = [
         Rank::Registry,
         Rank::BuildSlot,
         Rank::Inductive,
         Rank::Coalesce,
         Rank::FileLock,
-        Rank::StoreShard,
         Rank::CacheShard,
         Rank::ConnQueue,
     ];
@@ -120,7 +115,6 @@ impl Rank {
             Rank::Inductive => "inductive",
             Rank::Coalesce => "coalesce",
             Rank::FileLock => "file_lock",
-            Rank::StoreShard => "store_shard",
             Rank::CacheShard => "cache_shard",
             Rank::ConnQueue => "conn_queue",
         }
@@ -173,13 +167,12 @@ mod tracker {
                 assert!(
                     rank >= max,
                     "lock-order violation: acquiring {:?} (rank {}) while holding \
-                     {:?} (rank {}); declared order is registry -> build_slot -> \
-                     inductive -> coalesce -> file_lock -> store_shard -> \
-                     cache_shard -> conn_queue",
+                     {:?} (rank {}); declared order is {}",
                     rank,
                     rank as u8,
                     max,
                     max as u8,
+                    Rank::ALL.map(Rank::class).join(" -> "),
                 );
             }
             held.push(rank);
@@ -372,11 +365,12 @@ mod tests {
         let _low = rank_guard(Rank::Registry);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_drops_release_correctly() {
-        let a = rank_guard(Rank::StoreShard);
+        let a = rank_guard(Rank::FileLock);
         let b = rank_guard(Rank::CacheShard);
-        drop(a); // dropped before `b`: still holding rank 6 only
+        drop(a); // dropped before `b`: still holding rank 5 only
         let c = rank_guard(Rank::CacheShard);
         drop(b);
         drop(c); // everything released, in neither acquisition order
@@ -385,7 +379,10 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
+    #[should_panic(expected = "lock-order violation: acquiring Registry (rank 0) while \
+                               holding CacheShard (rank 5); declared order is registry -> \
+                               build_slot -> inductive -> coalesce -> file_lock -> \
+                               cache_shard -> conn_queue")]
     fn inversion_trips_the_tracker() {
         let _shard = rank_guard(Rank::CacheShard);
         let _registry = rank_guard(Rank::Registry);
@@ -489,7 +486,7 @@ mod tests {
     fn file_lock_under_a_store_rank_trips_the_tracker() {
         let path = lock_path("inversion.lock");
         let lockfile = LockFile::open(&path).expect("open");
-        let _store = rank_guard(Rank::StoreShard);
+        let _shard = rank_guard(Rank::CacheShard);
         let _guard = lockfile.lock();
     }
 
@@ -498,8 +495,7 @@ mod tests {
         let path = lock_path("persist-shape.lock");
         let lockfile = LockFile::open(&path).expect("open");
         let _guard = lockfile.lock().expect("lock");
-        // The persist path's shape: warm-tier read, then memory shards.
-        let _warm = rank_guard(Rank::StoreShard);
+        // The persist path's shape: memory shards under the file lock.
         let _shard = rank_guard(Rank::CacheShard);
     }
 

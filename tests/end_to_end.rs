@@ -7,7 +7,7 @@
 )]
 
 use transfergraph_repro::core::{
-    evaluate, EvalOptions, FeatureSet, StoreOptions, Strategy, Workbench,
+    evaluate, ArtifactKind, EvalOptions, FeatureSet, StoreOptions, Strategy, Workbench,
 };
 use transfergraph_repro::embed::LearnerKind;
 use transfergraph_repro::predict::RegressorKind;
@@ -282,7 +282,11 @@ fn disk_artifacts_from_another_zoo_are_not_used() {
     // foreign artifacts out and everything recomputes.
     let other = ModelZoo::build(&ZooConfig::small(7));
     let wb = Workbench::open(&other, StoreOptions::in_dir(&dir));
-    assert_eq!(wb.warm(), 0, "foreign fingerprints must not load");
+    let loaded: usize = ArtifactKind::ALL
+        .iter()
+        .map(|&kind| wb.store().warm_entries(kind))
+        .sum();
+    assert_eq!(loaded, 0, "foreign fingerprints must not load");
     let target = other.targets_of(Modality::Image)[0];
     let out = evaluate(&wb, &Strategy::LogMe, target, &fast_opts());
     assert!(out.predictions.iter().all(|p| p.is_finite()));

@@ -7,10 +7,10 @@
 //! * **full** — `GraphSage::embed`, the full-batch reference (every epoch
 //!   keeps one tape over all n nodes); reports wall time and the peak
 //!   tape gauge;
-//! * **minibatch** — `GraphSage::train_minibatch` with the environment's
-//!   `TG_SAGE_FANOUTS` / `TG_SAGE_BATCH` knobs, then inductive
-//!   `embed_all`; reports wall time, peak tape bytes, and the sampler's
-//!   block/edge counters;
+//! * **minibatch** — `GraphSage::train_minibatch` with
+//!   `MinibatchConfig::default()` (fanouts `10,5`, batch `128`), then
+//!   inductive `embed_all`; reports wall time, peak tape bytes, and the
+//!   sampler's block/edge counters;
 //! * **inductive** — `Workbench::train_inductive` with a reported target
 //!   held out entirely, then `InductiveEmbedder::embed_dataset` admits it;
 //!   reports retrain-vs-admit wall times and checks the admission is
@@ -110,9 +110,9 @@ fn main() {
     let full_train = start.elapsed();
     let peak_full = global_peak_tape_bytes();
 
-    // Arm 2: minibatch driver, same epoch count, env-tunable fanouts and
-    // batch size. Peak residency scales with the block size, not n².
-    let mb_cfg = MinibatchConfig::from_env();
+    // Arm 2: minibatch driver, same epoch count, default fanouts and batch
+    // size. Peak residency scales with the block size, not n².
+    let mb_cfg = MinibatchConfig::default();
     reset_global_peak_tape_bytes();
     let (blocks_before, edges_before) = sampler_counters();
     let mut rng = Rng::seed_from_u64(seed);

@@ -692,8 +692,10 @@ fn tg08_knob_refs(
 /// Workspace half of TG08, run only with `docs` available: the registry
 /// must not drift from the tree (an entry nobody references, or whose
 /// owner path holds no referencing file) nor from the documentation (a
-/// doc anchor that resolves in neither README.md nor DESIGN.md). Findings
-/// are attributed to the entry's line in tg-check.toml and are not
+/// doc anchor that resolves in neither README.md nor DESIGN.md, or a doc
+/// knob-table row — a line starting with `` | `TG_ `` — naming a knob the
+/// registry lacks). Registry findings are attributed to the entry's line
+/// in tg-check.toml, table-row findings to the doc line; none is
 /// suppressible — fix the registry, the code or the docs.
 fn tg08_registry_drift(
     cfg: &Config,
@@ -750,6 +752,25 @@ fn tg08_registry_drift(
                         .join(", ")
                 ),
             );
+        }
+    }
+    for (doc, text) in docs {
+        for (ln, line) in text.lines().enumerate() {
+            let Some(row) = line.strip_prefix("| `TG_") else {
+                continue;
+            };
+            let name = format!("TG_{}", row.split('`').next().unwrap_or_default());
+            if !cfg.knobs.iter().any(|k| k.name == name) {
+                out.push(Finding {
+                    lint: Lint::Tg08KnobRegistry,
+                    path: doc.clone(),
+                    line: (ln + 1) as u32,
+                    message: format!(
+                        "knob table row names `{name}`, which [knobs] (tg-check.toml) \
+                         does not register; delete the row or register the knob"
+                    ),
+                });
+            }
         }
     }
 }

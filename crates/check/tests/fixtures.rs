@@ -149,7 +149,7 @@ fn tg08_flags_both_unregistered_knob_literals_only() {
 }
 
 #[test]
-fn tg08_registry_drift_fails_in_all_three_directions() {
+fn tg08_registry_drift_fails_in_all_four_directions() {
     let cfg = Config::parse("[knobs]\nTG_DEMO = [\"crates/demo\", \"`TG_DEMO`\"]\n")
         .expect("minimal knob config parses");
     let reading = |rel_path: &str| SourceFile {
@@ -191,6 +191,19 @@ fn tg08_registry_drift_fails_in_all_three_directions() {
         findings[0].message.contains("declares owner"),
         "{findings:?}"
     );
+
+    // A doc table row for a knob the registry lacks is stale too,
+    // attributed to the doc line; prose may still name a retired knob.
+    let stale_row = [(
+        "README.md".to_string(),
+        "| `TG_DEMO` | demo knob |\n| `TG_GONE` | retired knob |\n`TG_GONE` was retired.\n"
+            .to_string(),
+    )];
+    let findings = check_sources(&[reading("crates/demo/src/lib.rs")], &cfg, &stale_row);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].path, "README.md");
+    assert_eq!(findings[0].line, 2);
+    assert!(findings[0].message.contains("`TG_GONE`"), "{findings:?}");
 }
 
 #[test]

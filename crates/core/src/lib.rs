@@ -53,7 +53,6 @@ pub mod recommend;
 pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod shard;
 pub mod store;
 pub mod strategy;
 pub(crate) mod sync;
@@ -69,7 +68,6 @@ pub use registry::{
     REGISTRY_MAX_ZOOS_ENV,
 };
 pub use runner::{run_jobs, run_over_targets, EvalJob, RunSummary};
-pub use shard::{ShardConfig, ShardMap, SHARD_SELF_ENV, SHARD_SLOTS_ENV};
 pub use store::{
     ArtifactKind, ArtifactStore, DiskStats, PersistStats, StoreOptions, ARTIFACT_DIR_ENV,
 };

@@ -17,14 +17,17 @@
 //! * **Eviction** — the memory tier is bounded by a maximum resident zoo
 //!   count ([`REGISTRY_MAX_ZOOS_ENV`]) and/or resident bytes
 //!   ([`REGISTRY_MAX_BYTES_ENV`]). When an insert exceeds a bound, the
-//!   least-recently-routed resident is evicted: its artifacts are persisted
-//!   to the artifact directory first (merge-on-persist, so nothing another
-//!   writer computed is lost), then the handle is dropped from the memory
-//!   tier. Callers still holding the evicted `Arc` keep a fully functional
-//!   handle; it is simply no longer served to new routes. Because every
-//!   cached artifact is a pure function of the zoo, an evicted-then-rebuilt
-//!   zoo returns bit-identical predictions — with a disk tier it even skips
-//!   recomputation.
+//!   least-recently-routed resident is evicted: it leaves the routing table
+//!   under the registry lock, and its artifacts are persisted to the
+//!   artifact directory after the lock is released (merge-on-persist, so
+//!   nothing another writer computed is lost), so other zoos keep routing
+//!   while the victim's files are written. Callers still holding the
+//!   evicted `Arc` keep a fully functional handle; it is simply no longer
+//!   served to new routes. Because every cached artifact is a pure
+//!   function of the zoo, an evicted-then-rebuilt zoo returns
+//!   bit-identical predictions — with a disk tier it even skips
+//!   recomputation. A victim re-routed while its persist is still running
+//!   warms from the older files and recomputes the rest.
 //! * **Telemetry** — resident count/bytes, route hits/misses, builds and
 //!   evictions ([`RegistryStats`]), threaded into the runner's
 //!   [`RunSummary`](crate::runner::RunSummary) by the bench harness.
@@ -43,7 +46,6 @@ use tg_zoo::{DatasetId, Modality, ModelZoo, ZooConfig};
 use crate::artifacts::Workbench;
 use crate::config::Representation;
 use crate::inductive::{InductiveConfig, InductiveEmbedder};
-use crate::shard::{ShardConfig, ShardMap};
 use crate::store::{dir_from_env, ArtifactStore, PersistStats, StoreOptions};
 use crate::sync::{rank_guard, unpoisoned, Rank};
 
@@ -186,36 +188,19 @@ pub struct RegistryStats {
     pub builds: u64,
     /// Handles evicted from the memory tier.
     pub evictions: u64,
-    /// Process slots in the shard ring (1 = sharding off).
-    pub shard_slots: u64,
-    /// This process's slot in the ring.
-    pub shard_self: u64,
-    /// Resident zoos whose fingerprint this process owns (persist-enabled).
-    pub resident_owned: u64,
-    /// Resident zoos served read-only on behalf of other slots.
-    pub resident_foreign: u64,
 }
 
 impl RegistryStats {
     /// One-line rendering for run summaries.
     pub fn render(&self) -> String {
-        let shard = if self.shard_slots > 1 {
-            format!(
-                " | shard slot {}/{}: {} owned, {} foreign",
-                self.shard_self, self.shard_slots, self.resident_owned, self.resident_foreign,
-            )
-        } else {
-            String::new()
-        };
         format!(
-            "registry: {} resident (~{}B), routes {}h/{}m, {} built, {} evicted{}",
+            "registry: {} resident (~{}B), routes {}h/{}m, {} built, {} evicted",
             self.resident,
             self.resident_bytes,
             self.route_hits,
             self.route_misses,
             self.builds,
             self.evictions,
-            shard,
         )
     }
 }
@@ -238,18 +223,12 @@ pub struct RegistryOptions {
     /// unbounded. The most recently routed handle is exempt, so one
     /// oversized zoo still serves.
     pub max_bytes: Option<u64>,
-    /// Consistent-hash sharding across server processes; `None` means
-    /// this process owns every fingerprint. With sharding on, handles for
-    /// fingerprints owned by *other* slots open their stores read-only:
-    /// they warm from (and serve) the shared artifacts but never persist.
-    pub shard: Option<ShardConfig>,
 }
 
 impl RegistryOptions {
     /// Options from the environment: artifact directory from
     /// `TG_ARTIFACT_DIR`, bounds from [`REGISTRY_MAX_ZOOS_ENV`] and
-    /// [`REGISTRY_MAX_BYTES_ENV`], sharding from `TG_SHARD_SLOTS` /
-    /// `TG_SHARD_SELF` ([`ShardConfig::from_env`]).
+    /// [`REGISTRY_MAX_BYTES_ENV`].
     pub fn from_env() -> Self {
         let parse = |name: &str| {
             std::env::var(name)
@@ -261,7 +240,6 @@ impl RegistryOptions {
             artifact_dir: dir_from_env(),
             max_zoos: parse(REGISTRY_MAX_ZOOS_ENV).map(|v| v as usize),
             max_bytes: parse(REGISTRY_MAX_BYTES_ENV),
-            shard: ShardConfig::from_env(),
         }
     }
 }
@@ -305,8 +283,6 @@ struct Inner {
 /// ```
 pub struct ZooRegistry {
     options: RegistryOptions,
-    shard_map: ShardMap,
-    self_slot: usize,
     inner: Mutex<Inner>,
     clock: AtomicU64,
     route_hits: AtomicU64,
@@ -318,17 +294,8 @@ pub struct ZooRegistry {
 impl ZooRegistry {
     /// New registry with explicit options.
     pub fn new(options: RegistryOptions) -> Self {
-        let (shard_map, self_slot) = match options.shard {
-            Some(cfg) => (
-                ShardMap::new(cfg.slots, ShardMap::DEFAULT_VNODES),
-                cfg.self_slot,
-            ),
-            None => (ShardMap::single(), 0),
-        };
         ZooRegistry {
             options,
-            shard_map,
-            self_slot,
             inner: Mutex::new(Inner::default()),
             clock: AtomicU64::new(0),
             route_hits: AtomicU64::new(0),
@@ -347,32 +314,6 @@ impl ZooRegistry {
     /// The registry's options (bounds and artifact directory).
     pub fn options(&self) -> &RegistryOptions {
         &self.options
-    }
-
-    /// The consistent-hash ring mapping fingerprints to owner slots
-    /// (the trivial single-slot ring when sharding is off).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
-    }
-
-    /// This process's slot in the shard ring.
-    pub fn self_slot(&self) -> usize {
-        self.self_slot
-    }
-
-    /// Whether this process owns `fingerprint` under the shard map.
-    /// Owners persist artifacts; non-owners serve them read-only.
-    pub fn owns(&self, fingerprint: u64) -> bool {
-        self.shard_map.owner_of(fingerprint) == self.self_slot
-    }
-
-    /// Store options for one fingerprint: the registry's directory,
-    /// read-only unless this process owns it.
-    fn store_options(&self, fingerprint: u64) -> StoreOptions {
-        StoreOptions {
-            dir: self.options.artifact_dir.clone(),
-            read_only: !self.owns(fingerprint),
-        }
     }
 
     /// Routes `config` to its resident handle, building (and warming from
@@ -406,7 +347,11 @@ impl ZooRegistry {
                 // is valid and bit-identical to a rebuild).
                 return Arc::clone(handle);
             }
-            let handle = ZooHandle::build(config, self.store_options(fingerprint));
+            let store_options = StoreOptions {
+                dir: self.options.artifact_dir.clone(),
+                ..StoreOptions::default()
+            };
+            let handle = ZooHandle::build(config, store_options);
             self.builds.fetch_add(1, Ordering::Relaxed);
             *cell = Some(Arc::clone(&handle));
             handle
@@ -416,20 +361,35 @@ impl ZooRegistry {
         // (declared order: registry before build_slot, never the reverse).
         // Racers landing in this window still find the filled slot via
         // `building` and return the same handle.
-        let _rank = rank_guard(Rank::Registry);
-        let mut inner = unpoisoned(self.inner.lock());
-        inner.resident.insert(
-            fingerprint,
-            Resident {
-                handle: Arc::clone(&handle),
-                last_route: self.tick(),
-            },
-        );
-        // Future routes for this fingerprint must start a fresh slot once
-        // the residency ends; drop the coordination entry now that the
-        // handle is resident.
-        inner.building.remove(&fingerprint);
-        self.evict_over_bounds(&mut inner, fingerprint);
+        let victims = {
+            let _rank = rank_guard(Rank::Registry);
+            let mut inner = unpoisoned(self.inner.lock());
+            inner.resident.insert(
+                fingerprint,
+                Resident {
+                    handle: Arc::clone(&handle),
+                    last_route: self.tick(),
+                },
+            );
+            // Future routes for this fingerprint must start a fresh slot
+            // once the residency ends; drop the coordination entry now that
+            // the handle is resident.
+            inner.building.remove(&fingerprint);
+            self.evict_over_bounds(&mut inner, fingerprint)
+        };
+        // Persist outside the registry lock, like the build: every other
+        // fingerprint keeps routing while the victims' files are written. A
+        // persist failure is reported and the eviction stands (artifacts
+        // recompute on next touch — correctness never depends on the disk
+        // tier).
+        for victim in victims {
+            if let Err(e) = victim.store().persist() {
+                eprintln!(
+                    "[registry] persist-on-evict failed for {:016x} (continuing): {e}",
+                    victim.fingerprint()
+                );
+            }
+        }
         handle
     }
 
@@ -466,7 +426,7 @@ impl ZooRegistry {
 
     /// Telemetry snapshot.
     pub fn stats(&self) -> RegistryStats {
-        let (resident, resident_bytes, resident_owned, resident_foreign) = {
+        let (resident, resident_bytes) = {
             let _rank = rank_guard(Rank::Registry);
             let inner = unpoisoned(self.inner.lock());
             let bytes = inner
@@ -474,9 +434,7 @@ impl ZooRegistry {
                 .values()
                 .map(|r| r.handle.resident_bytes())
                 .sum();
-            let owned = inner.resident.keys().filter(|&&fp| self.owns(fp)).count() as u64;
-            let total = inner.resident.len() as u64;
-            (total, bytes, owned, total - owned)
+            (inner.resident.len() as u64, bytes)
         };
         RegistryStats {
             resident,
@@ -485,10 +443,6 @@ impl ZooRegistry {
             route_misses: self.route_misses.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            shard_slots: self.shard_map.slots() as u64,
-            shard_self: self.self_slot as u64,
-            resident_owned,
-            resident_foreign,
         }
     }
 
@@ -496,12 +450,12 @@ impl ZooRegistry {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Evicts least-recently-routed residents until both bounds hold,
-    /// never evicting `protect` (the fingerprint just routed). Eviction
-    /// persists the victim's artifacts first; a persist failure is reported
-    /// to stderr and the eviction proceeds (artifacts recompute on next
-    /// touch — correctness never depends on the disk tier).
-    fn evict_over_bounds(&self, inner: &mut Inner, protect: u64) {
+    /// Removes least-recently-routed residents until both bounds hold,
+    /// never evicting `protect` (the fingerprint just routed), and returns
+    /// the victims' handles for the caller to persist once the registry
+    /// lock is released.
+    fn evict_over_bounds(&self, inner: &mut Inner, protect: u64) -> Vec<Arc<ZooHandle>> {
+        let mut victims = Vec::new();
         loop {
             let over_count = self
                 .options
@@ -516,7 +470,7 @@ impl ZooRegistry {
                     > max
             });
             if !over_count && !over_bytes {
-                return;
+                return victims;
             }
             let victim = inner
                 .resident
@@ -525,15 +479,13 @@ impl ZooRegistry {
                 .min_by_key(|(_, r)| r.last_route)
                 .map(|(&fp, _)| fp);
             let Some(fp) = victim else {
-                return; // only the protected handle remains
+                return victims; // only the protected handle remains
             };
             let Some(resident) = inner.resident.remove(&fp) else {
-                return; // unreachable: `fp` was just selected from this map
+                return victims; // unreachable: `fp` was just selected from this map
             };
-            if let Err(e) = resident.handle.store().persist() {
-                eprintln!("[registry] persist-on-evict failed for {fp:016x} (continuing): {e}");
-            }
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            victims.push(resident.handle);
         }
     }
 }
@@ -712,8 +664,9 @@ mod tests {
 
     /// Multi-zoo serving under contention: racing routes across several
     /// fingerprints with eviction-persist and artifact lookups walk every
-    /// ranked lock chain (registry → persist → shards, build-slot →
-    /// shards). In debug builds the whole test runs under the lock-order
+    /// ranked lock chain (build-slot → shards, and file-lock → shards in
+    /// the persist that follows an eviction once the registry lock is
+    /// released). In debug builds the whole test runs under the lock-order
     /// tracker, so completing at all proves the order held.
     #[test]
     fn concurrent_multizoo_routing_with_eviction_obeys_the_lock_order() {
@@ -740,6 +693,87 @@ mod tests {
         let stats = registry.stats();
         assert!(stats.builds >= 3, "all three fingerprints were built");
         assert!(stats.evictions >= 1, "the bound forced eviction traffic");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An eviction persists its victim after the registry lock is
+    /// released: while the victim's persist waits on its file lock, the
+    /// registry still answers and the kept zoo still routes. Each probe
+    /// runs on its own thread under a 10 s limit, so a route that waits
+    /// for the persist fails the test instead of hanging it.
+    #[test]
+    fn routing_does_not_wait_for_an_eviction_persist() {
+        use crate::store::ArtifactKind;
+        use crate::sync::LockFile;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        fn within_10s<T: Send + 'static>(probe: impl FnOnce() -> T + Send + 'static) -> T {
+            let (tx, rx) = mpsc::channel();
+            let prober = std::thread::spawn(move || {
+                let _ = tx.send(probe());
+            });
+            let value = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a route waited for another thread's eviction persist");
+            prober.join().unwrap();
+            value
+        }
+
+        let dir = temp_registry_dir("evict-unlocked");
+        let registry = Arc::new(ZooRegistry::new(RegistryOptions {
+            artifact_dir: Some(dir.clone()),
+            max_zoos: Some(1),
+            ..RegistryOptions::default()
+        }));
+        let victim = ZooConfig::small(111);
+        let kept = ZooConfig::small(112);
+        let handle = registry.get_or_build(&victim);
+        let m = handle.zoo().models_of(Modality::Image)[0];
+        let t = handle.zoo().targets_of(Modality::Image)[0];
+        handle.workbench().logme(m, t);
+        drop(handle);
+
+        // Hold the victim's file lock so its persist blocks.
+        std::fs::create_dir_all(&dir).unwrap();
+        let lock_path = dir.join(format!("{:016x}.lock", victim.fingerprint()));
+        let lockfile = LockFile::open(&lock_path).unwrap();
+        let flock = lockfile.lock().unwrap();
+
+        let evicting = {
+            let registry = Arc::clone(&registry);
+            let kept = kept.clone();
+            std::thread::spawn(move || registry.get_or_build(&kept))
+        };
+        loop {
+            let registry = Arc::clone(&registry);
+            let resident = within_10s(move || registry.resident_fingerprints());
+            if !resident.contains(&victim.fingerprint()) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let routed = {
+            let registry = Arc::clone(&registry);
+            let kept = kept.clone();
+            within_10s(move || registry.get_or_build(&kept))
+        };
+        let evictions = {
+            let registry = Arc::clone(&registry);
+            within_10s(move || registry.stats().evictions)
+        };
+        assert_eq!(evictions, 1);
+        assert!(
+            !evicting.is_finished(),
+            "the victim's persist is still waiting on its file lock"
+        );
+
+        drop(flock);
+        let built = evicting.join().unwrap();
+        assert!(Arc::ptr_eq(&built, &routed));
+        // The persist ran once the lock was released.
+        let store = ArtifactStore::open(victim.fingerprint(), StoreOptions::in_dir(&dir));
+        assert!(store.warm_entries(ArtifactKind::LogMe) > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -784,50 +818,6 @@ mod tests {
         assert!(v1.iter().all(|x| x.is_finite()));
         let delta = handle.workbench().stats().delta_since(&before);
         assert!(delta.sampler_blocks > 0, "admission sampled blocks");
-    }
-
-    #[test]
-    fn non_owned_fingerprints_serve_read_only_and_never_persist() {
-        let dir = temp_registry_dir("shard-ro");
-        let map = ShardMap::new(2, ShardMap::DEFAULT_VNODES);
-        // Pick one config per owner slot; the ring is deterministic, so
-        // scanning seeds finds both quickly.
-        let cfg_for_slot = |slot: usize| {
-            (0..200u64)
-                .map(ZooConfig::small)
-                .find(|c| map.owner_of(c.fingerprint()) == slot)
-                .expect("some small config lands on each of two slots")
-        };
-        let owned_cfg = cfg_for_slot(0);
-        let foreign_cfg = cfg_for_slot(1);
-        let registry = ZooRegistry::new(RegistryOptions {
-            artifact_dir: Some(dir.clone()),
-            shard: Some(ShardConfig {
-                slots: 2,
-                self_slot: 0,
-            }),
-            ..RegistryOptions::default()
-        });
-        assert!(registry.owns(owned_cfg.fingerprint()));
-        assert!(!registry.owns(foreign_cfg.fingerprint()));
-
-        // The foreign handle computes and serves normally…
-        let handle = registry.get_or_build(&foreign_cfg);
-        assert!(handle.store().read_only());
-        let m = handle.zoo().models_of(Modality::Image)[0];
-        let t = handle.zoo().targets_of(Modality::Image)[0];
-        handle.workbench().logme(m, t);
-        // …but persisting is a no-op: only the owner slot writes.
-        handle.store().persist().unwrap();
-        assert_eq!(handle.store().disk_stats().bytes_written, 0);
-
-        let owned = registry.get_or_build(&owned_cfg);
-        assert!(!owned.store().read_only());
-        let stats = registry.stats();
-        assert_eq!((stats.shard_slots, stats.shard_self), (2, 0));
-        assert_eq!((stats.resident_owned, stats.resident_foreign), (1, 1));
-        assert!(stats.render().contains("shard slot 0/2"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! key, so overlapping entries are bit-identical and merge order is
 //! immaterial.
 //!
-//! Which caches a store is *allowed* to persist is a sharding decision:
-//! [`StoreOptions::read_only`] (set by the registry for fingerprints this
-//! process does not own — see [`crate::shard`]) turns `persist` into a
-//! no-op while warm reads keep working.
+//! [`StoreOptions::read_only`] turns `persist` into a no-op while warm
+//! reads keep working, for a reader that must never write the shared
+//! directory.
 //!
 //! A lookup falls through memory → disk tier → compute. Disk-tier hits,
 //! misses, I/O volume and — new in v2 — *rejected files* (corrupt,
@@ -248,8 +247,7 @@ impl ArtifactKind {
 pub struct StoreOptions {
     /// Artifact directory; `None` means memory-only.
     pub dir: Option<PathBuf>,
-    /// Serve warm state but never persist. Set by the registry for
-    /// fingerprints this process does not own under the shard map.
+    /// Serve warm state but never persist.
     pub read_only: bool,
 }
 
@@ -425,8 +423,8 @@ impl ArtifactStore {
         self.options.dir.is_some()
     }
 
-    /// Whether [`persist`](ArtifactStore::persist) is disabled (shard
-    /// non-owners serve warm state read-only).
+    /// Whether [`persist`](ArtifactStore::persist) is disabled (the store
+    /// serves warm state read-only).
     pub fn read_only(&self) -> bool {
         self.options.read_only
     }

@@ -1,18 +1,17 @@
 //! Block-aware aggregation: the single place where sampled
 //! [`Block`]s become the small dense operators the GNN layers consume.
 //!
-//! The full-graph trainers build their O(n²) operators from
-//! `tg_graph::adjacency`; the minibatch drivers build the *same* operators
-//! restricted to a sampled block — a `num_dst × num_src` mean-aggregation
-//! matrix for GraphSAGE and an attention mask for GAT. Keeping both
-//! constructions next to each other is the point: one definition of the
-//! aggregation semantics, two materialisations.
+//! The full-graph GraphSAGE trainer builds its O(n²) mean-aggregation
+//! operator from `tg_graph::adjacency::mean_adjacency`; the minibatch
+//! driver builds the *same* operator restricted to a sampled block — a
+//! `num_dst × num_src` matrix with the same edge-weight floor and row
+//! normalisation.
 
 use tg_graph::Block;
 use tg_linalg::Matrix;
 
-/// Configuration of the minibatch training drivers, shared by GraphSAGE
-/// and GAT.
+/// Configuration of the minibatch GraphSAGE driver
+/// (`GraphSage::train_minibatch`).
 #[derive(Clone, Debug)]
 pub struct MinibatchConfig {
     /// Per-layer neighbour fanouts, innermost (feature-consuming) layer
@@ -35,30 +34,6 @@ impl Default for MinibatchConfig {
 }
 
 impl MinibatchConfig {
-    /// Reads `TG_SAGE_FANOUTS` (comma-separated, e.g. `10,5`) and
-    /// `TG_SAGE_BATCH`; anything unset or unparsable keeps the default.
-    pub fn from_env() -> Self {
-        let mut cfg = MinibatchConfig::default();
-        if let Ok(s) = std::env::var("TG_SAGE_FANOUTS") {
-            let parsed: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&f| f >= 1)
-                .collect();
-            if !parsed.is_empty() {
-                cfg.fanouts = parsed;
-            }
-        }
-        if let Ok(s) = std::env::var("TG_SAGE_BATCH") {
-            if let Ok(b) = s.trim().parse::<usize>() {
-                if b >= 1 {
-                    cfg.batch = b;
-                }
-            }
-        }
-        cfg
-    }
-
     /// The fanout list adjusted to exactly `layers` entries: truncated if
     /// longer, extended with its last entry if shorter.
     pub fn fanouts_for(&self, layers: usize) -> Vec<usize> {
@@ -88,21 +63,6 @@ pub(crate) fn block_mean_matrix(block: &Block) -> Matrix {
         }
     }
     a
-}
-
-/// The block-restricted attention mask: `num_dst × num_src`, 1 at
-/// sampled edges plus the diagonal prefix (each destination attends to
-/// itself — destinations are a prefix of the sources), matching
-/// `tg_graph::adjacency::attention_mask` on the sampled subgraph.
-pub(crate) fn block_attention_mask(block: &Block) -> Matrix {
-    let mut m = Matrix::zeros(block.num_dst(), block.num_src());
-    for d in 0..block.num_dst() {
-        m.set(d, d, 1.0);
-    }
-    for e in block.edges() {
-        m.set(e.dst, e.src, 1.0);
-    }
-    m
 }
 
 /// Rows of `features` for the given global node ids.
@@ -163,17 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn attention_mask_has_diagonal_prefix_and_edges() {
-        let b = sample_one();
-        let m = block_attention_mask(&b);
-        for d in 0..b.num_dst() {
-            assert_eq!(m.get(d, d), 1.0);
-        }
-        let ones: f64 = m.as_slice().iter().sum();
-        assert_eq!(ones as usize, b.num_dst() + b.edges().len());
-    }
-
-    #[test]
     fn fanouts_for_resizes_both_ways() {
         let cfg = MinibatchConfig {
             fanouts: vec![8, 4],
@@ -185,8 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_ignores_garbage() {
-        // No env set in tests → defaults.
+    fn default_config_samples_10_then_5_in_batches_of_128() {
         let cfg = MinibatchConfig::default();
         assert_eq!(cfg.fanouts, vec![10, 5]);
         assert_eq!(cfg.batch, 128);

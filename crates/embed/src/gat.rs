@@ -1,22 +1,12 @@
 //! Graph attention network (Veličković et al., ICLR 2018) — the paper's
 //! Eq. 5 — with masked self-attention, trained full-batch for link
-//! prediction, plus a neighbour-sampled minibatch driver and inductive
-//! inference.
-//!
-//! As with GraphSAGE, the full-graph path is the bit-identical parity
-//! reference; the minibatch path restricts each attention row to a
-//! sampled block (destinations attend to their sampled neighbours and
-//! themselves), bounding tape residency by the block size.
+//! prediction.
 
-use crate::blocks::{
-    block_attention_mask, gather_rows, relu_inplace, row_l2_normalize_inplace, MinibatchConfig,
-};
 use crate::learner::GraphLearner;
 use crate::linkpred::build_linkpred_set;
-use crate::sage::batch_pairs;
 use tg_autograd::{xavier_init, Adam, Optimizer, ParamStore, Tape, Var};
 use tg_graph::adjacency::attention_mask;
-use tg_graph::{Block, Csr, Graph, NeighborSampler};
+use tg_graph::Graph;
 use tg_linalg::Matrix;
 use tg_rng::Rng;
 
@@ -100,228 +90,6 @@ impl GatLayer {
         let alpha = tape.row_softmax(e);
         tape.matmul(alpha, hp)
     }
-
-    /// The same attention layer restricted to a sampled block: each of
-    /// the `num_dst` destinations attends over the block's `num_src`
-    /// sources through the block mask. `h` holds the sources' states.
-    fn forward_block(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
-        block: &Block,
-        slope: f64,
-    ) -> Var {
-        let w = tape.param(store, self.w);
-        let a1 = tape.param(store, self.a_src);
-        let a2 = tape.param(store, self.a_dst);
-        let hp = tape.matmul(h, w);
-        let hp_dst = tape.gather_rows(hp, (0..block.num_dst()).collect());
-        let s = tape.matmul(hp_dst, a1);
-        let t = tape.matmul(hp, a2);
-        let e = tape.add_outer(s, t);
-        let e = tape.leaky_relu(e, slope);
-        let e = tape.masked_fill(e, block_attention_mask(block), -1e30);
-        let alpha = tape.row_softmax(e);
-        tape.matmul(alpha, hp)
-    }
-}
-
-/// Weights of one trained attention layer, detached from the tape.
-#[derive(Clone, Debug)]
-struct TrainedGatLayer {
-    w: Matrix,
-    a_src: Matrix,
-    a_dst: Matrix,
-}
-
-impl TrainedGatLayer {
-    fn detach(layer: &GatLayer, store: &ParamStore) -> Self {
-        TrainedGatLayer {
-            w: store.value(layer.w).clone(),
-            a_src: store.value(layer.a_src).clone(),
-            a_dst: store.value(layer.a_dst).clone(),
-        }
-    }
-
-    /// Tape-free block attention: masked row softmax over the sampled
-    /// sources (each row has at least its self entry unmasked).
-    fn forward_block(&self, h: &Matrix, block: &Block, slope: f64) -> Matrix {
-        let hp = h.matmul(&self.w);
-        let s = hp.matmul(&self.a_src);
-        let t = hp.matmul(&self.a_dst);
-        let mask = block_attention_mask(block);
-        let leaky = |x: f64| if x > 0.0 { x } else { slope * x };
-        let mut out = Matrix::zeros(block.num_dst(), hp.cols());
-        let mut allowed: Vec<usize> = Vec::new();
-        let mut scores: Vec<f64> = Vec::new();
-        for i in 0..block.num_dst() {
-            allowed.clear();
-            scores.clear();
-            for j in 0..block.num_src() {
-                if mask.get(i, j) != 0.0 {
-                    allowed.push(j);
-                    scores.push(leaky(s.get(i, 0) + t.get(j, 0)));
-                }
-            }
-            let mx = scores.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-            let mut denom = 0.0;
-            for sc in scores.iter_mut() {
-                *sc = (*sc - mx).exp();
-                denom += *sc;
-            }
-            for (&j, &a) in allowed.iter().zip(scores.iter()) {
-                let alpha = a / denom;
-                for c in 0..hp.cols() {
-                    out.set(i, c, out.get(i, c) + alpha * hp.get(j, c));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Weights of a trained two-layer GAT, detached from any tape: embeds
-/// any node inductively by attending over its sampled neighbourhood.
-#[derive(Clone, Debug)]
-pub struct TrainedGat {
-    heads: Vec<TrainedGatLayer>,
-    l2: TrainedGatLayer,
-    slope: f64,
-    fanouts: Vec<usize>,
-    infer_seed: u64,
-}
-
-/// Fixed inference-sampling seed (see `TrainedSage`).
-const INFER_SEED: u64 = 0x9a7_cafe;
-
-impl TrainedGat {
-    /// Output embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.l2.w.cols()
-    }
-
-    /// Inductively embeds `nodes`: samples their layered neighbourhood
-    /// deterministically and runs the trained attention layers tape-free.
-    pub fn embed_nodes(&self, graph: &Graph, features: &Matrix, nodes: &[usize]) -> Matrix {
-        assert_eq!(
-            features.rows(),
-            graph.num_nodes(),
-            "TrainedGat: feature rows != nodes"
-        );
-        let csr = Csr::from_graph(graph);
-        let sampler = NeighborSampler::new(self.fanouts.clone(), self.infer_seed);
-        let blocks = sampler.sample_blocks(&csr, nodes);
-        let x = gather_rows(features, blocks[0].src_nodes());
-        let mut h1 = self.heads[0].forward_block(&x, &blocks[0], self.slope);
-        for head in &self.heads[1..] {
-            h1 = h1.hstack(&head.forward_block(&x, &blocks[0], self.slope));
-        }
-        relu_inplace(&mut h1);
-        let mut h2 = self.l2.forward_block(&h1, &blocks[1], self.slope);
-        row_l2_normalize_inplace(&mut h2);
-        h2
-    }
-
-    /// Embeds every node (deterministic inductive inference).
-    pub fn embed_all(&self, graph: &Graph, features: &Matrix) -> Matrix {
-        let nodes: Vec<usize> = (0..graph.num_nodes()).collect();
-        self.embed_nodes(graph, features, &nodes)
-    }
-}
-
-impl Gat {
-    /// Minibatch training on neighbour-sampled blocks and scoped tapes
-    /// (see `GraphSage::train_minibatch` for the shared structure).
-    pub fn train_minibatch(
-        &self,
-        graph: &Graph,
-        features: &Matrix,
-        rng: &mut Rng,
-        cfg: &MinibatchConfig,
-    ) -> TrainedGat {
-        let n = graph.num_nodes();
-        assert_eq!(features.rows(), n, "Gat: feature rows != nodes");
-        let fanouts = cfg.fanouts_for(2);
-
-        let mut store = ParamStore::new();
-        let heads: Vec<GatLayer> = (0..self.heads.max(1))
-            .map(|h| {
-                GatLayer::new(
-                    &mut store,
-                    rng,
-                    &format!("gat.l1.h{h}"),
-                    features.cols(),
-                    self.hidden,
-                )
-            })
-            .collect();
-        let l2 = GatLayer::new(
-            &mut store,
-            rng,
-            "gat.l2",
-            self.hidden * heads.len(),
-            self.dim,
-        );
-
-        let set = build_linkpred_set(graph, rng);
-        let trained = |store: &ParamStore| TrainedGat {
-            heads: heads
-                .iter()
-                .map(|h| TrainedGatLayer::detach(h, store))
-                .collect(),
-            l2: TrainedGatLayer::detach(&l2, store),
-            slope: self.leaky_slope,
-            fanouts: fanouts.clone(),
-            infer_seed: INFER_SEED,
-        };
-        if set.is_empty() {
-            return trained(&store);
-        }
-
-        let csr = Csr::from_graph(graph);
-        let sample_seed = rng.next_u64();
-        let mut opt = Adam::new(self.lr);
-        let mut tape = Tape::new();
-        let epochs = cfg.epochs.unwrap_or(self.epochs);
-        let mut order: Vec<usize> = (0..set.len()).collect();
-        for epoch in 0..epochs {
-            rng.shuffle(&mut order);
-            for (batch_idx, chunk) in order.chunks(cfg.batch).enumerate() {
-                let sampler = NeighborSampler::new(
-                    fanouts.clone(),
-                    sample_seed ^ ((epoch as u64) << 32) ^ batch_idx as u64,
-                );
-                let (seeds, u_loc, v_loc, labels) =
-                    batch_pairs(&set.us, &set.vs, &set.labels, chunk);
-                let blocks = sampler.sample_blocks(&csr, &seeds);
-                tape.scope(|t| {
-                    let x = t.constant(gather_rows(features, blocks[0].src_nodes()));
-                    let mut h1 = heads[0].forward_block(t, &store, x, &blocks[0], self.leaky_slope);
-                    for head in &heads[1..] {
-                        let hh = head.forward_block(t, &store, x, &blocks[0], self.leaky_slope);
-                        h1 = t.concat_cols(h1, hh);
-                    }
-                    let h1 = t.relu(h1);
-                    let h2 = l2.forward_block(t, &store, h1, &blocks[1], self.leaky_slope);
-                    let emb = t.row_l2_normalize(h2);
-                    let targets = Matrix::from_vec(labels.len(), 1, labels.clone());
-                    let eu = t.gather_rows(emb, u_loc.clone());
-                    let ev = t.gather_rows(emb, v_loc.clone());
-                    let prod = t.mul_elem(eu, ev);
-                    let raw = t.row_sum(prod);
-                    let logits = t.scalar_mul(raw, 5.0);
-                    let loss = t.bce_with_logits(logits, &targets);
-                    t.backward(loss);
-                    store.zero_grads();
-                    t.accumulate_grads(&mut store);
-                    store.clip_grad_norm(5.0);
-                    opt.step(&mut store);
-                });
-            }
-        }
-        trained(&store)
-    }
 }
 
 impl GraphLearner for Gat {
@@ -399,45 +167,6 @@ impl GraphLearner for Gat {
     }
 }
 
-/// [`GraphLearner`] adapter for the minibatch GAT driver (see
-/// `MiniGraphSage`).
-#[derive(Clone, Debug)]
-pub struct MiniGat {
-    /// The underlying architecture/hyperparameters.
-    pub inner: Gat,
-    /// Sampling and batching configuration.
-    pub cfg: MinibatchConfig,
-}
-
-impl MiniGat {
-    /// Minibatch GAT with the given output dimension, sampling config
-    /// from the environment.
-    pub fn with_dim(dim: usize) -> Self {
-        MiniGat {
-            inner: Gat::with_dim(dim),
-            cfg: MinibatchConfig::from_env(),
-        }
-    }
-}
-
-impl GraphLearner for MiniGat {
-    fn name(&self) -> &'static str {
-        "GAT-mb"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim
-    }
-
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
-        if graph.edges().is_empty() {
-            return Matrix::zeros(graph.num_nodes(), self.inner.dim);
-        }
-        let trained = self.inner.train_minibatch(graph, features, rng, &self.cfg);
-        trained.embed_all(graph, features)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,37 +218,5 @@ mod tests {
         let within = cosine_similarity(emb.row(0), emb.row(1));
         let cross = cosine_similarity(emb.row(0), emb.row(5));
         assert!(within > cross, "within {within} cross {cross}");
-    }
-
-    #[test]
-    fn minibatch_gat_trains_and_embeds_inductively() {
-        let g = two_cliques();
-        let features = Matrix::from_fn(8, 4, |r, c| {
-            let side = if r < 4 { 1.0 } else { -1.0 };
-            side * 0.5 + ((r * 4 + c) as f64 * 1.3).sin() * 0.3
-        });
-        let gat = Gat {
-            epochs: 40,
-            ..Gat::with_dim(8)
-        };
-        let cfg = MinibatchConfig {
-            fanouts: vec![3, 3],
-            batch: 8,
-            epochs: None,
-        };
-        let trained = gat.train_minibatch(&g, &features, &mut Rng::seed_from_u64(2), &cfg);
-        let emb = trained.embed_all(&g, &features);
-        assert_eq!(emb.shape(), (8, 8));
-        assert!(!emb.has_non_finite());
-        // Inductive per-node rows match the all-nodes pass up to
-        // summation-order rounding (frontier ordering depends on the seed
-        // set); identical calls are bit-identical.
-        let some = trained.embed_nodes(&g, &features, &[1, 7]);
-        for c in 0..8 {
-            assert!((some.get(0, c) - emb.get(1, c)).abs() < 1e-12);
-            assert!((some.get(1, c) - emb.get(7, c)).abs() < 1e-12);
-        }
-        let again = trained.embed_nodes(&g, &features, &[1, 7]);
-        assert_eq!(some.as_slice(), again.as_slice());
     }
 }

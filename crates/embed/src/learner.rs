@@ -38,8 +38,6 @@ pub enum LearnerKind {
     /// GraphSAGE trained on neighbour-sampled minibatches (same
     /// architecture as [`LearnerKind::GraphSage`], inductive inference).
     GraphSageMini,
-    /// GAT trained on neighbour-sampled minibatches.
-    GatMini,
 }
 
 impl LearnerKind {
@@ -69,7 +67,6 @@ impl LearnerKind {
             LearnerKind::Gat => "GAT",
             LearnerKind::Gcn => "GCN",
             LearnerKind::GraphSageMini => "GraphSAGE-mb",
-            LearnerKind::GatMini => "GAT-mb",
         }
     }
 
@@ -82,7 +79,6 @@ impl LearnerKind {
             LearnerKind::Gat => Box::new(crate::Gat::with_dim(dim)),
             LearnerKind::Gcn => Box::new(crate::Gcn::with_dim(dim)),
             LearnerKind::GraphSageMini => Box::new(crate::MiniGraphSage::with_dim(dim)),
-            LearnerKind::GatMini => Box::new(crate::MiniGat::with_dim(dim)),
         }
     }
 }
@@ -109,14 +105,10 @@ mod tests {
 
     #[test]
     fn minibatch_kinds_build_and_name() {
-        for (kind, name) in [
-            (LearnerKind::GraphSageMini, "GraphSAGE-mb"),
-            (LearnerKind::GatMini, "GAT-mb"),
-        ] {
-            assert_eq!(kind.name(), name);
-            let l = kind.build(16);
-            assert_eq!(l.dim(), 16);
-            assert_eq!(l.name(), name);
-        }
+        let kind = LearnerKind::GraphSageMini;
+        assert_eq!(kind.name(), "GraphSAGE-mb");
+        let l = kind.build(16);
+        assert_eq!(l.dim(), 16);
+        assert_eq!(l.name(), "GraphSAGE-mb");
     }
 }

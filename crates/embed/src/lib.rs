@@ -48,7 +48,7 @@ pub mod sgns;
 
 pub use blocks::MinibatchConfig;
 pub use dynamic::DynamicEmbedder;
-pub use gat::{Gat, MiniGat, TrainedGat};
+pub use gat::Gat;
 pub use gcn::Gcn;
 pub use learner::{GraphLearner, LearnerKind};
 pub use node2vec::{Node2Vec, Node2VecPlus};

@@ -206,7 +206,7 @@ impl GraphSage {
 
 /// Collects a batch's pair endpoints: unique seed nodes (first-appearance
 /// order) plus the pairs' endpoint positions within them.
-pub(crate) fn batch_pairs(
+fn batch_pairs(
     us: &[usize],
     vs: &[usize],
     labels: &[f64],
@@ -357,12 +357,12 @@ pub struct MiniGraphSage {
 }
 
 impl MiniGraphSage {
-    /// Minibatch GraphSAGE with the given output dimension, sampling
-    /// config from the environment.
+    /// Minibatch GraphSAGE with the given output dimension and the
+    /// default sampling config ([`MinibatchConfig::default`]).
     pub fn with_dim(dim: usize) -> Self {
         MiniGraphSage {
             inner: GraphSage::with_dim(dim),
-            cfg: MinibatchConfig::from_env(),
+            cfg: MinibatchConfig::default(),
         }
     }
 }

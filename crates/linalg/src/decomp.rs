@@ -1,5 +1,5 @@
 //! Matrix decompositions: Cholesky, symmetric eigendecomposition (cyclic
-//! Jacobi), thin SVD, and Householder QR.
+//! Jacobi) and thin SVD.
 //!
 //! These are the numeric workhorses of the reproduction:
 //! * ridge regression (`tg-predict`) solves normal equations with
@@ -500,177 +500,5 @@ mod tests {
                 assert!(approx(rec.get(i, j), a.get(i, j), 1e-7));
             }
         }
-    }
-}
-
-/// QR decomposition via Householder reflections.
-///
-/// Returns `(Q, R)` with `A = QR`, `Q` orthogonal (`m × m`) and `R` upper
-/// triangular (`m × n`). Used for numerically robust least squares when the
-/// normal equations of ridge regression would be too ill-conditioned.
-pub fn qr(a: &Matrix) -> (Matrix, Matrix) {
-    let (m, n) = a.shape();
-    let mut r = a.clone();
-    let mut q = Matrix::identity(m);
-    for k in 0..n.min(m.saturating_sub(1)) {
-        // Householder vector for column k below the diagonal.
-        let mut norm_x = 0.0;
-        for i in k..m {
-            norm_x += r.get(i, k) * r.get(i, k);
-        }
-        let norm_x = norm_x.sqrt();
-        if norm_x < 1e-300 {
-            continue;
-        }
-        let alpha = -r.get(k, k).signum() * norm_x;
-        let mut v = vec![0.0; m];
-        for i in k..m {
-            v[i] = r.get(i, k);
-        }
-        v[k] -= alpha;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        if vnorm2 < 1e-300 {
-            continue;
-        }
-        // R ← (I − 2vvᵀ/‖v‖²) R
-        for j in k..n {
-            let mut dot = 0.0;
-            for i in k..m {
-                dot += v[i] * r.get(i, j);
-            }
-            let s = 2.0 * dot / vnorm2;
-            for i in k..m {
-                r.set(i, j, r.get(i, j) - s * v[i]);
-            }
-        }
-        // Q ← Q (I − 2vvᵀ/‖v‖²)
-        for i in 0..m {
-            let mut dot = 0.0;
-            for j in k..m {
-                dot += q.get(i, j) * v[j];
-            }
-            let s = 2.0 * dot / vnorm2;
-            for j in k..m {
-                q.set(i, j, q.get(i, j) - s * v[j]);
-            }
-        }
-    }
-    // Clean tiny sub-diagonal residue.
-    for i in 0..m {
-        for j in 0..n.min(i) {
-            r.set(i, j, 0.0);
-        }
-    }
-    (q, r)
-}
-
-/// Least-squares solution of `A x ≈ b` via QR (minimises `‖Ax − b‖₂`).
-/// Requires `A` to have full column rank (`m ≥ n`).
-pub fn qr_least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, DecompError> {
-    let (m, n) = a.shape();
-    assert_eq!(m, b.len(), "qr_least_squares: rhs length mismatch");
-    if m < n {
-        return Err(DecompError::NotSquare);
-    }
-    let (q, r) = qr(a);
-    // x solves R[..n,..n] x = (Qᵀ b)[..n].
-    let qtb: Vec<f64> = (0..n)
-        .map(|j| (0..m).map(|i| q.get(i, j) * b[i]).sum())
-        .collect();
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = qtb[i];
-        for k in (i + 1)..n {
-            s -= r.get(i, k) * x[k];
-        }
-        let d = r.get(i, i);
-        if d.abs() < 1e-12 {
-            return Err(DecompError::NotPositiveDefinite);
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
-#[cfg(test)]
-mod qr_tests {
-    use super::*;
-
-    fn approx(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() < tol
-    }
-
-    #[test]
-    fn qr_reconstructs() {
-        let a = Matrix::from_rows(&[
-            &[2.0, -1.0, 0.5],
-            &[1.0, 3.0, -2.0],
-            &[0.0, 1.0, 4.0],
-            &[-1.0, 0.5, 1.0],
-        ]);
-        let (q, r) = qr(&a);
-        let rec = q.matmul(&r);
-        for i in 0..4 {
-            for j in 0..3 {
-                assert!(approx(rec.get(i, j), a.get(i, j), 1e-10), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn q_is_orthogonal() {
-        let a = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) as f64 * 0.77).sin());
-        let (q, _) = qr(&a);
-        let qtq = q.transpose().matmul(&q);
-        for i in 0..5 {
-            for j in 0..5 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(approx(qtq.get(i, j), expect, 1e-10), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn r_is_upper_triangular() {
-        let a = Matrix::from_fn(4, 4, |r, c| ((r + 2 * c) as f64).cos());
-        let (_, r) = qr(&a);
-        for i in 0..4 {
-            for j in 0..i {
-                assert_eq!(r.get(i, j), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn least_squares_recovers_exact_solution() {
-        // Overdetermined consistent system.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0], &[2.0, -1.0]]);
-        let x_true = [3.0, -2.0];
-        let b: Vec<f64> = (0..4)
-            .map(|i| a.get(i, 0) * x_true[0] + a.get(i, 1) * x_true[1])
-            .collect();
-        let x = qr_least_squares(&a, &b).unwrap();
-        assert!(approx(x[0], 3.0, 1e-10));
-        assert!(approx(x[1], -2.0, 1e-10));
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        // Full-column-rank design: polynomial basis in r.
-        let a = Matrix::from_fn(8, 3, |r, c| (r as f64 + 1.0).powi(c as i32));
-        let b: Vec<f64> = (0..8).map(|i| (i as f64 * 0.9).cos()).collect();
-        let x_qr = qr_least_squares(&a, &b).unwrap();
-        // Normal equations via Cholesky.
-        let atb = a.transpose().matvec(&b);
-        let x_ne = cholesky_solve(&a.gram(), &atb).unwrap();
-        for (p, q_) in x_qr.iter().zip(&x_ne) {
-            assert!(approx(*p, *q_, 1e-8), "{p} vs {q_}");
-        }
-    }
-
-    #[test]
-    fn underdetermined_rejected() {
-        let a = Matrix::zeros(2, 3);
-        assert!(qr_least_squares(&a, &[0.0, 0.0]).is_err());
     }
 }

@@ -342,7 +342,7 @@ impl Shared {
         )
     }
 
-    /// `GET /stats` — server, coalescing, registry and shard telemetry.
+    /// `GET /stats` — server, coalescing and registry telemetry.
     fn stats_response(&self) -> Response {
         let stats = self.snapshot();
         let coalesce = self.coalescer.stats();
@@ -527,14 +527,6 @@ pub fn stats_body(
                 .u64("route_misses", registry.route_misses)
                 .u64("builds", registry.builds)
                 .u64("evictions", registry.evictions),
-        )
-        .object(
-            "shard",
-            JsonObject::new()
-                .u64("slots", registry.shard_slots)
-                .u64("self_slot", registry.shard_self)
-                .u64("resident_owned", registry.resident_owned)
-                .u64("resident_foreign", registry.resident_foreign),
         )
 }
 
@@ -776,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_body_nests_all_four_sections() {
+    fn stats_body_nests_all_three_sections() {
         let body = stats_body(
             &ServerStats {
                 accepted: 3,
@@ -786,34 +778,25 @@ mod tests {
             },
             &CoalesceStats::default(),
             &RegistryStats {
-                shard_slots: 4,
-                shard_self: 2,
-                resident_owned: 5,
-                resident_foreign: 3,
+                resident: 2,
+                evictions: 5,
                 ..RegistryStats::default()
             },
         )
         .render();
         let parsed = JsonValue::parse(&body).unwrap();
-        for section in ["server", "coalesce", "registry", "shard"] {
+        for section in ["server", "coalesce", "registry"] {
             assert!(parsed.get(section).is_some(), "missing section {section}");
         }
-        assert_eq!(
+        assert!(parsed.get("shard").is_none());
+        let field = |section: &str, name: &str| {
             parsed
-                .get("server")
-                .and_then(|s| s.get("shed"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        let shard = |field: &str| {
-            parsed
-                .get("shard")
-                .and_then(|s| s.get(field))
+                .get(section)
+                .and_then(|s| s.get(name))
                 .and_then(JsonValue::as_u64)
         };
-        assert_eq!(shard("slots"), Some(4));
-        assert_eq!(shard("self_slot"), Some(2));
-        assert_eq!(shard("resident_owned"), Some(5));
-        assert_eq!(shard("resident_foreign"), Some(3));
+        assert_eq!(field("server", "shed"), Some(1));
+        assert_eq!(field("registry", "resident"), Some(2));
+        assert_eq!(field("registry", "evictions"), Some(5));
     }
 }

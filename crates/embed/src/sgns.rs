@@ -4,6 +4,11 @@
 //! Implemented directly with hand-rolled SGD (the closed-form gradients of
 //! the SGNS objective) rather than the autograd tape: SGNS updates touch
 //! only two embedding rows per sample, which the tape cannot exploit.
+//!
+//! The loop's output is a contract, bit for bit: batching a pair's dot
+//! products into independent chains must reproduce the one-sample-at-a-time
+//! loop exactly, with the same rng stream and each dot summed in index
+//! order (DESIGN.md §3f, locked by `tests/full_graph_bits.rs`).
 
 use tg_linalg::Matrix;
 use tg_rng::{AliasTable, Rng};
@@ -123,6 +128,8 @@ impl SgnsModel {
         let total_steps = (epochs * walks.len()).max(1);
         let mut step = 0usize;
         let mut grad_in = vec![0.0f64; cfg.dim];
+        // One pair's samples: the context, then the negatives.
+        let mut targets: Vec<usize> = Vec::with_capacity(cfg.negatives + 1);
         for _epoch in 0..epochs {
             for walk in walks {
                 let progress = step as f64 / total_steps as f64;
@@ -136,42 +143,84 @@ impl SgnsModel {
                             continue;
                         }
                         let context = walk[j];
-                        grad_in.iter_mut().for_each(|g| *g = 0.0);
-                        // Positive pair + negatives.
-                        for k in 0..=cfg.negatives {
-                            let (target, label) = if k == 0 {
-                                (context, 1.0)
-                            } else {
-                                (neg_table.sample(rng), 0.0)
-                            };
-                            if k > 0 && target == context {
-                                continue; // skip accidental positives
+                        // Nothing else in the pair reads `rng`, so drawing
+                        // every negative up front keeps the stream. Draws
+                        // equal to the context are accidental positives.
+                        targets.clear();
+                        targets.push(context);
+                        targets.extend(
+                            (0..cfg.negatives)
+                                .map(|_| neg_table.sample(rng))
+                                .filter(|&t| t != context),
+                        );
+                        grad_in.fill(0.0);
+                        let vi = self.w_in.row(center);
+                        let mut start = 0;
+                        while start < targets.len() {
+                            let end = run_end(&targets, start);
+                            let run = &targets[start..end];
+                            // The rows of a run are distinct, so no update
+                            // below changes a row a later dot reads.
+                            let dots = chain_dots(vi, &self.w_out, run);
+                            for (k, (&target, &dot)) in run.iter().zip(&dots).enumerate() {
+                                let label = if start + k == 0 { 1.0 } else { 0.0 };
+                                let g = (sigmoid(dot) - label) * lr;
+                                // Accumulate the input grad; update the
+                                // output row in place.
+                                for ((gi, o), x) in
+                                    grad_in.iter_mut().zip(self.w_out.row_mut(target)).zip(vi)
+                                {
+                                    *gi += g * *o;
+                                    *o -= g * x;
+                                }
                             }
-                            let vi = self.w_in.row(center);
-                            let vo = self.w_out.row(target);
-                            let dot: f64 = vi.iter().zip(vo).map(|(a, b)| a * b).sum();
-                            let pred = sigmoid(dot);
-                            let g = (pred - label) * lr;
-                            // Accumulate input grad; update output row in
-                            // place.
-                            for d in 0..cfg.dim {
-                                grad_in[d] += g * vo[d];
-                            }
-                            let vi_copy: Vec<f64> = vi.to_vec();
-                            let vo_mut = self.w_out.row_mut(target);
-                            for d in 0..cfg.dim {
-                                vo_mut[d] -= g * vi_copy[d];
-                            }
+                            start = end;
                         }
-                        let vi_mut = self.w_in.row_mut(center);
-                        for d in 0..cfg.dim {
-                            vi_mut[d] -= grad_in[d];
+                        for (v, gi) in self.w_in.row_mut(center).iter_mut().zip(&grad_in) {
+                            *v -= gi;
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// Dot products computed together in one pass by [`chain_dots`]. The
+/// default pair (the context and 5 negatives) fills exactly one pass.
+const CHAINS: usize = 6;
+
+/// End of the run of samples that starts at `start`: the longest stretch of
+/// distinct rows, at most [`CHAINS`] long. A repeated row starts a new run,
+/// so its dot reads the row after the earlier sample's update.
+fn run_end(targets: &[usize], start: usize) -> usize {
+    let mut end = start + 1;
+    while end < targets.len()
+        && end - start < CHAINS
+        && !targets[start..end].contains(&targets[end])
+    {
+        end += 1;
+    }
+    end
+}
+
+/// `x · m.row(t)` for every `t` in `run` (at most [`CHAINS`] rows), as
+/// independent accumulator chains so that the adds of different rows
+/// overlap. Each chain sums in index order from `-0.0`, exactly as
+/// `x.iter().zip(row).map(|(a, b)| a * b).sum()` does. Chains past the end
+/// of `run` dot `x` with itself and are ignored.
+fn chain_dots(x: &[f64], m: &Matrix, run: &[usize]) -> [f64; CHAINS] {
+    // Slicing every row to `x.len()` here lets the loop below drop its
+    // bounds checks.
+    let rows: [&[f64]; CHAINS] =
+        std::array::from_fn(|c| &run.get(c).map_or(x, |&t| m.row(t))[..x.len()]);
+    let mut acc = [-0.0f64; CHAINS];
+    for (d, &xd) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += xd * row[d];
+        }
+    }
+    acc
 }
 
 /// Trains SGNS over the walks and returns the input-embedding matrix

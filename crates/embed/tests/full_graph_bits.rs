@@ -1,16 +1,30 @@
-//! Bit-identity lock on the full-graph GNN trainers.
+//! Bit-identity locks on the graph learners.
 //!
-//! The minibatch/inductive drivers live *next to* the full-graph path,
-//! which stays the parity reference: any refactor that touches the dense
-//! builders or the training loop must leave these embeddings bit-for-bit
-//! unchanged. The expected values are FNV-1a hashes of the raw f64 bit
-//! patterns captured before the block-aware aggregation layer landed.
+//! The full-graph GNN trainers: the minibatch/inductive drivers live
+//! *next to* the full-graph path, which stays the parity reference: any
+//! refactor that touches the dense builders or the training loop must
+//! leave these embeddings bit-for-bit unchanged. Their expected values were
+//! captured before the block-aware aggregation layer landed.
+//!
+//! The walk learners: Node2Vec, Node2Vec+, the warm-started
+//! [`DynamicEmbedder`] and the SGNS kernel under all three. Any change to
+//! the walk engine or the SGNS loop (its rng stream, its summation order)
+//! shows here. The `train_sgns` corpus repeats nodes, so a pair's negatives
+//! can repeat a row or hit the context; the grid spans `negatives` 0..=8
+//! and dims from 1 to 128. Their expected values were captured before the
+//! SGNS kernel was restructured into independent dot-product chains
+//! (DESIGN.md §3f).
+//!
+//! Every expected value is an FNV-1a hash of the raw f64 bit patterns.
 
-use tg_embed::{Gat, Gcn, GraphLearner, GraphSage};
-use tg_graph::{EdgeKind, Graph, NodeKind};
+use tg_embed::{
+    train_sgns, DynamicEmbedder, Gat, Gcn, GraphLearner, GraphSage, Node2Vec, Node2VecPlus,
+    SgnsConfig,
+};
+use tg_graph::fixtures::bridged_cliques;
+use tg_graph::{EdgeKind, WalkConfig};
 use tg_linalg::Matrix;
 use tg_rng::Rng;
-use tg_zoo::ModelId;
 
 /// FNV-1a over the exact bit patterns of every matrix entry, row-major.
 fn bits_hash(m: &Matrix) -> u64 {
@@ -22,29 +36,6 @@ fn bits_hash(m: &Matrix) -> u64 {
         }
     }
     h
-}
-
-/// A small deterministic graph: two 5-cliques joined by one bridge edge,
-/// with varying edge weights so weighted aggregation is exercised.
-fn bridged_cliques() -> Graph {
-    let mut g = Graph::new();
-    for i in 0..10 {
-        g.add_node(NodeKind::Model(ModelId(i)));
-    }
-    for a in 0..5 {
-        for b in (a + 1)..5 {
-            let w = 0.5 + ((a * 5 + b) as f64) * 0.05;
-            g.add_edge(a, b, w, EdgeKind::DatasetDataset);
-            g.add_edge(
-                a + 5,
-                b + 5,
-                1.0 - (b - a) as f64 * 0.07,
-                EdgeKind::DatasetDataset,
-            );
-        }
-    }
-    g.add_edge(2, 7, 0.25, EdgeKind::DatasetDataset);
-    g
 }
 
 fn features() -> Matrix {
@@ -84,7 +75,81 @@ fn gcn_full_graph_is_bit_identical() {
     assert_eq!(bits_hash(&emb), GCN_HASH, "full-graph GCN drifted");
 }
 
+#[test]
+fn node2vec_is_bit_identical() {
+    let emb =
+        Node2Vec::with_dim(8).embed(&bridged_cliques(), &features(), &mut Rng::seed_from_u64(11));
+    assert_eq!(bits_hash(&emb), N2V_HASH, "Node2Vec drifted");
+}
+
+#[test]
+fn node2vec_plus_is_bit_identical() {
+    let emb = Node2VecPlus::with_dim(8).embed(
+        &bridged_cliques(),
+        &features(),
+        &mut Rng::seed_from_u64(11),
+    );
+    assert_eq!(bits_hash(&emb), N2V_PLUS_HASH, "Node2Vec+ drifted");
+}
+
+#[test]
+fn dynamic_embedder_is_bit_identical() {
+    let mut rng = Rng::seed_from_u64(9);
+    let walks = WalkConfig {
+        weighted: true,
+        ..Default::default()
+    };
+    let sgns = SgnsConfig {
+        dim: 8,
+        ..Default::default()
+    };
+    let mut e = DynamicEmbedder::new(bridged_cliques(), walks, sgns, &mut rng);
+    e.insert_edge(0, 9, 0.7, EdgeKind::DatasetDataset, &mut rng);
+    assert_eq!(
+        bits_hash(e.embeddings()),
+        DYNAMIC_HASH,
+        "DynamicEmbedder (train + warm refresh) drifted"
+    );
+}
+
+#[test]
+fn sgns_kernel_is_bit_identical() {
+    let walks = vec![
+        vec![0, 1, 2, 1, 0, 2],
+        vec![2, 1, 0, 0, 1, 2],
+        vec![1, 1, 2],
+    ];
+    for ((dim, negatives, window), expected) in SGNS_GRID.into_iter().zip(SGNS_HASHES) {
+        let cfg = SgnsConfig {
+            dim,
+            window,
+            negatives,
+            epochs: 2,
+            lr: 0.05,
+        };
+        let emb = train_sgns(&walks, 3, &cfg, &mut Rng::seed_from_u64(5));
+        assert_eq!(
+            bits_hash(&emb),
+            expected,
+            "SGNS drifted at dim {dim}, negatives {negatives}, window {window}"
+        );
+    }
+}
+
 // Captured from the pre-refactor trainers; see module docs.
 const SAGE_HASH: u64 = 12752504627612935361;
 const GAT_HASH: u64 = 16642683965507637302;
 const GCN_HASH: u64 = 4090431410780378604;
+
+// Captured from the sequential SGNS loop; see module docs.
+const N2V_HASH: u64 = 0xa1a3770057c5710b;
+const N2V_PLUS_HASH: u64 = 0x71b437a23c6dfb66;
+const DYNAMIC_HASH: u64 = 0x525c1de55c8ea4e4;
+/// (dim, negatives, window) of each `train_sgns` lock.
+const SGNS_GRID: [(usize, usize, usize); 4] = [(1, 0, 1), (7, 1, 2), (13, 8, 3), (128, 5, 5)];
+const SGNS_HASHES: [u64; 4] = [
+    0xe8e214d594783eab,
+    0x346d25b2b46bc33f,
+    0x613c996bf19d9350,
+    0xf7aa567dfc44fb66,
+];

@@ -24,6 +24,30 @@ pub fn two_cliques() -> Graph {
     g
 }
 
+/// Two weighted 5-cliques of model nodes (ids 0–4 and 5–9) joined by one
+/// bridge edge 2–7 — the fixture of the bit-identity locks, whose varied
+/// weights exercise weighted aggregation and weighted walks.
+pub fn bridged_cliques() -> Graph {
+    let mut g = Graph::new();
+    for i in 0..10 {
+        g.add_node(NodeKind::Model(ModelId(i)));
+    }
+    for a in 0..5 {
+        for b in (a + 1)..5 {
+            let w = 0.5 + ((a * 5 + b) as f64) * 0.05;
+            g.add_edge(a, b, w, EdgeKind::DatasetDataset);
+            g.add_edge(
+                a + 5,
+                b + 5,
+                1.0 - (b - a) as f64 * 0.07,
+                EdgeKind::DatasetDataset,
+            );
+        }
+    }
+    g.add_edge(2, 7, 0.25, EdgeKind::DatasetDataset);
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

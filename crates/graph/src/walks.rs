@@ -52,20 +52,52 @@ pub fn generate_walks(g: &Graph, cfg: &WalkConfig, rng: &mut Rng) -> Vec<Vec<usi
 
     let mut walks = Vec::with_capacity(n * cfg.walks_per_node);
     let mut order: Vec<usize> = (0..n).collect();
+    let mut ties = PrevTies {
+        weight: vec![0.0; n],
+        adjacent: vec![false; n],
+    };
     for _ in 0..cfg.walks_per_node {
         // Shuffle start order per round (standard node2vec practice).
         rng.shuffle(&mut order);
         for &start in &order {
-            walks.push(single_walk(g, cfg, &mean_weight, start, rng));
+            walks.push(single_walk(g, cfg, &mean_weight, &mut ties, start, rng));
         }
     }
     walks
+}
+
+/// How each node is tied to the previous node of a walk. Indexed by node,
+/// so a step reads each candidate's tie in O(1) and costs
+/// O(deg(cur) + deg(prev)). All zero between steps.
+struct PrevTies {
+    /// Heaviest edge to the previous node: `max` folded from 0.0 over
+    /// parallel edges, so 0.0 when there is none.
+    weight: Vec<f64>,
+    /// Whether any edge joins the previous node; zero-weight edges count.
+    adjacent: Vec<bool>,
+}
+
+impl PrevTies {
+    fn fill(&mut self, g: &Graph, prev: usize) {
+        for (nbr, w) in g.neighbors(prev) {
+            self.weight[nbr] = self.weight[nbr].max(w);
+            self.adjacent[nbr] = true;
+        }
+    }
+
+    fn clear(&mut self, g: &Graph, prev: usize) {
+        for (nbr, _) in g.neighbors(prev) {
+            self.weight[nbr] = 0.0;
+            self.adjacent[nbr] = false;
+        }
+    }
 }
 
 fn single_walk(
     g: &Graph,
     cfg: &WalkConfig,
     mean_weight: &[f64],
+    ties: &mut PrevTies,
     start: usize,
     rng: &mut Rng,
 ) -> Vec<usize> {
@@ -79,16 +111,19 @@ fn single_walk(
     while walk.len() < cfg.walk_length {
         nexts.clear();
         weights.clear();
+        if let Some(t) = prev {
+            ties.fill(g, t);
+        }
         for (nbr, w) in g.neighbors(cur) {
             let base = if cfg.weighted { w.max(1e-6) } else { 1.0 };
             let bias = match prev {
                 None => 1.0,
                 Some(t) if nbr == t => 1.0 / cfg.p,
-                Some(t) => {
+                Some(_) => {
                     if cfg.weighted {
                         // Node2Vec+ smoothing: how strongly is `nbr` tied to
                         // the previous node, relative to its typical edge?
-                        let w_tn = edge_weight(g, t, nbr);
+                        let w_tn = ties.weight[nbr];
                         let thresh = mean_weight[nbr];
                         if w_tn >= thresh && thresh > 0.0 {
                             1.0 // effectively distance-1: in-neighbor
@@ -99,7 +134,7 @@ fn single_walk(
                             let r = w_tn / thresh;
                             (1.0 / cfg.q) + (1.0 - 1.0 / cfg.q) * r
                         }
-                    } else if g.has_edge(t, nbr) {
+                    } else if ties.adjacent[nbr] {
                         1.0
                     } else {
                         1.0 / cfg.q
@@ -108,6 +143,9 @@ fn single_walk(
             };
             nexts.push(nbr);
             weights.push(base * bias);
+        }
+        if let Some(t) = prev {
+            ties.clear(g, t);
         }
         if nexts.is_empty() || weights.iter().sum::<f64>() <= 0.0 {
             break; // dangling node: truncate the walk
@@ -118,13 +156,6 @@ fn single_walk(
         walk.push(cur);
     }
     walk
-}
-
-fn edge_weight(g: &Graph, a: usize, b: usize) -> f64 {
-    g.neighbors(a)
-        .filter(|&(n, _)| n == b)
-        .map(|(_, w)| w)
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -10,9 +10,16 @@
 //!
 //! Split candidates come from per-feature quantile histograms (XGBoost's
 //! `hist` algorithm), which keeps a 500-tree fit over a few hundred features
-//! fast.
+//! fast. Columns whose bins group the training rows alike share one
+//! histogram per node.
+//!
+//! The fit's output is a contract, bit for bit: a shared histogram must sum
+//! the same rows in the same order as one histogram per column, and columns
+//! and bins must be scanned in the same order, so ties break the same way
+//! (DESIGN.md §3g, locked by `tests/gbdt_bits.rs`).
 
 use crate::Regressor;
+use std::collections::HashMap;
 use tg_linalg::Matrix;
 use tg_rng::Rng;
 
@@ -104,7 +111,7 @@ enum GNode {
     },
     Split {
         feature: usize,
-        /// Split on bin index: `bin <= threshold_bin` goes left.
+        /// Upper edge of the chosen bin: `x <= threshold` goes left.
         threshold: f64,
         left: usize,
         right: usize,
@@ -173,6 +180,11 @@ impl Regressor for Gbdt {
         let (n, f) = x.shape();
         assert_eq!(n, y.len(), "Gbdt::fit: row/target mismatch");
         assert!(n > 0, "Gbdt::fit: empty input");
+        // Bin indices are stored as u16, and u16::MAX marks an unseen bin.
+        assert!(
+            (1..=u16::MAX as usize).contains(&self.n_bins),
+            "Gbdt::fit: n_bins must be in 1..=65535"
+        );
 
         // Freeze bin edges and pre-bin the training matrix.
         self.bin_edges = (0..f)
@@ -190,25 +202,19 @@ impl Regressor for Gbdt {
             .collect();
 
         self.base_score = tg_linalg::stats::mean(y);
-        let mut pred = vec![self.base_score; n];
-        self.trees = Vec::with_capacity(self.n_rounds);
         let n_cols = ((f as f64 * self.colsample_bytree).ceil() as usize).clamp(1, f);
-
-        for _round in 0..self.n_rounds {
-            // Squared error: g = pred − y, h = 1.
-            let grad: Vec<f64> = pred.iter().zip(y).map(|(p, t)| p - t).collect();
-            let cols = if n_cols < f {
-                rng.sample_indices(f, n_cols)
-            } else {
-                (0..f).collect()
-            };
-            let tree = self.build_tree(&bins, &grad, &cols);
-            // Update predictions.
-            for i in 0..n {
-                pred[i] += self.eta * tree_predict_binned(&tree, &bins, i, &self.bin_edges);
-            }
-            self.trees.push(tree);
-        }
+        let mut grower = Grower::new(self, &bins, n);
+        let trees = (0..self.n_rounds)
+            .map(|_| {
+                let cols = if n_cols < f {
+                    rng.sample_indices(f, n_cols)
+                } else {
+                    (0..f).collect()
+                };
+                grower.grow(y, cols)
+            })
+            .collect();
+        self.trees = trees;
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -225,119 +231,254 @@ impl Regressor for Gbdt {
     }
 }
 
-/// Predict a training row through a tree using the pre-binned matrix (bin
-/// thresholds are stored as real-valued feature thresholds, so we map the
-/// row's bin back through the edges).
-fn tree_predict_binned(tree: &GbdtTree, bins: &[Vec<u16>], row: usize, edges: &[Vec<f64>]) -> f64 {
-    let mut i = 0;
-    loop {
-        match &tree.nodes[i] {
-            GNode::Leaf { weight } => return *weight,
-            GNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                // Recover the bin threshold from the value threshold.
-                let bin = bins[*feature][row] as usize;
-                let tbin = bin_of(&edges[*feature], *threshold);
-                i = if bin <= tbin { *left } else { *right };
+/// Columns whose bins split the training rows into the same groups hold the
+/// same gradient sums under different bin labels. Each group's histogram is
+/// built once per node, over the bins of its first column (the
+/// representative), and every member scans it in its own bin order.
+struct ColumnGroups {
+    /// Representative column of each column.
+    rep: Vec<usize>,
+    /// Offset of each column's group histogram in `Grower::hist`.
+    hist_at: Vec<usize>,
+    /// Total histogram length over all groups.
+    hist_len: usize,
+    /// Per column, its split candidates: the bins below its last that
+    /// training rows occupy, ascending, each as (representative's bin, own
+    /// bin). The other bins are empty at every node.
+    scan: Vec<Vec<(u16, u16)>>,
+}
+
+impl ColumnGroups {
+    fn new(bins: &[Vec<u16>], edges: &[Vec<f64>]) -> Self {
+        let mut first: HashMap<Vec<u16>, usize> = HashMap::new();
+        let rep: Vec<usize> = bins
+            .iter()
+            .zip(edges)
+            .enumerate()
+            .map(|(j, (col, e))| {
+                *first
+                    .entry(first_seen_labels(col, e.len() + 1))
+                    .or_insert(j)
+            })
+            .collect();
+
+        let mut hist_at = Vec::with_capacity(bins.len());
+        let mut hist_len = 0;
+        for (j, &r) in rep.iter().enumerate() {
+            if r == j {
+                hist_at.push(hist_len);
+                hist_len += edges[j].len() + 1;
+            } else {
+                hist_at.push(hist_at[r]);
             }
+        }
+        let scan = bins
+            .iter()
+            .zip(edges)
+            .zip(&rep)
+            .map(|((col, e), &r)| {
+                let mut to_rep = vec![u16::MAX; e.len() + 1];
+                for (&b, &rb) in col.iter().zip(&bins[r]) {
+                    to_rep[b as usize] = rb;
+                }
+                (0..)
+                    .zip(&to_rep[..e.len()])
+                    .filter(|&(_, &rb)| rb != u16::MAX)
+                    .map(|(b, &rb)| (rb, b))
+                    .collect()
+            })
+            .collect();
+        ColumnGroups {
+            rep,
+            hist_at,
+            hist_len,
+            scan,
         }
     }
 }
 
-impl Gbdt {
-    /// Builds one tree on gradient/hessian statistics using per-node
-    /// histograms. `h = 1` for every sample (squared error), so the hessian
-    /// sum is the sample count.
-    fn build_tree(&self, bins: &[Vec<u16>], grad: &[f64], cols: &[usize]) -> GbdtTree {
-        let n = grad.len();
-        let mut tree = GbdtTree { nodes: Vec::new() };
-        let rows: Vec<usize> = (0..n).collect();
-        self.build_node(&mut tree, bins, grad, cols, rows, 0);
-        tree
+/// A column's bins relabelled in order of first appearance down the rows;
+/// two columns' labels are equal exactly when they group the rows alike.
+fn first_seen_labels(col: &[u16], n_bins: usize) -> Vec<u16> {
+    let mut label = vec![u16::MAX; n_bins];
+    let mut next = 0;
+    col.iter()
+        .map(|&b| {
+            let l = &mut label[b as usize];
+            if *l == u16::MAX {
+                *l = next;
+                next += 1;
+            }
+            *l
+        })
+        .collect()
+}
+
+/// Grows one tree per round on a binned training matrix, reusing its
+/// buffers across nodes and rounds, and keeps the training predictions.
+struct Grower<'a> {
+    gb: &'a Gbdt,
+    bins: &'a [Vec<u16>],
+    groups: ColumnGroups,
+    /// Per group bin, the gradient sum and the hessian sum (the row count).
+    hist: Vec<[f64; 2]>,
+    pred: Vec<f64>,
+    grad: Vec<f64>,
+    /// The round's sampled columns, and the representatives of those with
+    /// any split candidate.
+    cols: Vec<usize>,
+    reps: Vec<usize>,
+    /// Training rows; each node owns a contiguous range, split stably so
+    /// both children keep their parent's row order.
+    rows: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl<'a> Grower<'a> {
+    fn new(gb: &'a Gbdt, bins: &'a [Vec<u16>], n: usize) -> Self {
+        let groups = ColumnGroups::new(bins, &gb.bin_edges);
+        Grower {
+            gb,
+            bins,
+            hist: vec![[0.0; 2]; groups.hist_len],
+            groups,
+            pred: vec![gb.base_score; n],
+            grad: vec![0.0; n],
+            cols: Vec::new(),
+            reps: Vec::new(),
+            rows: Vec::with_capacity(n),
+            right: Vec::with_capacity(n),
+        }
     }
 
-    fn build_node(
-        &self,
-        tree: &mut GbdtTree,
-        bins: &[Vec<u16>],
-        grad: &[f64],
-        cols: &[usize],
-        rows: Vec<usize>,
-        depth: usize,
-    ) -> usize {
-        let g_total: f64 = rows.iter().map(|&i| grad[i]).sum();
+    /// Builds one tree on the squared-error gradients of the current
+    /// predictions, over the sampled columns `cols`, and adds its
+    /// shrunken leaf weights to the training predictions.
+    fn grow(&mut self, y: &[f64], cols: Vec<usize>) -> GbdtTree {
+        // Squared error: g = pred − y, h = 1.
+        for ((g, p), t) in self.grad.iter_mut().zip(&self.pred).zip(y) {
+            *g = p - t;
+        }
+        self.cols = cols;
+        self.reps.clear();
+        self.reps.extend(
+            self.cols
+                .iter()
+                .filter(|&&c| !self.groups.scan[c].is_empty())
+                .map(|&c| self.groups.rep[c]),
+        );
+        self.reps.sort_unstable();
+        self.reps.dedup();
+        self.rows.clear();
+        self.rows.extend(0..y.len());
+        let mut nodes = Vec::new();
+        self.node(&mut nodes, 0, y.len(), 0);
+        GbdtTree { nodes }
+    }
+
+    /// Grows the subtree over `rows[lo..hi]` and returns its root index.
+    /// `h = 1` for every sample, so the hessian sum is the row count.
+    fn node(&mut self, nodes: &mut Vec<GNode>, lo: usize, hi: usize, depth: usize) -> usize {
+        let gb = self.gb;
+        let rows = &self.rows[lo..hi];
+        let g_total: f64 = rows.iter().map(|&i| self.grad[i]).sum();
         let h_total = rows.len() as f64;
-        let leaf_weight = -g_total / (h_total + self.lambda);
-        if depth >= self.max_depth || h_total < 2.0 * self.min_child_weight {
-            tree.nodes.push(GNode::Leaf {
-                weight: leaf_weight,
-            });
-            return tree.nodes.len() - 1;
+        let weight = -g_total / (h_total + gb.lambda);
+        let split = if depth >= gb.max_depth || h_total < 2.0 * gb.min_child_weight {
+            None
+        } else {
+            self.best_split(lo, hi, g_total, h_total)
+        };
+        let Some((feature, bin)) = split else {
+            for &i in &self.rows[lo..hi] {
+                self.pred[i] += gb.eta * weight;
+            }
+            nodes.push(GNode::Leaf { weight });
+            return nodes.len() - 1;
+        };
+
+        // Stable partition: left rows compact forward, right rows follow.
+        let col = &self.bins[feature];
+        self.right.clear();
+        let mut mid = lo;
+        for k in lo..hi {
+            let i = self.rows[k];
+            if col[i] <= bin {
+                self.rows[mid] = i;
+                mid += 1;
+            } else {
+                self.right.push(i);
+            }
+        }
+        self.rows[mid..hi].copy_from_slice(&self.right);
+
+        let idx = nodes.len();
+        nodes.push(GNode::Leaf { weight }); // placeholder
+        let left = self.node(nodes, lo, mid, depth + 1);
+        let right = self.node(nodes, mid, hi, depth + 1);
+        nodes[idx] = GNode::Split {
+            feature,
+            // Real-valued threshold: the bin's upper edge.
+            threshold: gb.bin_edges[feature][bin as usize],
+            left,
+            right,
+        };
+        idx
+    }
+
+    /// The best (column, bin) split of `rows[lo..hi]`: the first candidate,
+    /// in `cols` order and then ascending bin order, whose gain strictly
+    /// beats every earlier one and 1e-12.
+    fn best_split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        g_total: f64,
+        h_total: f64,
+    ) -> Option<(usize, u16)> {
+        let gb = self.gb;
+        let rows = &self.rows[lo..hi];
+        for &r in &self.reps {
+            let at = self.groups.hist_at[r];
+            let len = gb.bin_edges[r].len() + 1;
+            let hist = &mut self.hist[at..at + len];
+            hist.fill([0.0; 2]);
+            let col = &self.bins[r];
+            for &i in rows {
+                let bin = &mut hist[col[i] as usize];
+                bin[0] += self.grad[i];
+                bin[1] += 1.0;
+            }
         }
 
-        // Histogram per candidate feature.
-        let parent_score = g_total * g_total / (h_total + self.lambda);
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
-        let mut hist_g = vec![0.0f64; self.n_bins + 1];
-        let mut hist_h = vec![0.0f64; self.n_bins + 1];
-        for &feat in cols {
-            hist_g.iter_mut().for_each(|v| *v = 0.0);
-            hist_h.iter_mut().for_each(|v| *v = 0.0);
-            let fb = &bins[feat];
-            for &i in &rows {
-                let b = fb[i] as usize;
-                hist_g[b] += grad[i];
-                hist_h[b] += 1.0;
-            }
+        let parent_score = g_total * g_total / (h_total + gb.lambda);
+        let mut best: Option<(usize, u16, f64)> = None;
+        for &feat in &self.cols {
+            let at = self.groups.hist_at[feat];
             let mut gl = 0.0;
             let mut hl = 0.0;
-            let max_bin = self.bin_edges[feat].len(); // bins: 0..=max_bin
-            for b in 0..max_bin {
-                gl += hist_g[b];
-                hl += hist_h[b];
+            for &(rb, b) in &self.groups.scan[feat] {
+                let [bin_g, bin_h] = self.hist[at + rb as usize];
+                gl += bin_g;
+                hl += bin_h;
                 let gr = g_total - gl;
                 let hr = h_total - hl;
-                if hl < self.min_child_weight || hr < self.min_child_weight {
+                // `hr` never grows along the scan.
+                if hr < gb.min_child_weight {
+                    break;
+                }
+                if hl < gb.min_child_weight {
                     continue;
                 }
                 let gain = 0.5
-                    * (gl * gl / (hl + self.lambda) + gr * gr / (hr + self.lambda) - parent_score)
-                    - self.gamma;
+                    * (gl * gl / (hl + gb.lambda) + gr * gr / (hr + gb.lambda) - parent_score)
+                    - gb.gamma;
                 if gain > best.map_or(1e-12, |(_, _, g)| g) {
                     best = Some((feat, b, gain));
                 }
             }
         }
-
-        let Some((feature, bin, _)) = best else {
-            tree.nodes.push(GNode::Leaf {
-                weight: leaf_weight,
-            });
-            return tree.nodes.len() - 1;
-        };
-        // Real-valued threshold: the bin's upper edge.
-        let threshold = self.bin_edges[feature][bin];
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
-            .iter()
-            .partition(|&&i| (bins[feature][i] as usize) <= bin);
-
-        let idx = tree.nodes.len();
-        tree.nodes.push(GNode::Leaf {
-            weight: leaf_weight,
-        }); // placeholder
-        let left = self.build_node(tree, bins, grad, cols, left_rows, depth + 1);
-        let right = self.build_node(tree, bins, grad, cols, right_rows, depth + 1);
-        tree.nodes[idx] = GNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        idx
+        best.map(|(feat, b, _)| (feat, b))
     }
 }
 
@@ -423,6 +564,16 @@ mod tests {
             .0;
         assert_eq!(max_idx, 1, "importances {imp:?}");
         assert!(imp[1] > 0.5, "importances {imp:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "n_bins")]
+    fn n_bins_beyond_u16_is_rejected() {
+        let mut rng = Rng::seed_from_u64(5);
+        let (x, y) = friedmanish(&mut rng, 20);
+        let mut gb = Gbdt::new(1, 1);
+        gb.n_bins = 70_000;
+        gb.fit(&x, &y, &mut rng);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! The file declares everything repo-specific so the lint logic stays
 //! generic: scan roots and exclusions, the TG04 lock-rank table (`order`
-//! plus one receiver-name list per class), the TG06 condvar registry, the
-//! TG07 blocking-call list, and the TG08 env-knob registry. The tool and
-//! its config ship together, so an unknown section or key is an error: a
-//! typo must not silently turn a lint off.
+//! plus one receiver-name list per class), the TG07 blocking-call list,
+//! and the TG08 env-knob registry. The tool and its config ship together,
+//! so an unknown section or key is an error: a typo must not silently
+//! turn a lint off.
 
 use std::collections::HashMap;
 
@@ -39,10 +39,6 @@ pub struct Config {
     /// Receiver identifiers classified into each lock class, keyed by
     /// class name from `lock_order`.
     pub lock_classes: HashMap<String, Vec<String>>,
-    /// Condvar receiver → paired mutex receiver (TG06). Every `.wait(g)`
-    /// receiver must appear here, and the paired receiver must be
-    /// classified in the lock table.
-    pub condvars: HashMap<String, String>,
     /// Call names considered blocking under a held guard (TG07).
     pub tg07_blocking: Vec<String>,
     /// Lock classes whose guards legitimately cover blocking work (TG07)
@@ -100,16 +96,6 @@ impl Config {
                 ("lock_order.classes", class) => {
                     cfg.lock_classes.insert(class.to_string(), parsed);
                 }
-                ("condvars", cv) => {
-                    let [mutex] = parsed.as_slice() else {
-                        return Err(format!(
-                            "tg-check.toml:{}: condvar `{cv}` needs exactly one \
-                             paired mutex receiver",
-                            ln + 1
-                        ));
-                    };
-                    cfg.condvars.insert(cv.to_string(), mutex.clone());
-                }
                 ("tg07", "blocking") => cfg.tg07_blocking = parsed,
                 ("tg07", "exempt_classes") => cfg.tg07_exempt_classes = parsed,
                 ("knobs", name) => {
@@ -142,14 +128,6 @@ impl Config {
                 ));
             }
         }
-        for (cv, mutex) in &cfg.condvars {
-            if cfg.lock_rank_of(mutex).is_none() {
-                return Err(format!(
-                    "tg-check.toml: condvar `{cv}` pairs with mutex receiver `{mutex}`, \
-                     which is not classified in [lock_order.classes]"
-                ));
-            }
-        }
         for class in &cfg.tg07_exempt_classes {
             if !cfg.lock_order.iter().any(|c| c == class) {
                 return Err(format!(
@@ -162,14 +140,7 @@ impl Config {
 }
 
 /// Every section `Config::parse` accepts.
-const SECTIONS: [&str; 6] = [
-    "scan",
-    "lock_order",
-    "lock_order.classes",
-    "condvars",
-    "tg07",
-    "knobs",
-];
+const SECTIONS: [&str; 5] = ["scan", "lock_order", "lock_order.classes", "tg07", "knobs"];
 
 /// Strips a trailing `#` comment, respecting `"…"` strings.
 fn strip_toml_comment(line: &str) -> &str {
@@ -224,9 +195,6 @@ order = ["registry", "cache_shard"]
 registry = ["inner"]
 cache_shard = ["shard", "shards"]
 
-[condvars]
-available = "shards"
-
 [tg07]
 blocking = ["sleep", "persist"]
 exempt_classes = ["cache_shard"]
@@ -243,10 +211,6 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
         assert_eq!(cfg.lock_rank_of("inner"), Some((0, "registry")));
         assert_eq!(cfg.lock_rank_of("shards"), Some((1, "cache_shard")));
         assert_eq!(cfg.lock_rank_of("unrelated"), None);
-        assert_eq!(
-            cfg.condvars.get("available").map(String::as_str),
-            Some("shards")
-        );
         assert_eq!(cfg.tg07_blocking, ["sleep", "persist"]);
         assert_eq!(cfg.tg07_exempt_classes, ["cache_shard"]);
         assert_eq!(cfg.knobs.len(), 1);
@@ -254,14 +218,6 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
         assert_eq!(cfg.knobs[0].owner, "crates/bench");
         assert_eq!(cfg.knobs[0].anchor, "`TG_SEED`");
         assert!(cfg.knobs[0].line > 0);
-    }
-
-    #[test]
-    fn rejects_condvars_paired_with_unclassified_mutexes() {
-        let bad = "[lock_order]\norder = [\"a\"]\n[lock_order.classes]\na = [\"x\"]\n\
-                   [condvars]\ncv = \"unclassified\"\n";
-        let err = Config::parse(bad).unwrap_err();
-        assert!(err.contains("not classified"), "{err}");
     }
 
     #[test]
@@ -289,6 +245,10 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
         assert!(err.contains(":5:") && err.contains("`blockng`"), "{err}");
         let err = Config::parse("[scan]\nroots = []\n[tg02]\n").unwrap_err();
         assert!(err.contains(":3:") && err.contains("[tg02]"), "{err}");
+        // The retired TG06 registry is unknown too: a leftover section
+        // fails loudly instead of being ignored.
+        let err = Config::parse("[condvars]\ncv = \"pass\"\n").unwrap_err();
+        assert!(err.contains(":1:") && err.contains("[condvars]"), "{err}");
         assert!(
             Config::parse("roots = [\"crates\"]\n").is_err(),
             "key outside any section"

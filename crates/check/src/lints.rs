@@ -26,9 +26,6 @@ pub enum Lint {
     Tg03AtomicOrdering,
     /// Lock acquisition violating the declared rank order.
     Tg04LockOrder,
-    /// Condvar discipline: `.wait(g)` outside a re-testing loop, or on a
-    /// condvar missing from the `[condvars]` registry.
-    Tg06CondvarDiscipline,
     /// Blocking call (`sleep`, I/O, `evaluate`, …) while a lint-tracked
     /// lock guard is live.
     Tg07BlockingWhileLocked,
@@ -43,7 +40,6 @@ impl Lint {
             Lint::Tg00BadAllow => "TG00",
             Lint::Tg03AtomicOrdering => "TG03",
             Lint::Tg04LockOrder => "TG04",
-            Lint::Tg06CondvarDiscipline => "TG06",
             Lint::Tg07BlockingWhileLocked => "TG07",
             Lint::Tg08KnobRegistry => "TG08",
         }
@@ -57,7 +53,6 @@ impl Lint {
             "tg00" => Some(Lint::Tg00BadAllow),
             "tg03" => Some(Lint::Tg03AtomicOrdering),
             "tg04" => Some(Lint::Tg04LockOrder),
-            "tg06" => Some(Lint::Tg06CondvarDiscipline),
             "tg07" => Some(Lint::Tg07BlockingWhileLocked),
             "tg08" => Some(Lint::Tg08KnobRegistry),
             _ => None,
@@ -326,7 +321,7 @@ fn tg03_atomic_ordering(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// TG04 / TG06 / TG07 — lock discipline (one shared walk)
+// TG04 / TG07 — lock discipline (one shared walk)
 // ---------------------------------------------------------------------------
 
 pub(crate) const ACQUIRE_METHODS: [&str; 6] =
@@ -340,21 +335,17 @@ struct HeldGuard {
     binding_depth: i32,
 }
 
-/// One walk over the token stream enforcing the three lock lints:
+/// One walk over the token stream enforcing the two lock lints:
 ///
 /// * **TG04** — flags any lock acquisition whose rank is below the rank of
 ///   a guard the enclosing scope still holds, per the declared partial
 ///   order.
-/// * **TG06** — every `condvar.wait(guard)` must sit inside a loop that
-///   can re-test its predicate, name a condvar registered in
-///   `[condvars]`, and pass that condvar's paired mutex guard.
-///   `barrier.wait()` (empty argument list) is not a condvar wait.
 /// * **TG07** — calls from the configured blocking list (`sleep`,
-///   `persist`, socket connects, `evaluate`, …) must not run while a
-///   lint-tracked guard is live, unless the guard's class is exempt
-///   (a store shard's critical section *is* the disk write). `join` only
-///   counts with an empty argument list — `path.join(seg)` is not a
-///   thread join.
+///   `persist`, socket connects, `evaluate`, `get_or_init`, …) must not
+///   run while a lint-tracked guard is live, unless the guard's class is
+///   exempt (a store shard's critical section *is* the disk write).
+///   `join` only counts with an empty argument list — `path.join(seg)` is
+///   not a thread join.
 ///
 /// Heuristics (documented in DESIGN.md): only `let`-bound guards are
 /// considered held (a guard inside a larger expression dies at the end of
@@ -364,39 +355,27 @@ struct HeldGuard {
 /// the debug-build runtime tracker in `tg-sync` enforces the same table
 /// dynamically.
 fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.lock_order.is_empty() && cfg.condvars.is_empty() && cfg.tg07_blocking.is_empty() {
+    if cfg.lock_order.is_empty() && cfg.tg07_blocking.is_empty() {
         return;
     }
     let toks = &lexed.tokens;
     let mut held: Vec<HeldGuard> = Vec::new();
     let mut depth: i32 = 0;
     let mut stmt_start: usize = 0; // index just past the last `;` `{` `}`
-                                   // Kind of each open block: `true` when introduced by `loop`/`while`/
-                                   // `for` (a wait inside can re-test its predicate on the next turn).
-    let mut block_is_loop: Vec<bool> = Vec::new();
-    let mut pending_loop = false;
 
     for i in 0..toks.len() {
         match &toks[i] {
             Tok::Punct('{') => {
                 depth += 1;
                 stmt_start = i + 1;
-                block_is_loop.push(pending_loop);
-                pending_loop = false;
             }
             Tok::Punct('}') => {
                 depth -= 1;
                 stmt_start = i + 1;
-                block_is_loop.pop();
-                pending_loop = false;
                 held.retain(|g| g.binding_depth <= depth);
             }
             Tok::Punct(';') => {
                 stmt_start = i + 1;
-                pending_loop = false;
-            }
-            Tok::Ident(kw) if matches!(kw.as_str(), "loop" | "while" | "for") => {
-                pending_loop = true;
             }
             Tok::Ident(name) if name == "drop" && next_is(lexed, i, '(') => {
                 if let Some(Tok::Ident(arg)) = toks.get(i + 2) {
@@ -454,15 +433,6 @@ fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Findin
                 }
             }
             Tok::Ident(m)
-                if m == "wait"
-                    && !cfg.condvars.is_empty()
-                    && !lexed.in_test[i]
-                    && prev_is(lexed, i, '.')
-                    && has_nonempty_args(toks, i) =>
-            {
-                tg06_condvar_wait(path, lexed, cfg, i, &block_is_loop, out);
-            }
-            Tok::Ident(m)
                 if cfg.tg07_blocking.iter().any(|b| b == m.as_str())
                     && !lexed.in_test[i]
                     && is_blocking_call_shape(toks, i, m) =>
@@ -496,82 +466,11 @@ fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Findin
     }
 }
 
-/// The TG06 checks for one non-empty `.wait(..)` call at token `i`.
-fn tg06_condvar_wait(
-    path: &str,
-    lexed: &Lexed,
-    cfg: &Config,
-    i: usize,
-    block_is_loop: &[bool],
-    out: &mut Vec<Finding>,
-) {
-    let toks = &lexed.tokens;
-    let mut fail = |message: String| {
-        out.push(Finding {
-            lint: Lint::Tg06CondvarDiscipline,
-            path: path.to_string(),
-            line: lexed.lines[i],
-            message,
-        });
-    };
-    let Some(receiver) = receiver_of(toks, i) else {
-        return;
-    };
-    let Some(paired) = cfg.condvars.get(&receiver) else {
-        fail(format!(
-            "condvar `{receiver}` is not registered in [condvars]; declare its \
-             paired mutex receiver in tg-check.toml"
-        ));
-        return;
-    };
-    // The wait must hand over the paired mutex guard (by its classified
-    // receiver name) — waiting on an unrelated guard decouples the condvar
-    // from the state it signals.
-    let mut j = i + 2; // just past `(`
-    let mut depth = 1;
-    let mut saw_paired = false;
-    while let Some(t) = toks.get(j) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.ident() == Some(paired.as_str()) {
-            saw_paired = true;
-        }
-        j += 1;
-    }
-    if !saw_paired {
-        fail(format!(
-            "`{receiver}.wait(..)` does not pass its paired mutex guard \
-             `{paired}` (per [condvars])"
-        ));
-    }
-    if !block_is_loop.iter().any(|&l| l) {
-        fail(format!(
-            "`{receiver}.wait(..)` outside any loop: a woken waiter must re-test \
-             its predicate (`while !ready {{ wait }}` or `loop {{ match … }}`), \
-             not trust a bare `if`"
-        ));
-    }
-}
-
 /// Index of the call `(` following token `i`, skipping one turbofish
 /// (`.lock::<T>()`); `None` when `i` is not followed by a call.
 pub(crate) fn call_paren_after(toks: &[Tok], i: usize) -> Option<usize> {
     let j = crate::lexer::skip_turbofish(toks, i + 1);
     toks.get(j).is_some_and(|t| t.is_punct('(')).then_some(j)
-}
-
-/// Whether the `.wait` at `i` is called with a non-empty argument list —
-/// the condvar shape (`cv.wait(guard)`), not `Barrier::wait()`.
-fn has_nonempty_args(toks: &[Tok], i: usize) -> bool {
-    match call_paren_after(toks, i) {
-        Some(p) => !toks.get(p + 1).is_some_and(|t| t.is_punct(')')),
-        None => false,
-    }
 }
 
 /// The TG07 call shape for blocking name `m` at token `i`: a call, and for

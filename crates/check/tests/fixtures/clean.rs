@@ -1,17 +1,17 @@
 // A representative clean library file: Relaxed counters, well-ordered
-// locking, a loop-shaped condvar wait and a registered env knob. tg-check
-// must report zero findings here (the self-test's false-positive guard).
+// locking, a once-cell initialised after the guard is released and a
+// registered env knob. tg-check must report zero findings here (the
+// self-test's false-positive guard).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 pub struct Clean {
     inner: Mutex<HashMap<u64, u64>>,
     shards: Vec<RwLock<HashMap<u64, u64>>>,
     hits: AtomicU64,
-    pass: Mutex<u64>,
-    cv: Condvar,
+    total: OnceLock<u64>,
 }
 
 impl Clean {
@@ -22,12 +22,12 @@ impl Clean {
         guard.get(&key).copied()
     }
 
-    pub fn next_ready(&self) -> u64 {
-        let mut pass = self.pass.lock().unwrap_or_else(|e| e.into_inner());
-        while *pass == 0 {
-            pass = self.cv.wait(pass).unwrap_or_else(|e| e.into_inner());
-        }
-        *pass
+    pub fn total(&self) -> u64 {
+        let sum = {
+            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.values().sum()
+        };
+        *self.total.get_or_init(|| sum)
     }
 }
 

@@ -1,5 +1,5 @@
 // Seeded TG04 violation: taking the registry lock while holding a cache
-// shard inverts the declared order `registry -> build_slot -> ... ->
+// shard inverts the declared order `registry -> coalesce -> ... ->
 // cache_shard`. The well-ordered function and the drop-then-reacquire
 // pattern must stay clean.
 

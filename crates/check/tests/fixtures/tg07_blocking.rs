@@ -1,18 +1,20 @@
-// Seeded TG07 violations: sleeping and thread-joining inside a registry
-// critical section. Blocking after the guard releases, `path.join(seg)`
-// (non-empty args: path concatenation, not a thread join) and blocking
-// under the advisory file lock (`lockfile`, the exempt `file_lock` class)
-// must all stay clean.
+// Seeded TG07 violations: sleeping, thread-joining and parking on a
+// once-cell inside a registry critical section (another thread's
+// initialiser may need the registry to finish). Blocking after the guard
+// releases, `path.join(seg)` (non-empty args: path concatenation, not a
+// thread join) and blocking under the advisory file lock (`lockfile`, the
+// exempt `file_lock` class) must all stay clean.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 pub struct Fixture {
     inner: Mutex<HashMap<u64, u64>>,
     lockfile: Mutex<()>,
+    slot: OnceLock<u64>,
 }
 
 impl Fixture {
@@ -24,6 +26,11 @@ impl Fixture {
     pub fn joins_while_locked(&self, handle: JoinHandle<()>) {
         let _inner = self.inner.lock();
         handle.join().ok();
+    }
+
+    pub fn parks_on_a_once_cell_while_locked(&self) -> u64 {
+        let _inner = self.inner.lock();
+        *self.slot.get_or_init(|| 1)
     }
 
     pub fn sleeps_after_release(&self) {

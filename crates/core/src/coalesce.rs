@@ -10,25 +10,28 @@
 //! the same argument that makes the registry's evict-then-rebuild
 //! bit-identical.
 //!
-//! The mechanism mirrors the registry's `BuildSlot`: the first request in
-//! (the **leader**) publishes a per-key pass cell and computes; racers
-//! (**followers**) find the cell and block on its condvar until the leader
-//! publishes the shared outcome. A configurable **batch window** makes the
+//! Each in-flight key maps to one pass, a `std::sync::OnceLock` — the same
+//! shape as the registry's build slots. Every caller for the key runs
+//! `get_or_init` on it: the caller whose initialiser runs is the
+//! **leader** and computes; racers (**followers**) park inside
+//! `get_or_init` until the leader's outcome is there, and all of them
+//! return the same `Arc`. The leader then retires the key, so the next
+//! burst starts a fresh pass. A configurable **batch window** makes the
 //! leader wait briefly before computing, widening the net for followers
 //! that arrive just behind it — worth it when the pass itself is much more
 //! expensive than the window (cold caches), a no-op default otherwise.
 //!
-//! Locks here sit at rank `coalesce` (see `crate::sync` and
-//! `tg-check.toml`): the cell mutex is only ever held for state flips and
-//! waits, never across the evaluation itself, so the store/cache ranks
-//! below are reached with no coalescing lock held. If a leader panics
-//! mid-pass, a drop guard marks the cell abandoned and wakes every
-//! follower, which then fall back to evaluating directly — a lost
-//! optimisation, never a hang.
+//! The pass map sits at lock rank `coalesce` (see `crate::sync` and
+//! `tg-check.toml`) and is held only to look a pass up, insert it or
+//! retire it — never across the evaluation or a wait, so the store/cache
+//! ranks below are reached with no coalescing lock held. If a leader
+//! unwinds mid-pass, its `OnceLock` stays empty: a follower already parked
+//! on it, or the next caller for the key, runs the pass again and becomes
+//! its leader — a lost optimisation, never a hang.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use tg_zoo::DatasetId;
@@ -44,41 +47,27 @@ use crate::sync::{rank_guard, unpoisoned, Rank};
 /// different rankings — only *identical* work may share a pass.
 type PassKey = (u64, DatasetId, String);
 
-/// State of one in-flight pass.
-enum PassState {
-    /// The leader is still computing (or waiting out the batch window).
-    Pending,
-    /// The leader published the shared outcome.
-    Done(Arc<EvalOutcome>),
-    /// The leader unwound without publishing; followers must fall back.
-    Abandoned,
-}
-
-/// One in-flight pass: followers wait on `cv` until the leader flips
-/// `pass` out of [`PassState::Pending`].
-struct PassCell {
-    pass: Mutex<PassState>,
-    cv: Condvar,
-}
+/// One in-flight pass: empty until its leader's evaluation returns.
+type Pass = Arc<OnceLock<Arc<EvalOutcome>>>;
 
 /// Per-request coalescing telemetry, surfaced by the server's `/stats`.
+/// Every completed [`Coalescer::evaluate`] call counts once, so
+/// `leaders + followers` is the number of calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
-    /// Passes actually computed (one per burst).
+    /// Passes actually computed (one per burst, plus one for each re-run
+    /// of a pass whose leader unwound).
     pub leaders: u64,
     /// Requests served from another request's in-flight pass.
     pub followers: u64,
-    /// Followers that found an abandoned pass and recomputed directly
-    /// (only possible after a leader panicked mid-evaluation).
-    pub fallbacks: u64,
 }
 
 impl CoalesceStats {
     /// One-line rendering for run summaries and server logs.
     pub fn render(&self) -> String {
         format!(
-            "coalesce: {} passes, {} coalesced, {} fallbacks",
-            self.leaders, self.followers, self.fallbacks
+            "coalesce: {} passes, {} coalesced",
+            self.leaders, self.followers
         )
     }
 }
@@ -106,10 +95,9 @@ impl CoalesceStats {
 /// ```
 pub struct Coalescer {
     window: Duration,
-    passes: Mutex<HashMap<PassKey, Arc<PassCell>>>,
+    passes: Mutex<HashMap<PassKey, Pass>>,
     leaders: AtomicU64,
     followers: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl Coalescer {
@@ -122,13 +110,7 @@ impl Coalescer {
             passes: Mutex::new(HashMap::new()),
             leaders: AtomicU64::new(0),
             followers: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
         }
-    }
-
-    /// The configured batch window.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// Telemetry snapshot.
@@ -136,7 +118,6 @@ impl Coalescer {
         CoalesceStats {
             leaders: self.leaders.load(Ordering::Relaxed),
             followers: self.followers.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -153,92 +134,32 @@ impl Coalescer {
         opts: &EvalOptions,
     ) -> Arc<EvalOutcome> {
         let key: PassKey = (handle.fingerprint(), target, strategy.label());
-        let (cell, is_leader) = {
+        let pass = {
             let _rank = rank_guard(Rank::Coalesce);
             let mut passes = unpoisoned(self.passes.lock());
-            match passes.get(&key) {
-                Some(cell) => (Arc::clone(cell), false),
-                None => {
-                    let cell = Arc::new(PassCell {
-                        pass: Mutex::new(PassState::Pending),
-                        cv: Condvar::new(),
-                    });
-                    passes.insert(key.clone(), Arc::clone(&cell));
-                    (cell, true)
-                }
-            }
+            Arc::clone(passes.entry(key.clone()).or_default())
         };
 
-        if is_leader {
-            self.leaders.fetch_add(1, Ordering::Relaxed);
-            // If the evaluation below unwinds, this guard abandons the
-            // cell and wakes the followers instead of leaving them parked
-            // on the condvar forever.
-            let mut guard = LeaderGuard {
-                coalescer: self,
-                key: &key,
-                cell: &cell,
-                outcome: None,
-            };
+        // No coalescing lock is held from here on: the evaluation reaches
+        // the store/cache ranks with a clean stack, and followers park in
+        // `get_or_init` rather than on the map.
+        let mut led = false;
+        let outcome = Arc::clone(pass.get_or_init(|| {
+            led = true;
             if !self.window.is_zero() {
                 std::thread::sleep(self.window);
             }
-            // No coalescing lock is held here: the evaluation reaches the
-            // store/cache ranks with a clean stack.
-            let outcome = Arc::new(evaluate(handle.workbench(), strategy, target, opts));
-            guard.outcome = Some(Arc::clone(&outcome));
-            drop(guard); // publishes Done, wakes followers, retires the key
-            outcome
+            Arc::new(evaluate(handle.workbench(), strategy, target, opts))
+        }));
+        if led {
+            self.leaders.fetch_add(1, Ordering::Relaxed);
+            // Retire the key so the next burst starts a fresh pass.
+            let _rank = rank_guard(Rank::Coalesce);
+            unpoisoned(self.passes.lock()).remove(&key);
         } else {
             self.followers.fetch_add(1, Ordering::Relaxed);
-            {
-                let rank = rank_guard(Rank::Coalesce);
-                let mut pass = unpoisoned(cell.pass.lock());
-                loop {
-                    match &*pass {
-                        // The wait releases the cell mutex while parked, so
-                        // the rank is released with it and re-asserted on
-                        // wake (`RankGuard::suspended`).
-                        PassState::Pending => {
-                            pass = rank.suspended(|| unpoisoned(cell.cv.wait(pass)));
-                        }
-                        PassState::Done(outcome) => return Arc::clone(outcome),
-                        PassState::Abandoned => break,
-                    }
-                }
-            }
-            // The leader unwound without a result; compute directly. Same
-            // deterministic function, so the burst still agrees bitwise.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            Arc::new(evaluate(handle.workbench(), strategy, target, opts))
         }
-    }
-}
-
-/// Publishes the leader's result (or abandonment, if the leader unwound
-/// before setting `outcome`) exactly once, on drop.
-struct LeaderGuard<'a> {
-    coalescer: &'a Coalescer,
-    key: &'a PassKey,
-    cell: &'a Arc<PassCell>,
-    outcome: Option<Arc<EvalOutcome>>,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        {
-            let _rank = rank_guard(Rank::Coalesce);
-            let mut pass = unpoisoned(self.cell.pass.lock());
-            *pass = match self.outcome.take() {
-                Some(outcome) => PassState::Done(outcome),
-                None => PassState::Abandoned,
-            };
-            self.cell.cv.notify_all();
-        }
-        // Retire the key so the next burst starts a fresh pass. Taking the
-        // map after the cell is equal-rank nesting (both `coalesce`).
-        let _rank = rank_guard(Rank::Coalesce);
-        unpoisoned(self.coalescer.passes.lock()).remove(self.key);
+        outcome
     }
 }
 
@@ -265,7 +186,7 @@ mod tests {
         assert_eq!(coalesced.predictions, direct.predictions);
         assert_eq!(coalesced.pearson, direct.pearson);
         let stats = coalescer.stats();
-        assert_eq!((stats.leaders, stats.followers, stats.fallbacks), (1, 0, 0));
+        assert_eq!((stats.leaders, stats.followers), (1, 0));
     }
 
     #[test]
@@ -291,7 +212,6 @@ mod tests {
         let stats = coalescer.stats();
         assert_eq!(stats.leaders, 1, "exactly one pass computed");
         assert_eq!(stats.followers, 5);
-        assert_eq!(stats.fallbacks, 0);
     }
 
     #[test]
@@ -327,39 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_leader_wakes_followers_into_fallback() {
+    fn abandoned_pass_is_recomputed_and_retired() {
         let (registry, strategy, opts) = setup(305);
         let handle = registry.get_or_build(&ZooConfig::small(305));
         let target = handle.zoo().targets_of(Modality::Image)[0];
         let coalescer = Coalescer::new(Duration::ZERO);
         let key: PassKey = (handle.fingerprint(), target, strategy.label());
 
-        // Simulate a leader that unwinds mid-pass: publish a pending cell,
-        // then drop the guard with no outcome attached.
-        let cell = Arc::new(PassCell {
-            pass: Mutex::new(PassState::Pending),
-            cv: Condvar::new(),
-        });
-        unpoisoned(coalescer.passes.lock()).insert(key.clone(), Arc::clone(&cell));
+        // A leader that unwound mid-pass leaves its pass in the map, still
+        // empty. The next caller must run the pass itself, as its leader.
+        unpoisoned(coalescer.passes.lock()).insert(key, Pass::default());
 
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| coalescer.evaluate(&handle, &strategy, target, &opts));
-            // Give the follower time to park on the condvar, then abandon.
-            std::thread::sleep(Duration::from_millis(50));
-            drop(LeaderGuard {
-                coalescer: &coalescer,
-                key: &key,
-                cell: &cell,
-                outcome: None,
-            });
-            let outcome = waiter.join().unwrap();
-            assert_eq!(outcome.dataset, target);
-        });
+        let outcome = coalescer.evaluate(&handle, &strategy, target, &opts);
+        let direct = evaluate(handle.workbench(), &strategy, target, &opts);
+        assert_eq!(outcome.predictions, direct.predictions);
         let stats = coalescer.stats();
-        assert_eq!(stats.fallbacks, 1, "follower recomputed after abandon");
+        assert_eq!((stats.leaders, stats.followers), (1, 0));
         assert!(
             unpoisoned(coalescer.passes.lock()).is_empty(),
-            "abandoned key retired from the map"
+            "the re-run pass is retired from the map"
         );
     }
 }

@@ -12,8 +12,11 @@
 //!   [`ArtifactStore`] from the shared artifact directory on first touch
 //!   (route miss).
 //! * **Build-once coordination** — concurrent `get_or_build` calls for the
-//!   same fingerprint serialise on a per-fingerprint build slot, so the zoo
-//!   is built exactly once no matter how many threads race for it.
+//!   same fingerprint share one per-fingerprint build slot, a
+//!   `std::sync::OnceLock`: one caller's initialiser builds the zoo and
+//!   the rest park in `get_or_init` until it is there, so the zoo is built
+//!   exactly once no matter how many threads race for it. A build that
+//!   panics leaves the slot empty, and the next caller builds instead.
 //! * **Eviction** — the memory tier is bounded by a maximum resident zoo
 //!   count ([`REGISTRY_MAX_ZOOS_ENV`]) and/or resident bytes
 //!   ([`REGISTRY_MAX_BYTES_ENV`]). When an insert exceeds a bound, the
@@ -39,7 +42,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tg_zoo::{DatasetId, Modality, ModelZoo, ZooConfig};
 
@@ -71,9 +74,9 @@ pub struct ZooHandle {
     zoo: Arc<ModelZoo>,
     store: Arc<ArtifactStore>,
     workbench: Workbench<'static>,
-    /// Trained inductive embedders, one per `(modality, representation)`.
-    /// Guarded at rank `inductive`; training happens *outside* the lock.
-    inductive: Mutex<HashMap<(Modality, Representation), Arc<InductiveEmbedder>>>,
+    /// Trained inductive embedders, one slot per `(modality,
+    /// representation)` pair (see [`ZooHandle::inductive_embedder`]).
+    inductive: [OnceLock<Arc<InductiveEmbedder>>; 4],
 }
 
 impl ZooHandle {
@@ -86,7 +89,7 @@ impl ZooHandle {
             zoo,
             store,
             workbench,
-            inductive: Mutex::new(HashMap::new()),
+            inductive: Default::default(),
         })
     }
 
@@ -106,13 +109,6 @@ impl ZooHandle {
         &self.workbench
     }
 
-    /// A new independent [`Workbench`] view over the same zoo and store
-    /// (two `Arc` clones). Useful when a caller needs an owned workbench —
-    /// caches stay shared with every other view of this handle.
-    pub fn make_workbench(&self) -> Workbench<'static> {
-        Workbench::from_parts(Arc::clone(&self.zoo), Arc::clone(&self.store))
-    }
-
     /// The fingerprint this handle is routed by.
     pub fn fingerprint(&self) -> u64 {
         self.store.fingerprint()
@@ -126,9 +122,8 @@ impl ZooHandle {
     }
 
     /// The handle's inductive embedder for `modality`, trained once and
-    /// cached per `(modality, representation)`. Concurrent first calls may
-    /// race the (deterministic) training; the first insert wins and every
-    /// caller receives the same embedder from then on.
+    /// cached per `(modality, representation)`. Concurrent first calls wait
+    /// for one training run and all receive the same embedder.
     ///
     /// The embedder is trained on the *full* modality graph. To admit a
     /// dataset that training genuinely never saw, train a bespoke
@@ -140,22 +135,16 @@ impl ZooHandle {
         modality: Modality,
         cfg: &InductiveConfig,
     ) -> Arc<InductiveEmbedder> {
-        let key = (modality, cfg.representation);
-        {
-            let _rank = rank_guard(Rank::Inductive);
-            let map = unpoisoned(self.inductive.lock());
-            if let Some(e) = map.get(&key) {
-                return Arc::clone(e);
-            }
-        }
-        // Train outside the lock: training reaches the store's cache locks
-        // (features, similarities), which rank below `inductive` — holding
-        // the map lock across it would be legal but would serialise every
-        // admit behind one training run.
-        let trained = Arc::new(self.workbench.train_inductive(modality, &[], cfg));
-        let _rank = rank_guard(Rank::Inductive);
-        let mut map = unpoisoned(self.inductive.lock());
-        Arc::clone(map.entry(key).or_insert(trained))
+        let slot = match (modality, cfg.representation) {
+            (Modality::Image, Representation::DomainSimilarity) => 0,
+            (Modality::Image, Representation::Task2Vec) => 1,
+            (Modality::Text, Representation::DomainSimilarity) => 2,
+            (Modality::Text, Representation::Task2Vec) => 3,
+        };
+        Arc::clone(
+            self.inductive[slot]
+                .get_or_init(|| Arc::new(self.workbench.train_inductive(modality, &[], cfg))),
+        )
     }
 
     /// Admits dataset `d` between requests: embeds its node with the
@@ -250,18 +239,12 @@ struct Resident {
     last_route: u64,
 }
 
-/// Per-fingerprint build coordination: the first router in takes the slot
-/// mutex and builds; racers block on the same mutex and receive the built
-/// handle.
-#[derive(Default)]
-struct BuildSlot {
-    cell: Mutex<Option<Arc<ZooHandle>>>,
-}
-
 #[derive(Default)]
 struct Inner {
     resident: HashMap<u64, Resident>,
-    building: HashMap<u64, Arc<BuildSlot>>,
+    /// Build slots of fingerprints routed but not yet resident: the first
+    /// caller's initialiser builds, racers park in `get_or_init`.
+    building: HashMap<u64, Arc<OnceLock<Arc<ZooHandle>>>>,
 }
 
 /// Thread-safe, fingerprint-routed registry of resident zoos with an
@@ -338,29 +321,26 @@ impl ZooRegistry {
 
         // Build outside the registry lock: other fingerprints keep routing
         // (and building) while this zoo constructs.
-        let handle = {
-            let _rank = rank_guard(Rank::BuildSlot);
-            let mut cell = unpoisoned(slot.cell.lock());
-            if let Some(handle) = cell.as_ref() {
-                // A racer built it while we waited on the slot. It is already
-                // resident (or was evicted again since — either way the handle
-                // is valid and bit-identical to a rebuild).
-                return Arc::clone(handle);
-            }
+        let mut built = false;
+        let handle = Arc::clone(slot.get_or_init(|| {
+            built = true;
             let store_options = StoreOptions {
                 dir: self.options.artifact_dir.clone(),
                 ..StoreOptions::default()
             };
             let handle = ZooHandle::build(config, store_options);
             self.builds.fetch_add(1, Ordering::Relaxed);
-            *cell = Some(Arc::clone(&handle));
             handle
-        };
+        }));
+        if !built {
+            // A racer built it. It is already resident (or was evicted
+            // again since — either way the handle is valid and
+            // bit-identical to a rebuild).
+            return handle;
+        }
 
-        // The slot guard is released before re-taking the registry lock
-        // (declared order: registry before build_slot, never the reverse).
-        // Racers landing in this window still find the filled slot via
-        // `building` and return the same handle.
+        // Racers that took the slot from `building` before it is removed
+        // below find it filled and return the same handle.
         let victims = {
             let _rank = rank_guard(Rank::Registry);
             let mut inner = unpoisoned(self.inner.lock());
@@ -372,8 +352,8 @@ impl ZooRegistry {
                 },
             );
             // Future routes for this fingerprint must start a fresh slot
-            // once the residency ends; drop the coordination entry now that
-            // the handle is resident.
+            // once the residency ends; drop the build slot now that the
+            // handle is resident.
             inner.building.remove(&fingerprint);
             self.evict_over_bounds(&mut inner, fingerprint)
         };
@@ -664,8 +644,8 @@ mod tests {
 
     /// Multi-zoo serving under contention: racing routes across several
     /// fingerprints with eviction-persist and artifact lookups walk every
-    /// ranked lock chain (build-slot → shards, and file-lock → shards in
-    /// the persist that follows an eviction once the registry lock is
+    /// ranked lock chain (shards during the build, and file-lock → shards
+    /// in the persist that follows an eviction once the registry lock is
     /// released). In debug builds the whole test runs under the lock-order
     /// tracker, so completing at all proves the order held.
     #[test]

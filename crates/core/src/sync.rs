@@ -2,17 +2,17 @@
 //! workspace-wide [`tg_sync`] leaf crate.
 //!
 //! The tracker used to live here, but the lock table spans crates on
-//! both sides of this one: `tg-serve`'s connection queue (rank
+//! both sides of this one: `tg-serve`'s connection receiver (rank
 //! `conn_queue`) sits above it. Extracting the tracker into `tg-sync`
 //! (a dependency-free leaf) made that formerly static-only rank
 //! runtime-enforced: every crate in the workspace takes the same
-//! `rank_guard` before its ranked lock calls, and Condvar waits release
-//! their rank for the park and re-assert it on wake via
-//! [`tg_sync::RankGuard::suspended`].
+//! `rank_guard` before its ranked lock calls. The crate's build-once
+//! and compute-once waits (zoo builds, inductive embedders, coalesced
+//! passes) are `std::sync::OnceLock` cells and carry no rank.
 //!
 //! See `tg_sync`'s crate docs for the full rank table and the call-site
 //! discipline, `tg-check.toml` for the static spelling of the same
-//! table, and DESIGN.md §6b for the rationale.
+//! table, and DESIGN.md §4b for the rationale.
 
 pub(crate) use tg_sync::{rank_guard, unpoisoned, LockFile, Rank};
 
@@ -25,8 +25,6 @@ mod tests {
     #[test]
     fn core_ranks_are_orderable_through_the_reexport() {
         let _a = rank_guard(Rank::Registry);
-        let _b = rank_guard(Rank::BuildSlot);
-        let _i = rank_guard(Rank::Inductive);
         let _p = rank_guard(Rank::Coalesce);
         let _d = rank_guard(Rank::CacheShard);
     }

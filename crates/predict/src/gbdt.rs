@@ -180,6 +180,7 @@ impl Regressor for Gbdt {
         let (n, f) = x.shape();
         assert_eq!(n, y.len(), "Gbdt::fit: row/target mismatch");
         assert!(n > 0, "Gbdt::fit: empty input");
+        assert!(f > 0, "Gbdt::fit: no feature columns");
         // Bin indices are stored as u16, and u16::MAX marks an unseen bin.
         assert!(
             (1..=u16::MAX as usize).contains(&self.n_bins),
@@ -574,6 +575,15 @@ mod tests {
         let mut gb = Gbdt::new(1, 1);
         gb.n_bins = 70_000;
         gb.fit(&x, &y, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "Gbdt::fit: no feature columns")]
+    fn zero_feature_columns_are_rejected() {
+        let mut rng = Rng::seed_from_u64(6);
+        let x = Matrix::zeros(5, 0);
+        let mut gb = Gbdt::new(1, 1);
+        gb.fit(&x, &[1.0; 5], &mut rng);
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! The recommendation server: accept loop, bounded connection queue,
 //! worker pool, and the three endpoint handlers.
 //!
-//! Threading model (DESIGN.md §5): one accept thread pushes connections
-//! onto a bounded queue; `max_conns` worker threads pop and serve them,
-//! one request per connection (`Connection: close`). When the queue is
-//! full — every worker busy and a full backlog waiting — the accept
-//! thread sheds the connection immediately with `503` + `Retry-After`,
-//! so a saturated server degrades to fast rejections instead of
-//! unbounded queueing.
+//! Threading model (DESIGN.md §5): one accept thread sends connections
+//! into a bounded `std::sync::mpsc::sync_channel`; `max_conns` worker
+//! threads receive and serve them, one request per connection
+//! (`Connection: close`). When the channel is full — every worker busy
+//! and a full backlog waiting — the accept thread sheds the connection
+//! immediately with `503` + `Retry-After`, so a saturated server
+//! degrades to fast rejections instead of unbounded queueing. The accept
+//! thread owns the only sender: when it exits, the workers drain what
+//! was admitted and stop.
 //!
 //! Concurrent `POST /recommend` requests for the same
 //! `(zoo fingerprint, target, strategy)` key coalesce into a single
 //! Workbench pass via [`transfergraph::Coalescer`]; the optional batch
 //! window (`TG_SERVE_BATCH_WINDOW_MS`) widens each burst.
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -114,22 +116,13 @@ impl ServerStats {
     }
 }
 
-/// The bounded connection queue (lock rank `conn_queue`, the final
-/// leaf rank in tg-check.toml: push/pop/close are self-contained and
-/// acquire nothing else while holding it). Since the tracker moved to
-/// the `tg-sync` leaf crate, the rank is enforced at runtime in debug
-/// builds too, not just by the static TG04 pass.
-struct ConnQueue {
-    conns: VecDeque<TcpStream>,
-    open: bool,
-}
-
 struct Shared {
     registry: Arc<ZooRegistry>,
     coalescer: Coalescer,
-    queue: Mutex<ConnQueue>,
-    available: Condvar,
-    cap: usize,
+    /// The workers' end of the bounded connection channel, at lock rank
+    /// `conn_queue` (the final leaf rank in tg-check.toml): a worker holds
+    /// it only while it waits for the next connection.
+    queue: Mutex<Receiver<TcpStream>>,
     running: AtomicBool,
     accepted: AtomicU64,
     served: AtomicU64,
@@ -140,43 +133,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// Enqueues a connection, or hands it back if the queue is full or
-    /// closed (the caller sheds it).
-    fn push(&self, conn: TcpStream) -> Result<(), TcpStream> {
+    /// Blocks until a connection is admitted; `None` once the accept
+    /// thread has exited and every admitted connection was taken (the
+    /// worker shutdown signal).
+    fn next_conn(&self) -> Option<TcpStream> {
         let _rank = rank_guard(Rank::ConnQueue);
-        let mut queue = unpoisoned(self.queue.lock());
-        if !queue.open || queue.conns.len() >= self.cap {
-            return Err(conn);
-        }
-        queue.conns.push_back(conn);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a connection is available; `None` once the queue is
-    /// closed and drained (worker shutdown signal).
-    fn pop(&self) -> Option<TcpStream> {
-        let rank = rank_guard(Rank::ConnQueue);
-        let mut queue = unpoisoned(self.queue.lock());
-        loop {
-            if let Some(conn) = queue.conns.pop_front() {
-                return Some(conn);
-            }
-            if !queue.open {
-                return None;
-            }
-            // The wait releases the queue mutex while parked, so the
-            // rank is released with it and re-asserted on wake.
-            queue = rank.suspended(|| unpoisoned(self.available.wait(queue)));
-        }
-    }
-
-    /// Closes the queue: workers drain what is queued, then exit.
-    fn close(&self) {
-        let _rank = rank_guard(Rank::ConnQueue);
-        let mut queue = unpoisoned(self.queue.lock());
-        queue.open = false;
-        self.available.notify_all();
+        let queue = unpoisoned(self.queue.lock());
+        queue.recv().ok()
     }
 
     /// Writes the load-shed `503 + Retry-After` response directly from
@@ -515,8 +478,7 @@ pub fn stats_body(
             "coalesce",
             JsonObject::new()
                 .u64("leaders", coalesce.leaders)
-                .u64("followers", coalesce.followers)
-                .u64("fallbacks", coalesce.fallbacks),
+                .u64("followers", coalesce.followers),
         )
         .object(
             "registry",
@@ -561,15 +523,12 @@ impl Server {
     pub fn start(registry: Arc<ZooRegistry>, opts: &ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
+        let max_conns = opts.max_conns.max(1);
+        let (admit, queue) = sync_channel(max_conns);
         let shared = Arc::new(Shared {
             registry,
             coalescer: Coalescer::new(Duration::from_millis(opts.batch_window_ms)),
-            queue: Mutex::new(ConnQueue {
-                conns: VecDeque::new(),
-                open: true,
-            }),
-            available: Condvar::new(),
-            cap: opts.max_conns.max(1),
+            queue: Mutex::new(queue),
             running: AtomicBool::new(true),
             accepted: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -580,6 +539,8 @@ impl Server {
         });
 
         let accept_shared = Arc::clone(&shared);
+        // The accept thread owns the only sender, so its exit is what
+        // tells the workers to stop once the channel is drained.
         let accept = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 // Acquire: pairs with the Release `swap(false)` in
@@ -590,17 +551,19 @@ impl Server {
                 let Ok(conn) = conn else { continue };
                 // Relaxed: independent telemetry counter.
                 accept_shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Err(conn) = accept_shared.push(conn) {
+                if let Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) =
+                    admit.try_send(conn)
+                {
                     accept_shared.shed_conn(conn);
                 }
             }
         });
 
-        let workers = (0..opts.max_conns.max(1))
+        let workers = (0..max_conns)
             .map(|_| {
                 let worker_shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    while let Some(conn) = worker_shared.pop() {
+                    while let Some(conn) = worker_shared.next_conn() {
                         worker_shared.handle(conn);
                     }
                 })
@@ -647,6 +610,8 @@ impl Server {
             )]
             let _ = TcpStream::connect(self.addr);
         }
+        // Joining the accept thread drops the channel's only sender: the
+        // workers serve what was admitted, then find the channel closed.
         if let Some(handle) = self.accept.take() {
             #[expect(
                 clippy::let_underscore_must_use,
@@ -654,7 +619,6 @@ impl Server {
             )]
             let _ = handle.join();
         }
-        self.shared.close();
         for handle in self.workers.drain(..) {
             #[expect(
                 clippy::let_underscore_must_use,
@@ -733,8 +697,8 @@ mod tests {
         assert_eq!(scores.len(), models.len());
     }
 
-    /// The connection queue is the final rank in the declared order, so
-    /// touching any other registry-managed lock while a worker still
+    /// The connection receiver is the final rank in the declared order,
+    /// so touching any other registry-managed lock while a worker still
     /// holds it is an inversion the debug tracker must reject.
     #[test]
     #[cfg(debug_assertions)]
@@ -744,10 +708,9 @@ mod tests {
         let _registry = rank_guard(Rank::Registry);
     }
 
-    /// End-to-end smoke over the real accept/push/pop/close paths: in
-    /// debug builds every queue acquisition (including the Condvar wait
-    /// in `pop`, which releases and re-asserts the rank) runs under the
-    /// runtime tracker, so a served request proves the paths are clean.
+    /// End-to-end smoke over the real accept, receive and shutdown paths:
+    /// in debug builds every receiver acquisition runs under the runtime
+    /// tracker, so a served request proves the paths are clean.
     #[test]
     fn server_paths_run_clean_under_the_runtime_tracker() {
         use std::io::{Read, Write};

@@ -276,3 +276,49 @@ fn saturated_server_sheds_with_retry_after() {
     assert!(server.stats().shed > 0);
     server.shutdown();
 }
+
+#[test]
+fn shutdown_serves_queued_connections_before_workers_exit() {
+    // One worker, queue capacity one. Park a connection on the worker,
+    // queue a request behind it, then shut down: the queued request must
+    // still be answered after the accept thread is gone.
+    let server = start(1, 0);
+    let addr = server.local_addr();
+
+    let parked = TcpStream::connect(addr).expect("park worker");
+    std::thread::sleep(Duration::from_millis(200)); // let the worker take it
+    let mut queued = TcpStream::connect(addr).expect("queue behind it");
+    queued
+        .write_all(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("write queued request");
+    queued
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // Counted once the accept thread is past its shutdown check for this
+    // connection, so it will be queued whenever shutdown starts.
+    while server.stats().accepted < 2 {
+        std::thread::yield_now();
+    }
+
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    let stopping = std::thread::spawn(move || {
+        server.shutdown();
+        stopped_tx.send(()).expect("report shutdown");
+    });
+    // The listener closes when the accept thread exits. Release the worker
+    // only then, so it reaches the queued connection after shutdown began.
+    while TcpStream::connect(addr).is_ok() {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(parked);
+
+    let mut reply = String::new();
+    queued
+        .read_to_string(&mut reply)
+        .expect("queued request answered");
+    assert_eq!(status_of(&reply), 200, "queued request: {reply:?}");
+    stopped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns once the queue is drained");
+    stopping.join().expect("shutdown thread");
+}

@@ -2,27 +2,31 @@
 //!
 //! The reproduction holds a small family of locks with one declared
 //! partial order (see `tg-check.toml` at the repo root and DESIGN.md
-//! §6b). The table spans two crates — `transfergraph` and `tg-serve`,
+//! §4b). The table spans two crates — `transfergraph` and `tg-serve`,
 //! which sits above it — so the tracker lives in this leaf crate, where
 //! both can reach it:
 //!
 //! | rank | class        | locks                                          |
 //! |------|--------------|------------------------------------------------|
 //! | 0    | `registry`   | `ZooRegistry::inner` routing table             |
-//! | 1    | `build_slot` | per-fingerprint `BuildSlot::cell`              |
-//! | 2    | `inductive`  | `ZooHandle::inductive` embedder cache          |
-//! | 3    | `coalesce`   | `Coalescer::passes` map + per-key pass cells   |
-//! | 4    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
-//! | 5    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
-//! | 6    | `conn_queue` | `tg-serve`'s bounded connection queue          |
+//! | 1    | `coalesce`   | `Coalescer::passes` map of in-flight passes    |
+//! | 2    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
+//! | 3    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
+//! | 4    | `conn_queue` | `tg-serve`'s shared connection receiver        |
 //!
 //! A thread may only acquire locks in non-decreasing rank order (equal
-//! ranks may nest: a coalescing pass leader takes the pass map while
-//! holding its own pass cell). Any thread obeying the order can never
-//! participate in a deadlock cycle across these locks. The `file_lock`
-//! rank is special in one way: it is backed by an OS advisory lock, so
-//! it also serialises against *other processes* — but the rank rules it
-//! obeys inside a process are exactly those of any other class.
+//! ranks may nest). Any thread obeying the order can never participate
+//! in a deadlock cycle across these locks. The `file_lock` rank is
+//! special in one way: it is backed by an OS advisory lock, so it also
+//! serialises against *other processes* — but the rank rules it obeys
+//! inside a process are exactly those of any other class.
+//!
+//! Build-once and compute-once waits (a zoo build, an inductive
+//! embedder's training, a coalesced evaluation) are `std::sync::OnceLock`
+//! cells, not ranked locks: the rule they need — release every ranked
+//! guard before parking on one — is `tg-check`'s TG07 lint. The workspace
+//! has no condition variable (clippy's `disallowed_types` bans std's), so
+//! no ranked guard is ever released and re-taken inside a wait.
 //!
 //! Two layers enforce the order: statically, `tg-check`'s TG04 lint
 //! (intra-function) plus its cross-function call-graph pass; and
@@ -36,23 +40,6 @@
 //! ```ignore
 //! let _rank = rank_guard(Rank::Registry);
 //! let inner = unpoisoned(self.inner.lock());
-//! ```
-//!
-//! # Condvar waits
-//!
-//! `Condvar::wait` atomically *releases* the mutex while parked and
-//! re-acquires it on wake, so a tracked guard must not count as held
-//! across the wait. [`RankGuard::suspended`] brackets the wait: it pops
-//! the rank before the closure runs and re-asserts it (against whatever
-//! the thread still holds) when the wait returns:
-//!
-//! ```ignore
-//! let rank = rank_guard(Rank::Coalesce);
-//! let mut state = unpoisoned(cell.lock());
-//! loop {
-//!     if ready(&state) { break; }
-//!     state = rank.suspended(move || unpoisoned(cv.wait(state)));
-//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -68,38 +55,28 @@ use std::sync::PoisonError;
 pub enum Rank {
     /// `ZooRegistry::inner` — the routing table.
     Registry = 0,
-    /// A per-fingerprint `BuildSlot::cell` build-coordination mutex.
-    BuildSlot = 1,
-    /// `ZooHandle::inductive` — the per-handle trained-embedder cache.
-    /// Training happens *outside* this lock (it only guards the map),
-    /// but embedder lookups during admit reach the store caches below,
-    /// so the rank sits above the store ranks.
-    Inductive = 2,
-    /// Request-coalescing locks (`Coalescer`): the per-key pass cells
-    /// and the map that routes racers to them. A pass leader evaluates
-    /// while holding its cell, reaching the store ranks below, so the
-    /// rank sits above them.
-    Coalesce = 3,
+    /// `Coalescer::passes` — the map routing concurrent identical
+    /// evaluations to one in-flight pass. Held only to look a pass up,
+    /// insert it or retire it, never across the evaluation.
+    Coalesce = 1,
     /// The per-fingerprint advisory *file* lock ([`LockFile`]) guarding
     /// the persist path's read-union-write sequence. Backed by the OS,
     /// so it also serialises persists across processes; within a
     /// process it ranks below `CacheShard` because persist reads the
     /// memory shards while holding it.
-    FileLock = 4,
+    FileLock = 2,
     /// One shard of a `ShardedCache`.
-    CacheShard = 5,
-    /// `tg-serve`'s bounded connection queue. Push/pop/shed are
-    /// self-contained critical sections that acquire nothing else: the
-    /// final leaf rank.
-    ConnQueue = 6,
+    CacheShard = 3,
+    /// `tg-serve`'s shared connection receiver. A worker holds it while
+    /// it waits for the next connection and acquires nothing else under
+    /// it: the final leaf rank.
+    ConnQueue = 4,
 }
 
 impl Rank {
     /// Every rank, in declared acquisition order.
-    pub const ALL: [Rank; 7] = [
+    pub const ALL: [Rank; 5] = [
         Rank::Registry,
-        Rank::BuildSlot,
-        Rank::Inductive,
         Rank::Coalesce,
         Rank::FileLock,
         Rank::CacheShard,
@@ -111,8 +88,6 @@ impl Rank {
     pub fn class(self) -> &'static str {
         match self {
             Rank::Registry => "registry",
-            Rank::BuildSlot => "build_slot",
-            Rank::Inductive => "inductive",
             Rank::Coalesce => "coalesce",
             Rank::FileLock => "file_lock",
             Rank::CacheShard => "cache_shard",
@@ -151,10 +126,11 @@ mod tracker {
         rank: Rank,
     }
 
-    /// Asserts `rank` may be acquired given what the thread holds, and
-    /// pushes it. Shared by acquisition and post-wait re-assertion.
+    /// Registers the intent to acquire a lock of class `rank`,
+    /// asserting the declared order: `rank` must be >= every rank this
+    /// thread already holds.
     #[track_caller]
-    fn assert_and_push(rank: Rank) {
+    pub fn rank_guard(rank: Rank) -> RankGuard {
         // `try_with` so guards created during thread-local teardown
         // degrade to untracked instead of aborting the process.
         #[expect(
@@ -177,52 +153,23 @@ mod tracker {
             }
             held.push(rank);
         });
-    }
-
-    /// Removes the most recent entry of `rank` from the held stack.
-    fn release(rank: Rank) {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "AccessError only during TLS teardown; untracked is the intended fallback"
-        )]
-        let _ = HELD.try_with(|held| {
-            let mut held = held.borrow_mut();
-            // Guards may drop out of acquisition order; release the
-            // most recent entry of this guard's rank.
-            if let Some(i) = held.iter().rposition(|&r| r == rank) {
-                held.remove(i);
-            }
-        });
-    }
-
-    /// Registers the intent to acquire a lock of class `rank`,
-    /// asserting the declared order: `rank` must be >= every rank this
-    /// thread already holds.
-    #[track_caller]
-    pub fn rank_guard(rank: Rank) -> RankGuard {
-        assert_and_push(rank);
         RankGuard { rank }
-    }
-
-    impl RankGuard {
-        /// Runs `wait` with this guard's rank released, re-asserting it
-        /// when the closure returns — the shape of a `Condvar::wait`,
-        /// which atomically gives the mutex up while parked and holds
-        /// it again on wake. The re-assertion checks the rank against
-        /// whatever the thread still holds, so a wake into an
-        /// inconsistent stack still trips the tracker.
-        #[track_caller]
-        pub fn suspended<R>(&self, wait: impl FnOnce() -> R) -> R {
-            release(self.rank);
-            let out = wait();
-            assert_and_push(self.rank);
-            out
-        }
     }
 
     impl Drop for RankGuard {
         fn drop(&mut self) {
-            release(self.rank);
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "AccessError only during TLS teardown; untracked is the intended fallback"
+            )]
+            let _ = HELD.try_with(|held| {
+                let mut held = held.borrow_mut();
+                // Guards may drop out of acquisition order; release the
+                // most recent entry of this guard's rank.
+                if let Some(i) = held.iter().rposition(|&r| r == self.rank) {
+                    held.remove(i);
+                }
+            });
         }
     }
 }
@@ -238,14 +185,6 @@ mod tracker {
     #[inline(always)]
     pub fn rank_guard(_rank: Rank) -> RankGuard {
         RankGuard
-    }
-
-    impl RankGuard {
-        /// Release builds: runs the wait with no bookkeeping.
-        #[inline(always)]
-        pub fn suspended<R>(&self, wait: impl FnOnce() -> R) -> R {
-            wait()
-        }
     }
 }
 
@@ -351,7 +290,6 @@ mod tests {
 
     #[test]
     fn equal_ranks_may_nest() {
-        // The coalescing leader's publish: pass map under its pass cell.
         let _a = rank_guard(Rank::Coalesce);
         let _b = rank_guard(Rank::Coalesce);
         let _c = rank_guard(Rank::ConnQueue);
@@ -370,7 +308,7 @@ mod tests {
     fn out_of_order_drops_release_correctly() {
         let a = rank_guard(Rank::FileLock);
         let b = rank_guard(Rank::CacheShard);
-        drop(a); // dropped before `b`: still holding rank 5 only
+        drop(a); // dropped before `b`: still holding rank 3 only
         let c = rank_guard(Rank::CacheShard);
         drop(b);
         drop(c); // everything released, in neither acquisition order
@@ -380,9 +318,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-order violation: acquiring Registry (rank 0) while \
-                               holding CacheShard (rank 5); declared order is registry -> \
-                               build_slot -> inductive -> coalesce -> file_lock -> \
-                               cache_shard -> conn_queue")]
+                               holding CacheShard (rank 3); declared order is registry -> \
+                               coalesce -> file_lock -> cache_shard -> conn_queue")]
     fn inversion_trips_the_tracker() {
         let _shard = rank_guard(Rank::CacheShard);
         let _registry = rank_guard(Rank::Registry);
@@ -405,30 +342,6 @@ mod tests {
         })
         .join()
         .expect("spawned thread must not observe this thread's ranks");
-    }
-
-    #[test]
-    fn suspended_releases_the_rank_for_the_wait() {
-        let coalesce = rank_guard(Rank::Coalesce);
-        // During the wait the Coalesce rank is not held, so a helper on
-        // this thread may take a *lower* rank (as a woken thread's
-        // stack would allow); on return the rank re-asserts cleanly.
-        coalesce.suspended(|| {
-            let _low = rank_guard(Rank::Registry);
-        });
-        // Still usable as a held rank afterwards.
-        let _higher = rank_guard(Rank::CacheShard);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn suspended_reassertion_checks_the_stack_on_wake() {
-        let coalesce = rank_guard(Rank::Coalesce);
-        // A guard acquired during the wait and *kept* across the wake
-        // makes the re-assertion of Coalesce an inversion.
-        let mut kept = Vec::new();
-        coalesce.suspended(|| kept.push(rank_guard(Rank::CacheShard)));
     }
 
     fn lock_path(name: &str) -> std::path::PathBuf {

@@ -33,10 +33,9 @@ fn bench_graph_learning(c: &mut Criterion) {
     group.sample_size(10);
     for kind in LearnerKind::ALL {
         group.bench_function(kind.name(), |b| {
-            let learner = kind.build(32);
             b.iter(|| {
                 let mut rng = Rng::seed_from_u64(2);
-                learner.embed(&graph, &features, &mut rng)
+                kind.embed(32, &graph, &features, &mut rng)
             })
         });
     }

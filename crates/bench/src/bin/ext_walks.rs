@@ -11,7 +11,7 @@
     reason = "experiment binary: a failed setup step aborts the run loudly"
 )]
 
-use tg_embed::{GraphLearner, Node2VecPlus};
+use tg_embed::Node2Vec;
 use tg_graph::{NodeKind, WalkConfig};
 use tg_rng::Rng;
 use tg_zoo::{FineTuneMethod, Modality};
@@ -24,11 +24,10 @@ fn main() {
     let targets = ["stanfordcars", "pets"];
     let opts = EvalOptions::default();
 
-    // The graph and node features do not depend on the walk parameters, so
-    // build them once per target and sweep the configurations over them.
+    // The graph does not depend on the walk parameters, so build it once
+    // per target and sweep the configurations over it.
     struct TargetCtx {
         graph: tg_graph::Graph,
-        feats: tg_linalg::Matrix,
         accs: Vec<f64>,
         models: Vec<tg_zoo::ModelId>,
         target: tg_zoo::DatasetId,
@@ -47,11 +46,8 @@ fn main() {
                 .excluding_dataset(target);
             let inputs = pipeline::build_loo_graph_inputs(wb, target, &history, &opts);
             let graph = tg_graph::build_graph(&inputs, &tg_graph::GraphConfig::default());
-            let feats =
-                transfergraph::features::node_feature_matrix(wb, &graph, opts.representation);
             TargetCtx {
                 graph,
-                feats,
                 accs,
                 models,
                 target,
@@ -74,7 +70,7 @@ fn main() {
         for &(walk_length, window) in &grid_len {
             let mut taus = Vec::new();
             for ctx in &contexts {
-                let learner = Node2VecPlus {
+                let learner = Node2Vec {
                     walks: WalkConfig {
                         walks_per_node: 10,
                         walk_length,
@@ -87,7 +83,7 @@ fn main() {
                         ..Default::default()
                     },
                 };
-                let emb = learner.embed(&ctx.graph, &ctx.feats, &mut Rng::seed_from_u64(17));
+                let emb = learner.embed(&ctx.graph, &mut Rng::seed_from_u64(17));
                 let t_node = ctx.graph.node_index(NodeKind::Dataset(ctx.target)).unwrap();
                 let dots: Vec<f64> = ctx
                     .models

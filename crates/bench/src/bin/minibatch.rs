@@ -42,7 +42,7 @@ use tg_bench::{
     evaluate_over_targets_on, mean_pearson, persist_artifacts, reported_targets, seed_from_env,
     zoo_handle_from_env,
 };
-use tg_embed::{GraphLearner, GraphSage, LearnerKind, MinibatchConfig};
+use tg_embed::{GraphSage, LearnerKind, MinibatchConfig};
 use tg_graph::{build_graph, sampler_counters, GraphConfig};
 use tg_predict::RegressorKind;
 use tg_rng::Rng;

@@ -6,7 +6,7 @@
     reason = "experiment binary: a failed setup step aborts the run loudly"
 )]
 
-use tg_embed::{GraphLearner, Node2VecPlus};
+use tg_embed::Node2Vec;
 use tg_graph::WalkConfig;
 use tg_rng::Rng;
 use tg_zoo::{FineTuneMethod, Modality};
@@ -36,7 +36,6 @@ fn main() {
             ..Default::default()
         };
         let graph = tg_graph::build_graph(&inputs, &cfg);
-        let feats = transfergraph::features::node_feature_matrix(wb, &graph, opts.representation);
         for (wlabel, walks, len, window, epochs, p, q) in [
             (
                 "w10x40 win5 e3 p1q1",
@@ -51,7 +50,7 @@ fn main() {
             ("w20x80 win10 e5 p4q1", 20, 80, 10, 5, 4.0, 1.0),
             ("w20x80 win3 e5 p1q0.5", 20, 80, 3, 5, 1.0, 0.5),
         ] {
-            let learner = Node2VecPlus {
+            let learner = Node2Vec {
                 walks: WalkConfig {
                     walks_per_node: walks,
                     walk_length: len,
@@ -67,7 +66,7 @@ fn main() {
                     lr: 0.025,
                 },
             };
-            let emb = learner.embed(&graph, &feats, &mut Rng::seed_from_u64(7));
+            let emb = learner.embed(&graph, &mut Rng::seed_from_u64(7));
             let tnode = graph.node_index(tg_graph::NodeKind::Dataset(cars)).unwrap();
             let dots: Vec<f64> = models
                 .iter()

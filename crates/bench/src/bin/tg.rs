@@ -15,7 +15,7 @@
 )]
 
 use std::collections::HashMap;
-use tg_zoo::{DatasetRole, FineTuneMethod, Modality};
+use tg_zoo::{DatasetId, DatasetRole, FineTuneMethod, Modality, ModelZoo};
 use transfergraph::recommend::{greedy_top_k, successive_halving};
 use transfergraph::{evaluate, explain::block_importance, report::Table, EvalOptions, Strategy};
 
@@ -95,7 +95,7 @@ fn main() {
                 .get("top")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(10);
-            let target = zoo.dataset_by_name(&dataset);
+            let target = target_by_name(zoo, &dataset);
             let out = evaluate(wb, &strategy, target, &EvalOptions::default());
             let order = tg_linalg::stats::top_k_indices(&out.predictions, top);
             let mut table = Table::new(vec!["rank", "model", "architecture", "predicted score"]);
@@ -124,7 +124,7 @@ fn main() {
         "explain" => {
             let dataset = require(&opts_map, "dataset");
             let strategy = strategy_by_name(opts_map.get("strategy").map_or("", String::as_str));
-            let target = zoo.dataset_by_name(&dataset);
+            let target = target_by_name(zoo, &dataset);
             let imp = block_importance(wb, &strategy, target, &EvalOptions::default(), 3);
             let mut table = Table::new(vec!["feature block", "τ drop when permuted"]);
             for b in &imp {
@@ -143,7 +143,7 @@ fn main() {
                 std::process::exit(2);
             });
             let policy = opts_map.get("policy").map_or("greedy", String::as_str);
-            let target = zoo.dataset_by_name(&dataset);
+            let target = target_by_name(zoo, &dataset);
             let out = evaluate(
                 wb,
                 &Strategy::transfer_graph_default(),
@@ -174,6 +174,22 @@ fn main() {
     }
 
     tg_bench::persist_artifacts(wb);
+}
+
+/// The target dataset named `name`; exits with status 2 and a message when
+/// the zoo has no dataset of that name or it is a pre-training source.
+fn target_by_name(zoo: &ModelZoo, name: &str) -> DatasetId {
+    match zoo.find_dataset(name) {
+        Some(d) if zoo.dataset(d).role == DatasetRole::Target => d,
+        Some(_) => {
+            eprintln!("dataset `{name}` is a source, not a target (see `tg list`)");
+            std::process::exit(2);
+        }
+        None => {
+            eprintln!("unknown dataset `{name}` (see `tg list`)");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn require(map: &HashMap<String, String>, key: &str) -> String {

@@ -5,9 +5,11 @@
 use crate::artifacts::{Stage, Workbench};
 use crate::config::EvalOptions;
 use crate::features::pair_features;
+use crate::format::key_hash;
 use crate::metrics::{pearson, spearman, top_k_accuracy};
 use crate::pipeline::learn_loo_graph;
 use crate::strategy::Strategy;
+use std::ops::Range;
 use tg_linalg::Matrix;
 use tg_rng::{splitmix64, Rng};
 use tg_zoo::{DatasetId, DatasetRole, ModelId};
@@ -37,16 +39,14 @@ pub struct EvalOutcome {
 
 /// Derives the deterministic per-(strategy, target, seed) evaluation RNG.
 ///
-/// Both [`evaluate`] and [`evaluate_with_permuted_block`] must draw from
-/// bit-identical streams so a permuted re-run fits exactly the same model as
-/// its baseline; keeping the derivation in one place makes that a structural
-/// guarantee rather than a copy-paste invariant. The stream depends only on
-/// `(seed, target, label)`, never on execution order — which is what lets
-/// the parallel runner ([`crate::runner`]) schedule evaluations in any
-/// order and still reproduce sequential results bit-for-bit.
+/// The stream depends only on `(seed, target, label)`, never on execution
+/// order — which is what lets the parallel runner ([`crate::runner`])
+/// schedule evaluations in any order and still reproduce sequential
+/// results bit-for-bit, and a permuted re-run ([`predict`]) fit exactly the
+/// same model as its baseline. The label is mixed in by its FNV-1a hash.
 pub(crate) fn eval_rng(seed: u64, target: DatasetId, label: &str) -> Rng {
     let mut st = seed ^ (target.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut st = splitmix64(&mut st) ^ hash_label(label);
+    let mut st = splitmix64(&mut st) ^ key_hash(label.as_bytes());
     Rng::seed_from_u64(splitmix64(&mut st))
 }
 
@@ -76,14 +76,44 @@ pub fn evaluate(
         .map(|&m| zoo.fine_tune(m, target, opts.eval_method))
         .collect();
 
-    let mut rng = eval_rng(opts.seed, target, &strategy.label());
+    let predictions = predict(wb, strategy, target, &models, opts, None);
 
-    let predictions = match strategy {
+    let top5 = top_k_accuracy(&predictions, &ground_truth, 5);
+    EvalOutcome {
+        dataset: target,
+        strategy: strategy.label(),
+        pearson: pearson(&ground_truth, &predictions),
+        spearman: spearman(&ground_truth, &predictions),
+        top5_accuracy: top5,
+        predictions,
+        ground_truth,
+        models,
+    }
+}
+
+/// The strategy's predicted score for each of `models` (the target
+/// modality's models, in [`EvalOutcome::models`] order), with stage timers.
+///
+/// `permute` is the permutation-importance hook ([`crate::explain`]): a
+/// learned strategy shuffles that column block of its prediction matrix
+/// across models, with one row permutation drawn from the given rng, before
+/// predicting. The fitted model is the baseline's, because the evaluation
+/// rng is. Strategies without a feature matrix ignore it.
+pub(crate) fn predict(
+    wb: &Workbench,
+    strategy: &Strategy,
+    target: DatasetId,
+    models: &[ModelId],
+    opts: &EvalOptions,
+    permute: Option<(&Range<usize>, &mut Rng)>,
+) -> Vec<f64> {
+    let mut rng = eval_rng(opts.seed, target, &strategy.label());
+    match strategy {
         Strategy::Random => models.iter().map(|_| rng.uniform()).collect(),
         Strategy::LogMe => models.iter().map(|&m| wb.logme(m, target)).collect(),
         Strategy::HistoryNn => {
             let history = training_history(wb, target, opts);
-            history_nn_predictions(wb, &history, &models, target, opts)
+            history_nn_predictions(wb, &history, models, target, opts)
         }
         Strategy::Learned {
             regressor,
@@ -94,7 +124,7 @@ pub fn evaluate(
             let rows = regression_rows(wb, &history);
             wb.telemetry().time(Stage::Regression, || {
                 fit_and_predict(
-                    wb, *regressor, *features, opts, &rows, &models, target, None, &mut rng,
+                    wb, *regressor, *features, opts, &rows, models, target, None, &mut rng, permute,
                 )
             })
         }
@@ -115,25 +145,14 @@ pub fn evaluate(
                     *features,
                     opts,
                     &rows,
-                    &models,
+                    models,
                     target,
                     Some(&loo),
                     &mut rng,
+                    permute,
                 )
             })
         }
-    };
-
-    let top5 = top_k_accuracy(&predictions, &ground_truth, 5);
-    EvalOutcome {
-        dataset: target,
-        strategy: strategy.label(),
-        pearson: pearson(&ground_truth, &predictions),
-        spearman: spearman(&ground_truth, &predictions),
-        top5_accuracy: top5,
-        predictions,
-        ground_truth,
-        models,
     }
 }
 
@@ -186,15 +205,6 @@ fn history_nn_predictions(
         .collect()
 }
 
-fn hash_label(label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// The leave-one-out training history: full history of the modality with
 /// the target's records removed, optionally subsampled (Fig. 13).
 fn training_history(
@@ -229,6 +239,9 @@ fn regression_rows(
         .collect()
 }
 
+/// Fits `regressor` on the training `rows` and predicts every model against
+/// the target; `permute_block` shuffles one column block of the prediction
+/// matrix across models first (see [`predict`]).
 #[allow(
     clippy::too_many_arguments,
     reason = "threads the LOO pipeline state one stage deeper; a params struct would only rename it"
@@ -243,30 +256,7 @@ fn fit_and_predict(
     target: DatasetId,
     loo: Option<&crate::pipeline::LooGraph>,
     rng: &mut Rng,
-) -> Vec<f64> {
-    fit_and_predict_inner(
-        wb, regressor, features, opts, rows, models, target, loo, rng, None,
-    )
-}
-
-/// `fit_and_predict` with an optional permutation-importance hook: after the
-/// prediction matrix is assembled, the given column block is shuffled across
-/// models (one shared row permutation) before predicting.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "fit_and_predict's arguments plus the permutation-importance hook"
-)]
-fn fit_and_predict_inner(
-    wb: &Workbench,
-    regressor: tg_predict::RegressorKind,
-    features: crate::config::FeatureSet,
-    opts: &EvalOptions,
-    rows: &[(ModelId, DatasetId, f64)],
-    models: &[ModelId],
-    target: DatasetId,
-    loo: Option<&crate::pipeline::LooGraph>,
-    rng: &mut Rng,
-    permute_block: Option<(&std::ops::Range<usize>, &mut Rng)>,
+    permute_block: Option<(&Range<usize>, &mut Rng)>,
 ) -> Vec<f64> {
     assert!(!rows.is_empty(), "fit_and_predict: empty training history");
     let emb = loo.map(|l| &l.embeddings);
@@ -325,72 +315,6 @@ fn fit_and_predict_inner(
         }
     }
     model.predict(&px)
-}
-
-/// Predictions of a learned strategy with one prediction-time feature block
-/// permuted across models — the core of permutation importance
-/// ([`crate::explain`]).
-pub(crate) fn evaluate_with_permuted_block(
-    wb: &Workbench,
-    strategy: &Strategy,
-    target: DatasetId,
-    opts: &EvalOptions,
-    block: &std::ops::Range<usize>,
-    perm_rng: &mut Rng,
-) -> Vec<f64> {
-    strategy.validate();
-    let models = wb.zoo().models_of(wb.zoo().dataset(target).modality);
-    // Same stream derivation as `evaluate`, so the fitted model is identical
-    // to the baseline run.
-    let mut rng = eval_rng(opts.seed, target, &strategy.label());
-    match strategy {
-        Strategy::Learned {
-            regressor,
-            features,
-        } => {
-            let history = training_history(wb, target, opts);
-            let rows = regression_rows(wb, &history);
-            fit_and_predict_inner(
-                wb,
-                *regressor,
-                *features,
-                opts,
-                &rows,
-                &models,
-                target,
-                None,
-                &mut rng,
-                Some((block, perm_rng)),
-            )
-        }
-        Strategy::TransferGraph {
-            regressor,
-            learner,
-            features,
-        } => {
-            let history = training_history(wb, target, opts);
-            let loo =
-                crate::pipeline::learn_loo_graph(wb, target, &history, *learner, opts, &mut rng);
-            let rows = regression_rows(wb, &history);
-            fit_and_predict_inner(
-                wb,
-                *regressor,
-                *features,
-                opts,
-                &rows,
-                &models,
-                target,
-                Some(&loo),
-                &mut rng,
-                Some((block, perm_rng)),
-            )
-        }
-        #[expect(
-            clippy::panic,
-            reason = "crate-internal helper; its only caller (explain) filters to learned strategies first"
-        )]
-        _ => panic!("evaluate_with_permuted_block: only learned strategies"),
-    }
 }
 
 #[cfg(test)]
@@ -493,6 +417,35 @@ mod tests {
         let stats = wb.stats();
         assert!(stats.stage(Stage::GraphLearning) > std::time::Duration::ZERO);
         assert!(stats.stage(Stage::Regression) > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn permuting_an_empty_block_reproduces_evaluate_bit_for_bit() {
+        let zoo = setup();
+        let wb = Workbench::new(&zoo);
+        let target = zoo.targets_of(Modality::Image)[2];
+        let opts = EvalOptions {
+            embed_dim: 16,
+            ..Default::default()
+        };
+        let tg = Strategy::TransferGraph {
+            regressor: RegressorKind::Linear,
+            learner: tg_embed::LearnerKind::Node2Vec,
+            features: FeatureSet::All,
+        };
+        for strategy in [Strategy::lr_baseline(), tg] {
+            let base = evaluate(&wb, &strategy, target, &opts);
+            let mut perm_rng = Rng::seed_from_u64(3);
+            let empty = Some((&(4..4), &mut perm_rng));
+            let permuted = predict(&wb, &strategy, target, &base.models, &opts, empty);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&permuted),
+                bits(&base.predictions),
+                "{}",
+                strategy.label()
+            );
+        }
     }
 
     #[test]

@@ -94,8 +94,13 @@ pub fn block_importance(
     for (name, range) in blocks {
         let mut taus = Vec::with_capacity(repeats);
         for _ in 0..repeats.max(1) {
-            let permuted = crate::evaluate::evaluate_with_permuted_block(
-                wb, strategy, target, opts, &range, &mut rng,
+            let permuted = crate::evaluate::predict(
+                wb,
+                strategy,
+                target,
+                &baseline.models,
+                opts,
+                Some((&range, &mut rng)),
             );
             taus.push(pearson(truth, &permuted).unwrap_or(0.0));
         }

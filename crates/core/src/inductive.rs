@@ -20,9 +20,9 @@
 //!   transferability edges only — a fresh dataset has no fine-tuning
 //!   history yet) and inductively embedding just that node;
 //! * [`ZooHandle::inductive_embedder`](crate::registry::ZooHandle::inductive_embedder)
-//!   caches one trained embedder per `(modality, representation)` behind
-//!   the `inductive` lock rank, so a registry can admit datasets between
-//!   requests at sampling cost rather than training cost.
+//!   caches one trained embedder per `(modality, representation)`, so a
+//!   registry can admit datasets between requests at sampling cost rather
+//!   than training cost.
 
 use crate::artifacts::{Stage, Workbench};
 use crate::config::Representation;
@@ -33,7 +33,7 @@ use tg_rng::Rng;
 use tg_zoo::{DatasetId, FineTuneMethod, Modality};
 
 /// Configuration of inductive training and admission.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InductiveConfig {
     /// Dataset representation for similarity edges and node features.
     pub representation: Representation,
@@ -56,14 +56,16 @@ impl Default for InductiveConfig {
     }
 }
 
-/// Inputs for the full (non-LOO) modality graph. Datasets in `exclude`
-/// are absent entirely — no node, no edges. Datasets in `no_history` are
-/// present with dataset-similarity and transferability edges but no
-/// accuracy edges (the shape of a freshly admitted dataset: LogME needs
-/// only a forward pass, fine-tuning history does not exist yet).
+/// Inputs for the full (non-LOO) modality graph, with dataset-similarity
+/// edges under `representation`. Datasets in `exclude` are absent
+/// entirely — no node, no edges. Datasets in `no_history` are present with
+/// dataset-similarity and transferability edges but no accuracy edges (the
+/// shape of a freshly admitted dataset: LogME needs only a forward pass,
+/// fine-tuning history does not exist yet).
 fn modality_graph_inputs(
     wb: &Workbench,
     modality: Modality,
+    representation: Representation,
     exclude: &[DatasetId],
     no_history: &[DatasetId],
 ) -> GraphInputs {
@@ -78,7 +80,7 @@ fn modality_graph_inputs(
     let mut dd_similarity = Vec::new();
     for (i, &a) in datasets.iter().enumerate() {
         for &b in &datasets[i + 1..] {
-            dd_similarity.push((a, b, wb.similarity(a, b, Representation::DomainSimilarity)));
+            dd_similarity.push((a, b, wb.similarity(a, b, representation)));
         }
     }
 
@@ -113,7 +115,7 @@ fn modality_graph_inputs(
 /// training never saw. Produced by [`Workbench::train_inductive`].
 pub struct InductiveEmbedder {
     modality: Modality,
-    representation: Representation,
+    config: InductiveConfig,
     trained: TrainedSage,
     excluded: Vec<DatasetId>,
 }
@@ -127,6 +129,11 @@ impl InductiveEmbedder {
     /// The modality this embedder was trained on.
     pub fn modality(&self) -> Modality {
         self.modality
+    }
+
+    /// The configuration this embedder was trained with.
+    pub(crate) fn config(&self) -> &InductiveConfig {
+        &self.config
     }
 
     /// Datasets held out of the training graph.
@@ -151,9 +158,10 @@ impl InductiveEmbedder {
             "InductiveEmbedder: dataset modality mismatch"
         );
         wb.telemetry().time(Stage::GraphLearning, || {
-            let inputs = modality_graph_inputs(wb, self.modality, &[], &self.excluded);
+            let representation = self.config.representation;
+            let inputs = modality_graph_inputs(wb, self.modality, representation, &[], &self.excluded);
             let graph = build_graph(&inputs, &GraphConfig::default());
-            let features = node_feature_matrix(wb, &graph, self.representation);
+            let features = node_feature_matrix(wb, &graph, representation);
             #[expect(
                 clippy::expect_used,
                 reason = "every modality dataset is a node of the exclude-free graph by construction"
@@ -183,7 +191,7 @@ impl Workbench<'_> {
         cfg: &InductiveConfig,
     ) -> InductiveEmbedder {
         self.telemetry().time(Stage::GraphLearning, || {
-            let inputs = modality_graph_inputs(self, modality, exclude, &[]);
+            let inputs = modality_graph_inputs(self, modality, cfg.representation, exclude, &[]);
             let graph = build_graph(&inputs, &GraphConfig::default());
             let features = node_feature_matrix(self, &graph, cfg.representation);
             let sage = GraphSage::with_dim(cfg.embed_dim);
@@ -191,7 +199,7 @@ impl Workbench<'_> {
             let trained = sage.train_minibatch(&graph, &features, &mut rng, &cfg.minibatch);
             InductiveEmbedder {
                 modality,
-                representation: cfg.representation,
+                config: cfg.clone(),
                 trained,
                 excluded: exclude.to_vec(),
             }
@@ -203,6 +211,8 @@ impl Workbench<'_> {
 mod tests {
     use super::*;
     use tg_zoo::{ModelZoo, ZooConfig};
+
+    const DOMAIN: Representation = Representation::DomainSimilarity;
 
     fn cfg() -> InductiveConfig {
         InductiveConfig {
@@ -221,7 +231,7 @@ mod tests {
         let zoo = ModelZoo::build(&ZooConfig::small(11));
         let wb = Workbench::new(&zoo);
         let fresh = zoo.targets_of(Modality::Image)[0];
-        let inputs = modality_graph_inputs(&wb, Modality::Image, &[fresh], &[]);
+        let inputs = modality_graph_inputs(&wb, Modality::Image, DOMAIN, &[fresh], &[]);
         assert!(!inputs.datasets.contains(&fresh));
         assert!(inputs.md_accuracy.iter().all(|&(_, d, _)| d != fresh));
         assert!(inputs
@@ -239,7 +249,7 @@ mod tests {
         let zoo = ModelZoo::build(&ZooConfig::small(11));
         let wb = Workbench::new(&zoo);
         let fresh = zoo.targets_of(Modality::Image)[0];
-        let inputs = modality_graph_inputs(&wb, Modality::Image, &[], &[fresh]);
+        let inputs = modality_graph_inputs(&wb, Modality::Image, DOMAIN, &[], &[fresh]);
         assert!(inputs.datasets.contains(&fresh));
         assert!(inputs.md_accuracy.iter().all(|&(_, d, _)| d != fresh));
         assert!(inputs
@@ -250,6 +260,24 @@ mod tests {
             .dd_similarity
             .iter()
             .any(|&(a, b, _)| a == fresh || b == fresh));
+    }
+
+    #[test]
+    fn similarity_edges_follow_the_configured_representation() {
+        let zoo = ModelZoo::build(&ZooConfig::small(11));
+        let wb = Workbench::new(&zoo);
+        let t2v = Representation::Task2Vec;
+        let inputs = modality_graph_inputs(&wb, Modality::Image, t2v, &[], &[]);
+        assert!(!inputs.dd_similarity.is_empty());
+        let mut differs = false;
+        for &(a, b, sim) in &inputs.dd_similarity {
+            assert_eq!(sim.to_bits(), wb.similarity(a, b, t2v).to_bits());
+            differs |= sim != wb.similarity(a, b, DOMAIN);
+        }
+        assert!(
+            differs,
+            "Task2Vec edges must not be the domain-similarity edges"
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn learn_loo_graph(
     let inputs = build_loo_graph_inputs(wb, target, history, opts);
     let graph = build_graph(&inputs, &GraphConfig::default());
     let features = node_feature_matrix(wb, &graph, opts.representation);
-    let embeddings = learner.build(opts.embed_dim).embed(&graph, &features, rng);
+    let embeddings = learner.embed(opts.embed_dim, &graph, &features, rng);
     LooGraph { graph, embeddings }
 }
 

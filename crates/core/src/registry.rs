@@ -123,7 +123,9 @@ impl ZooHandle {
 
     /// The handle's inductive embedder for `modality`, trained once and
     /// cached per `(modality, representation)`. Concurrent first calls wait
-    /// for one training run and all receive the same embedder.
+    /// for one training run and all receive the same embedder. The slot
+    /// keeps the first caller's configuration: a request whose `cfg`
+    /// differs from it gets an embedder trained for that request, uncached.
     ///
     /// The embedder is trained on the *full* modality graph. To admit a
     /// dataset that training genuinely never saw, train a bespoke
@@ -141,10 +143,13 @@ impl ZooHandle {
             (Modality::Text, Representation::DomainSimilarity) => 2,
             (Modality::Text, Representation::Task2Vec) => 3,
         };
-        Arc::clone(
-            self.inductive[slot]
-                .get_or_init(|| Arc::new(self.workbench.train_inductive(modality, &[], cfg))),
-        )
+        let train = || Arc::new(self.workbench.train_inductive(modality, &[], cfg));
+        let cached = self.inductive[slot].get_or_init(train);
+        if cached.config() == cfg {
+            Arc::clone(cached)
+        } else {
+            train()
+        }
     }
 
     /// Admits dataset `d` between requests: embeds its node with the
@@ -782,6 +787,25 @@ mod tests {
         );
         let text = handle.inductive_embedder(Modality::Text, &cfg);
         assert!(!Arc::ptr_eq(&a, &text));
+    }
+
+    #[test]
+    fn inductive_embedder_serves_the_cache_only_for_its_config() {
+        let registry = ZooRegistry::new(RegistryOptions::default());
+        let handle = registry.get_or_build(&ZooConfig::small(91));
+        let cfg16 = small_inductive_cfg();
+        let cfg32 = InductiveConfig {
+            embed_dim: 32,
+            ..small_inductive_cfg()
+        };
+        let a = handle.inductive_embedder(Modality::Image, &cfg16);
+        let b = handle.inductive_embedder(Modality::Image, &cfg32);
+        assert_eq!((a.dim(), b.dim()), (16, 32));
+        assert!(!Arc::ptr_eq(&a, &b));
+        let again = handle.inductive_embedder(Modality::Image, &cfg16);
+        assert!(Arc::ptr_eq(&a, &again), "the cached config still hits");
+        let d = handle.zoo().targets_of(Modality::Image)[0];
+        assert_eq!(handle.admit_dataset(d, &cfg32).len(), 32);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tg_linalg::Matrix;
 
 /// Configuration of the minibatch GraphSAGE driver
 /// (`GraphSage::train_minibatch`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MinibatchConfig {
     /// Per-layer neighbour fanouts, innermost (feature-consuming) layer
     /// first. Adjusted to a driver's layer count by [`MinibatchConfig::fanouts_for`].
@@ -72,30 +72,6 @@ pub(crate) fn gather_rows(features: &Matrix, nodes: &[usize]) -> Matrix {
     })
 }
 
-/// In-place ReLU.
-pub(crate) fn relu_inplace(m: &mut Matrix) {
-    for x in m.as_mut_slice() {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
-    }
-}
-
-/// Row-wise L2 normalisation matching `Tape::row_l2_normalize`: rows with
-/// norm ≤ eps stay as they are.
-pub(crate) fn row_l2_normalize_inplace(m: &mut Matrix) {
-    let cols = m.cols();
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let n: f64 = row.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if n > 1e-12 {
-            for c in 0..cols {
-                row[c] /= n;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,13 +114,5 @@ mod tests {
         let cfg = MinibatchConfig::default();
         assert_eq!(cfg.fanouts, vec![10, 5]);
         assert_eq!(cfg.batch, 128);
-    }
-
-    #[test]
-    fn normalize_matches_tape_semantics() {
-        let mut m = Matrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]);
-        row_l2_normalize_inplace(&mut m);
-        assert!((m.get(0, 0) - 0.6).abs() < 1e-12);
-        assert_eq!(m.get(1, 0), 0.0);
     }
 }

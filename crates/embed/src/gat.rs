@@ -2,9 +2,8 @@
 //! Eq. 5 — with masked self-attention, trained full-batch for link
 //! prediction.
 
-use crate::learner::GraphLearner;
-use crate::linkpred::build_linkpred_set;
-use tg_autograd::{xavier_init, Adam, Optimizer, ParamStore, Tape, Var};
+use crate::linkpred::train_full_batch;
+use tg_autograd::{xavier_init, ParamStore, Tape, Var};
 use tg_graph::adjacency::attention_mask;
 use tg_graph::Graph;
 use tg_linalg::Matrix;
@@ -92,78 +91,50 @@ impl GatLayer {
     }
 }
 
-impl GraphLearner for Gat {
-    fn name(&self) -> &'static str {
-        "GAT"
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
-        let n = graph.num_nodes();
-        assert_eq!(features.rows(), n, "Gat: feature rows != nodes");
-        let mask = attention_mask(graph);
-        let set = build_linkpred_set(graph, rng);
-        if set.is_empty() {
-            return Matrix::zeros(n, self.dim);
-        }
-        let targets = Matrix::from_vec(set.len(), 1, set.labels.clone());
-
-        let mut store = ParamStore::new();
-        let heads: Vec<GatLayer> = (0..self.heads.max(1))
-            .map(|h| {
-                GatLayer::new(
-                    &mut store,
-                    rng,
-                    &format!("gat.l1.h{h}"),
-                    features.cols(),
-                    self.hidden,
-                )
-            })
-            .collect();
-        let l2 = GatLayer::new(
-            &mut store,
-            rng,
-            "gat.l2",
-            self.hidden * heads.len(),
-            self.dim,
+impl Gat {
+    /// Trains on `graph` with `features` (`num_nodes × f`) and returns a
+    /// `num_nodes × dim` embedding matrix.
+    pub fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
+        assert_eq!(
+            features.rows(),
+            graph.num_nodes(),
+            "Gat: feature rows != nodes"
         );
-        let mut opt = Adam::new(self.lr);
-
-        let mut final_emb = Matrix::zeros(n, self.dim);
-        for epoch in 0..=self.epochs {
-            let mut tape = Tape::new();
-            let x = tape.constant(features.clone());
-            // Multi-head layer 1: concatenate per-head outputs.
-            let mut h1 = heads[0].forward(&mut tape, &store, x, &mask, self.leaky_slope);
-            for head in &heads[1..] {
-                let hh = head.forward(&mut tape, &store, x, &mask, self.leaky_slope);
-                h1 = tape.concat_cols(h1, hh);
-            }
-            let h1 = tape.relu(h1);
-            let h2 = l2.forward(&mut tape, &store, h1, &mask, self.leaky_slope);
-            let emb = tape.row_l2_normalize(h2);
-
-            if epoch == self.epochs {
-                final_emb = tape.value(emb).clone();
-                break;
-            }
-
-            let eu = tape.gather_rows(emb, set.us.clone());
-            let ev = tape.gather_rows(emb, set.vs.clone());
-            let prod = tape.mul_elem(eu, ev);
-            let raw = tape.row_sum(prod);
-            let logits = tape.scalar_mul(raw, 5.0);
-            let loss = tape.bce_with_logits(logits, &targets);
-            tape.backward(loss);
-            store.zero_grads();
-            tape.accumulate_grads(&mut store);
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
-        }
-        final_emb
+        let mask = attention_mask(graph);
+        train_full_batch(
+            graph,
+            self.dim,
+            self.epochs,
+            self.lr,
+            rng,
+            |store, rng| {
+                let heads: Vec<GatLayer> = (0..self.heads.max(1))
+                    .map(|h| {
+                        GatLayer::new(
+                            store,
+                            rng,
+                            &format!("gat.l1.h{h}"),
+                            features.cols(),
+                            self.hidden,
+                        )
+                    })
+                    .collect();
+                let l2 = GatLayer::new(store, rng, "gat.l2", self.hidden * heads.len(), self.dim);
+                (heads, l2)
+            },
+            |tape, store, (heads, l2)| {
+                let x = tape.constant(features.clone());
+                // Multi-head layer 1: concatenate per-head outputs.
+                let mut h1 = heads[0].forward(tape, store, x, &mask, self.leaky_slope);
+                for head in &heads[1..] {
+                    let hh = head.forward(tape, store, x, &mask, self.leaky_slope);
+                    h1 = tape.concat_cols(h1, hh);
+                }
+                let h1 = tape.relu(h1);
+                let h2 = l2.forward(tape, store, h1, &mask, self.leaky_slope);
+                tape.row_l2_normalize(h2)
+            },
+        )
     }
 }
 

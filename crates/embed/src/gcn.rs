@@ -6,9 +6,8 @@
 //! (self-loops) and `D̂` its degree matrix. Trained with the same
 //! link-prediction head as the other GNNs.
 
-use crate::learner::GraphLearner;
-use crate::linkpred::build_linkpred_set;
-use tg_autograd::{xavier_init, Adam, Optimizer, ParamStore, Tape};
+use crate::linkpred::train_full_batch;
+use tg_autograd::xavier_init;
 use tg_graph::adjacency::normalized_adjacency;
 use tg_graph::Graph;
 use tg_linalg::Matrix;
@@ -37,65 +36,42 @@ impl Gcn {
             lr: 0.01,
         }
     }
-}
 
-impl GraphLearner for Gcn {
-    fn name(&self) -> &'static str {
-        "GCN"
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
-        let n = graph.num_nodes();
-        assert_eq!(features.rows(), n, "Gcn: feature rows != nodes");
+    /// Trains on `graph` with `features` (`num_nodes × f`) and returns a
+    /// `num_nodes × dim` embedding matrix.
+    pub fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
+        assert_eq!(
+            features.rows(),
+            graph.num_nodes(),
+            "Gcn: feature rows != nodes"
+        );
         let a_norm = normalized_adjacency(graph);
-        let set = build_linkpred_set(graph, rng);
-        if set.is_empty() {
-            return Matrix::zeros(n, self.dim);
-        }
-        let targets = Matrix::from_vec(set.len(), 1, set.labels.clone());
-
-        let mut store = ParamStore::new();
-        let w1 = store.add("gcn.w1", xavier_init(rng, features.cols(), self.hidden));
-        let w2 = store.add("gcn.w2", xavier_init(rng, self.hidden, self.dim));
-        let mut opt = Adam::new(self.lr);
-
-        let mut final_emb = Matrix::zeros(n, self.dim);
-        for epoch in 0..=self.epochs {
-            let mut tape = Tape::new();
-            let x = tape.constant(features.clone());
-            let adj = tape.constant(a_norm.clone());
-            let w1v = tape.param(&store, w1);
-            let w2v = tape.param(&store, w2);
-            // Layer 1: ReLU(Â X W1).
-            let ax = tape.matmul(adj, x);
-            let h1 = tape.matmul(ax, w1v);
-            let h1 = tape.relu(h1);
-            // Layer 2: Â H W2, row-normalised for the dot-product head.
-            let ah = tape.matmul(adj, h1);
-            let h2 = tape.matmul(ah, w2v);
-            let emb = tape.row_l2_normalize(h2);
-
-            if epoch == self.epochs {
-                final_emb = tape.value(emb).clone();
-                break;
-            }
-            let eu = tape.gather_rows(emb, set.us.clone());
-            let ev = tape.gather_rows(emb, set.vs.clone());
-            let prod = tape.mul_elem(eu, ev);
-            let raw = tape.row_sum(prod);
-            let logits = tape.scalar_mul(raw, 5.0);
-            let loss = tape.bce_with_logits(logits, &targets);
-            tape.backward(loss);
-            store.zero_grads();
-            tape.accumulate_grads(&mut store);
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
-        }
-        final_emb
+        train_full_batch(
+            graph,
+            self.dim,
+            self.epochs,
+            self.lr,
+            rng,
+            |store, rng| {
+                let w1 = store.add("gcn.w1", xavier_init(rng, features.cols(), self.hidden));
+                let w2 = store.add("gcn.w2", xavier_init(rng, self.hidden, self.dim));
+                (w1, w2)
+            },
+            |tape, store, &(w1, w2)| {
+                let x = tape.constant(features.clone());
+                let adj = tape.constant(a_norm.clone());
+                let w1v = tape.param(store, w1);
+                let w2v = tape.param(store, w2);
+                // Layer 1: ReLU(Â X W1).
+                let ax = tape.matmul(adj, x);
+                let h1 = tape.matmul(ax, w1v);
+                let h1 = tape.relu(h1);
+                // Layer 2: Â H W2, row-normalised for the dot-product head.
+                let ah = tape.matmul(adj, h1);
+                let h2 = tape.matmul(ah, w2v);
+                tape.row_l2_normalize(h2)
+            },
+        )
     }
 }
 

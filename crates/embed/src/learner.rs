@@ -1,27 +1,12 @@
-//! The [`GraphLearner`] interface.
+//! [`LearnerKind`]: the graph learners the TransferGraph pipeline can run,
+//! and the one dispatch that trains them.
 
+use crate::{Gat, Gcn, GraphSage, MinibatchConfig, Node2Vec};
 use tg_graph::Graph;
 use tg_linalg::Matrix;
 use tg_rng::Rng;
 
-/// A graph learner: consumes the constructed graph (and, for GNNs, node
-/// features) and produces one embedding row per node.
-pub trait GraphLearner {
-    /// Human-readable name used in experiment tables (e.g. `N2V+`).
-    fn name(&self) -> &'static str;
-
-    /// Trains on `graph` and returns an `num_nodes × dim` embedding matrix.
-    ///
-    /// `features` is the node-feature matrix (`num_nodes × f`). Random-walk
-    /// learners ignore it (the paper notes Node2Vec learns the link
-    /// structure only); GraphSAGE and GAT consume it.
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix;
-
-    /// Output embedding dimension.
-    fn dim(&self) -> usize;
-}
-
-/// Enumeration of the four learners for experiment dispatch.
+/// Enumeration of the learners for experiment dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LearnerKind {
     /// Node2Vec (structure only).
@@ -70,15 +55,28 @@ impl LearnerKind {
         }
     }
 
-    /// Instantiates the learner with the given embedding dimension.
-    pub fn build(&self, dim: usize) -> Box<dyn GraphLearner> {
+    /// Trains the learner's default configuration at embedding dimension
+    /// `dim` on `graph` and returns a `num_nodes × dim` embedding matrix.
+    ///
+    /// `features` is the node-feature matrix (`num_nodes × f`). The walk
+    /// learners ignore it (the paper notes Node2Vec learns the link
+    /// structure only); the GNNs consume it. `GraphSAGE-mb` trains with
+    /// [`MinibatchConfig::default`] and embeds every node inductively.
+    pub fn embed(&self, dim: usize, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
         match self {
-            LearnerKind::Node2Vec => Box::new(crate::Node2Vec::with_dim(dim)),
-            LearnerKind::Node2VecPlus => Box::new(crate::Node2VecPlus::with_dim(dim)),
-            LearnerKind::GraphSage => Box::new(crate::GraphSage::with_dim(dim)),
-            LearnerKind::Gat => Box::new(crate::Gat::with_dim(dim)),
-            LearnerKind::Gcn => Box::new(crate::Gcn::with_dim(dim)),
-            LearnerKind::GraphSageMini => Box::new(crate::MiniGraphSage::with_dim(dim)),
+            LearnerKind::Node2Vec => Node2Vec::with_dim(dim).embed(graph, rng),
+            LearnerKind::Node2VecPlus => Node2Vec::plus_with_dim(dim).embed(graph, rng),
+            LearnerKind::GraphSage => GraphSage::with_dim(dim).embed(graph, features, rng),
+            LearnerKind::Gat => Gat::with_dim(dim).embed(graph, features, rng),
+            LearnerKind::Gcn => Gcn::with_dim(dim).embed(graph, features, rng),
+            LearnerKind::GraphSageMini => {
+                if graph.edges().is_empty() {
+                    return Matrix::zeros(graph.num_nodes(), dim);
+                }
+                GraphSage::with_dim(dim)
+                    .train_minibatch(graph, features, rng, &MinibatchConfig::default())
+                    .embed_all(graph, features)
+            }
         }
     }
 }
@@ -93,22 +91,20 @@ mod tests {
         assert_eq!(LearnerKind::Node2VecPlus.name(), "N2V+");
         assert_eq!(LearnerKind::GraphSage.name(), "GraphSAGE");
         assert_eq!(LearnerKind::Gat.name(), "GAT");
+        assert_eq!(LearnerKind::Gcn.name(), "GCN");
+        assert_eq!(LearnerKind::GraphSageMini.name(), "GraphSAGE-mb");
     }
 
     #[test]
-    fn build_produces_requested_dim() {
-        for kind in LearnerKind::ALL_EXTENDED {
-            let l = kind.build(32);
-            assert_eq!(l.dim(), 32, "{}", kind.name());
+    fn embed_produces_requested_dim() {
+        let g = tg_graph::fixtures::two_cliques();
+        let features = Matrix::from_fn(8, 4, |r, c| ((r + c) as f64 * 0.37).sin());
+        for kind in LearnerKind::ALL_EXTENDED
+            .into_iter()
+            .chain([LearnerKind::GraphSageMini])
+        {
+            let emb = kind.embed(12, &g, &features, &mut Rng::seed_from_u64(1));
+            assert_eq!(emb.shape(), (8, 12), "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn minibatch_kinds_build_and_name() {
-        let kind = LearnerKind::GraphSageMini;
-        assert_eq!(kind.name(), "GraphSAGE-mb");
-        let l = kind.build(16);
-        assert_eq!(l.dim(), 16);
-        assert_eq!(l.name(), "GraphSAGE-mb");
     }
 }

@@ -2,23 +2,24 @@
 //! and GAT, all trained for link prediction and all emitting 128-dimensional
 //! node embeddings (§VI-B).
 //!
-//! * [`Node2Vec`] / [`Node2VecPlus`] — random-walk learners: biased walks
-//!   (from `tg-graph`) fed into a from-scratch skip-gram with negative
-//!   sampling ([`sgns`]). Node2Vec sees only the link structure; Node2Vec+
-//!   additionally consumes edge weights.
+//! * [`Node2Vec`] — random-walk learners: biased walks (from `tg-graph`)
+//!   fed into a from-scratch skip-gram with negative sampling ([`sgns`]).
+//!   Node2Vec sees only the link structure; Node2Vec+
+//!   ([`Node2Vec::plus_with_dim`]) additionally consumes edge weights.
 //! * [`GraphSage`] — mean-aggregator GNN (Hamilton et al. 2017, Eq. 4 of
 //!   the paper) on the `tg-autograd` substrate, trained with a dot-product
-//!   link-prediction head.
+//!   link-prediction head, full-batch or on neighbour-sampled minibatches.
 //! * [`Gat`] — graph attention network (Veličković et al. 2018, Eq. 5 of
 //!   the paper) with masked self-attention, same head.
 //!
-//! All learners implement [`GraphLearner`], the interface the TransferGraph
-//! pipeline consumes.
+//! Every GNN trains through the one link-prediction step in [`linkpred`].
+//! [`LearnerKind::embed`] is the dispatch the TransferGraph pipeline
+//! consumes.
 //!
 //! # Example
 //!
 //! ```
-//! use tg_embed::{GraphLearner, Node2Vec};
+//! use tg_embed::{LearnerKind, Node2Vec};
 //! use tg_graph::{Graph, NodeKind, EdgeKind};
 //! use tg_zoo::ModelId;
 //! use tg_rng::Rng;
@@ -30,9 +31,12 @@
 //! for i in 0..5 {
 //!     g.add_edge(i, i + 1, 1.0, EdgeKind::DatasetDataset);
 //! }
-//! let learner = Node2Vec::with_dim(16);
-//! let features = tg_linalg::Matrix::zeros(6, 1); // ignored by Node2Vec
-//! let emb = learner.embed(&g, &features, &mut Rng::seed_from_u64(1));
+//! let emb = Node2Vec::with_dim(16).embed(&g, &mut Rng::seed_from_u64(1));
+//! assert_eq!(emb.shape(), (6, 16));
+//!
+//! // The pipeline's dispatch: GNNs read the node features, walks do not.
+//! let features = tg_linalg::Matrix::zeros(6, 1);
+//! let emb = LearnerKind::Node2VecPlus.embed(16, &g, &features, &mut Rng::seed_from_u64(1));
 //! assert_eq!(emb.shape(), (6, 16));
 //! ```
 
@@ -50,7 +54,7 @@ pub use blocks::MinibatchConfig;
 pub use dynamic::DynamicEmbedder;
 pub use gat::Gat;
 pub use gcn::Gcn;
-pub use learner::{GraphLearner, LearnerKind};
-pub use node2vec::{Node2Vec, Node2VecPlus};
-pub use sage::{GraphSage, MiniGraphSage, TrainedSage};
+pub use learner::LearnerKind;
+pub use node2vec::Node2Vec;
+pub use sage::{GraphSage, TrainedSage};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};

@@ -1,8 +1,11 @@
-//! Link-prediction training data for the GNN learners (§V-B): positive
-//! edges from the graph, negatives from below-threshold pairs plus random
-//! non-edges.
+//! Link-prediction training for the GNN learners (§V-B): the pair set
+//! (positive edges from the graph, negatives from below-threshold pairs
+//! plus random non-edges), the one loss-and-step of every GNN, and the
+//! full-batch loop the dense learners share.
 
+use tg_autograd::{Adam, Optimizer, ParamStore, Tape, Var};
 use tg_graph::Graph;
+use tg_linalg::Matrix;
 use tg_rng::Rng;
 
 /// A labelled training set of node pairs for link prediction.
@@ -65,6 +68,66 @@ pub fn build_linkpred_set(graph: &Graph, rng: &mut Rng) -> LinkPredSet {
         }
     }
     LinkPredSet { us, vs, labels }
+}
+
+/// One link-prediction step on `tape`: the dot-product head over the
+/// `(us[i], vs[i])` rows of `emb`, BCE against `targets`, backward, a
+/// global gradient clip and one Adam update of `store`.
+pub(crate) fn linkpred_step(
+    tape: &mut Tape,
+    store: &mut ParamStore,
+    opt: &mut Adam,
+    emb: Var,
+    us: Vec<usize>,
+    vs: Vec<usize>,
+    targets: &Matrix,
+) {
+    let eu = tape.gather_rows(emb, us);
+    let ev = tape.gather_rows(emb, vs);
+    let prod = tape.mul_elem(eu, ev);
+    let raw = tape.row_sum(prod);
+    // Temperature: unit-norm dots live in [-1,1]; scale so the sigmoid can
+    // saturate.
+    let logits = tape.scalar_mul(raw, 5.0);
+    let loss = tape.bce_with_logits(logits, targets);
+    tape.backward(loss);
+    store.zero_grads();
+    tape.accumulate_grads(store);
+    store.clip_grad_norm(5.0);
+    opt.step(store);
+}
+
+/// Full-batch link-prediction training: draws the pair set, then lets
+/// `init` register the weights (in that rng order), then runs `epochs`
+/// Adam steps of `forward` on a fresh tape each, and returns the value of
+/// one final forward: one `dim`-wide row per node. A graph with no
+/// training pairs embeds as zeros.
+pub(crate) fn train_full_batch<W>(
+    graph: &Graph,
+    dim: usize,
+    epochs: usize,
+    lr: f64,
+    rng: &mut Rng,
+    init: impl FnOnce(&mut ParamStore, &mut Rng) -> W,
+    forward: impl Fn(&mut Tape, &ParamStore, &W) -> Var,
+) -> Matrix {
+    let set = build_linkpred_set(graph, rng);
+    if set.is_empty() {
+        return Matrix::zeros(graph.num_nodes(), dim);
+    }
+    let targets = Matrix::from_vec(set.len(), 1, set.labels.clone());
+    let mut store = ParamStore::new();
+    let weights = init(&mut store, rng);
+    let mut opt = Adam::new(lr);
+    for _ in 0..epochs {
+        let mut tape = Tape::new();
+        let emb = forward(&mut tape, &store, &weights);
+        let (us, vs) = (set.us.clone(), set.vs.clone());
+        linkpred_step(&mut tape, &mut store, &mut opt, emb, us, vs, &targets);
+    }
+    let mut tape = Tape::new();
+    let emb = forward(&mut tape, &store, &weights);
+    tape.value(emb).clone()
 }
 
 #[cfg(test)]

@@ -1,24 +1,27 @@
 //! Node2Vec (Grover & Leskovec, KDD 2016) and Node2Vec+ (Liu et al., 2023):
 //! biased random walks + SGNS.
 
-use crate::learner::GraphLearner;
 use crate::sgns::{train_sgns, SgnsConfig};
 use tg_graph::{generate_walks, Graph, WalkConfig};
 use tg_linalg::Matrix;
 use tg_rng::Rng;
 
-/// Node2Vec: learns the link structure only (walk transitions ignore edge
-/// weights, per the paper's §VII-D discussion).
+/// Node2Vec and Node2Vec+, told apart by `walks.weighted`. Node2Vec
+/// learns the link structure only (walk transitions ignore edge weights,
+/// per the paper's §VII-D discussion); in Node2Vec+ the transition
+/// probabilities additionally scale with edge weights, so strong
+/// (high-accuracy / high-similarity) edges are traversed more often.
 #[derive(Clone, Debug)]
 pub struct Node2Vec {
-    /// Walk hyperparameters (`weighted` is forced to `false`).
+    /// Walk hyperparameters; `weighted` selects Node2Vec+.
     pub walks: WalkConfig,
     /// SGNS hyperparameters.
     pub sgns: SgnsConfig,
 }
 
 impl Node2Vec {
-    /// Default configuration with the given embedding dimension.
+    /// Default Node2Vec (unweighted walks) with the given embedding
+    /// dimension.
     pub fn with_dim(dim: usize) -> Self {
         Node2Vec {
             walks: WalkConfig {
@@ -31,65 +34,23 @@ impl Node2Vec {
             },
         }
     }
-}
 
-impl GraphLearner for Node2Vec {
-    fn name(&self) -> &'static str {
-        "N2V"
-    }
-
-    fn dim(&self) -> usize {
-        self.sgns.dim
-    }
-
-    fn embed(&self, graph: &Graph, _features: &Matrix, rng: &mut Rng) -> Matrix {
-        let mut cfg = self.walks.clone();
-        cfg.weighted = false;
-        let walks = generate_walks(graph, &cfg, rng);
-        train_sgns(&walks, graph.num_nodes(), &self.sgns, rng)
-    }
-}
-
-/// Node2Vec+: walk transition probabilities additionally scale with edge
-/// weights, so strong (high-accuracy / high-similarity) edges are traversed
-/// more often.
-#[derive(Clone, Debug)]
-pub struct Node2VecPlus {
-    /// Walk hyperparameters (`weighted` is forced to `true`).
-    pub walks: WalkConfig,
-    /// SGNS hyperparameters.
-    pub sgns: SgnsConfig,
-}
-
-impl Node2VecPlus {
-    /// Default configuration with the given embedding dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Node2VecPlus {
+    /// Default Node2Vec+ (edge-weighted walks) with the given embedding
+    /// dimension.
+    pub fn plus_with_dim(dim: usize) -> Self {
+        Node2Vec {
             walks: WalkConfig {
                 weighted: true,
                 ..Default::default()
             },
-            sgns: SgnsConfig {
-                dim,
-                ..Default::default()
-            },
+            ..Self::with_dim(dim)
         }
     }
-}
 
-impl GraphLearner for Node2VecPlus {
-    fn name(&self) -> &'static str {
-        "N2V+"
-    }
-
-    fn dim(&self) -> usize {
-        self.sgns.dim
-    }
-
-    fn embed(&self, graph: &Graph, _features: &Matrix, rng: &mut Rng) -> Matrix {
-        let mut cfg = self.walks.clone();
-        cfg.weighted = true;
-        let walks = generate_walks(graph, &cfg, rng);
+    /// Walks `graph` and trains SGNS on the corpus; returns a
+    /// `num_nodes × sgns.dim` embedding matrix.
+    pub fn embed(&self, graph: &Graph, rng: &mut Rng) -> Matrix {
+        let walks = generate_walks(graph, &self.walks, rng);
         train_sgns(&walks, graph.num_nodes(), &self.sgns, rng)
     }
 }
@@ -119,8 +80,7 @@ mod tests {
     fn node2vec_embeds_communities() {
         let g = barbell();
         let learner = Node2Vec::with_dim(16);
-        let features = Matrix::zeros(6, 1);
-        let emb = learner.embed(&g, &features, &mut Rng::seed_from_u64(1));
+        let emb = learner.embed(&g, &mut Rng::seed_from_u64(1));
         assert_eq!(emb.shape(), (6, 16));
         let within = cosine_similarity(emb.row(0), emb.row(1));
         let cross = cosine_similarity(emb.row(0), emb.row(5));
@@ -132,7 +92,6 @@ mod tests {
         // With weighted walks the weak bridge (0.05) is rarely crossed, so
         // communities separate at least as well as for the unweighted walk.
         let g = barbell();
-        let features = Matrix::zeros(6, 1);
         let gap = |emb: &Matrix| {
             let within = (cosine_similarity(emb.row(0), emb.row(1))
                 + cosine_similarity(emb.row(3), emb.row(4)))
@@ -142,15 +101,8 @@ mod tests {
                 / 2.0;
             within - cross
         };
-        let e_plus = Node2VecPlus::with_dim(16).embed(&g, &features, &mut Rng::seed_from_u64(2));
+        let e_plus = Node2Vec::plus_with_dim(16).embed(&g, &mut Rng::seed_from_u64(2));
         let gap_plus = gap(&e_plus);
         assert!(gap_plus > 0.2, "N2V+ community gap too small: {gap_plus}");
-    }
-
-    #[test]
-    fn names_and_dims() {
-        assert_eq!(Node2Vec::with_dim(64).name(), "N2V");
-        assert_eq!(Node2VecPlus::with_dim(64).name(), "N2V+");
-        assert_eq!(Node2Vec::with_dim(64).dim(), 64);
     }
 }

@@ -2,20 +2,17 @@
 //! paper's Eq. 4 — trained full-batch for link prediction, plus a
 //! neighbour-sampled minibatch driver and inductive inference.
 //!
-//! The full-graph [`GraphLearner::embed`] path is the bit-identical
-//! parity reference (locked by `tests/full_graph_bits.rs`); the
-//! minibatch path trades exactness of the aggregation neighbourhood for
-//! bounded peak memory: each minibatch builds its layered [`Block`]s and
-//! its own scoped tape, so tape residency scales with the block size,
-//! not with n².
+//! The full-graph [`GraphSage::embed`] path is the bit-identical parity
+//! reference (locked by `tests/full_graph_bits.rs`); the minibatch path
+//! trades exactness of the aggregation neighbourhood for bounded peak
+//! memory: each minibatch builds its layered [`Block`]s and its own scoped
+//! tape, so tape residency scales with the block size, not with n².
+//! Inductive inference runs the same block forward on a tape of its own.
 
-use crate::blocks::{
-    block_mean_matrix, gather_rows, relu_inplace, row_l2_normalize_inplace, MinibatchConfig,
-};
-use crate::learner::GraphLearner;
-use crate::linkpred::build_linkpred_set;
+use crate::blocks::{block_mean_matrix, gather_rows, MinibatchConfig};
+use crate::linkpred::{build_linkpred_set, linkpred_step, train_full_batch};
 use std::collections::HashMap;
-use tg_autograd::{xavier_init, Adam, Optimizer, ParamStore, Tape};
+use tg_autograd::{xavier_init, Adam, ParamId, ParamStore, Tape, Var};
 use tg_graph::adjacency::mean_adjacency;
 use tg_graph::{Block, Csr, Graph, NeighborSampler};
 use tg_linalg::Matrix;
@@ -34,6 +31,16 @@ pub struct GraphSage {
     pub lr: f64,
 }
 
+/// The four weights of a two-layer GraphSAGE, registered in a
+/// [`ParamStore`] in this order.
+#[derive(Clone, Copy, Debug)]
+struct SageWeights {
+    self1: ParamId,
+    neigh1: ParamId,
+    self2: ParamId,
+    neigh2: ParamId,
+}
+
 impl GraphSage {
     /// Default configuration with the given output dimension.
     pub fn with_dim(dim: usize) -> Self {
@@ -44,18 +51,25 @@ impl GraphSage {
             lr: 0.01,
         }
     }
+
+    /// Xavier-initialises the four layer weights for `f`-wide features.
+    fn init_weights(&self, store: &mut ParamStore, rng: &mut Rng, f: usize) -> SageWeights {
+        SageWeights {
+            self1: store.add("sage.w_self1", xavier_init(rng, f, self.hidden)),
+            neigh1: store.add("sage.w_neigh1", xavier_init(rng, f, self.hidden)),
+            self2: store.add("sage.w_self2", xavier_init(rng, self.hidden, self.dim)),
+            neigh2: store.add("sage.w_neigh2", xavier_init(rng, self.hidden, self.dim)),
+        }
+    }
 }
 
-/// Weights of a trained two-layer GraphSAGE, detached from any tape:
-/// enough to embed any node of any graph inductively by sampling its
-/// neighbourhood — the serving-side "embed a new node without retraining"
-/// path.
-#[derive(Clone, Debug)]
+/// A two-layer GraphSAGE trained by [`GraphSage::train_minibatch`]: its
+/// parameter store, enough to embed any node of any graph inductively by
+/// sampling its neighbourhood — the serving-side "embed a new node without
+/// retraining" path.
 pub struct TrainedSage {
-    w_self1: Matrix,
-    w_neigh1: Matrix,
-    w_self2: Matrix,
-    w_neigh2: Matrix,
+    store: ParamStore,
+    weights: SageWeights,
     fanouts: Vec<usize>,
     /// Seed of the deterministic inference-time neighbour sampler.
     infer_seed: u64,
@@ -68,13 +82,13 @@ const INFER_SEED: u64 = 0x5a9e_cafe;
 impl TrainedSage {
     /// Output embedding dimension.
     pub fn dim(&self) -> usize {
-        self.w_self2.cols()
+        self.store.value(self.weights.self2).cols()
     }
 
     /// Inductively embeds `nodes` of `graph` (any graph with the same
     /// feature width as training): samples their layered neighbourhood
-    /// with the deterministic inference sampler and runs the trained
-    /// layers tape-free. Rows are returned in `nodes` order.
+    /// with the deterministic inference sampler and runs the training
+    /// forward over it on a fresh tape. Rows are returned in `nodes` order.
     pub fn embed_nodes(&self, graph: &Graph, features: &Matrix, nodes: &[usize]) -> Matrix {
         assert_eq!(
             features.rows(),
@@ -83,13 +97,15 @@ impl TrainedSage {
         );
         assert_eq!(
             features.cols(),
-            self.w_self1.rows(),
+            self.store.value(self.weights.self1).rows(),
             "TrainedSage: feature width != trained width"
         );
         let csr = Csr::from_graph(graph);
         let sampler = NeighborSampler::new(self.fanouts.clone(), self.infer_seed);
         let blocks = sampler.sample_blocks(&csr, nodes);
-        self.forward_blocks(&blocks, features)
+        let mut tape = Tape::new();
+        let emb = sage_forward_tape(&mut tape, &self.store, &self.weights, &blocks, features);
+        tape.value(emb).clone()
     }
 
     /// Embeds every node of `graph` (inductive inference over the full
@@ -97,32 +113,6 @@ impl TrainedSage {
     pub fn embed_all(&self, graph: &Graph, features: &Matrix) -> Matrix {
         let nodes: Vec<usize> = (0..graph.num_nodes()).collect();
         self.embed_nodes(graph, features, &nodes)
-    }
-
-    /// Tape-free forward over sampled blocks (input-first order).
-    fn forward_blocks(&self, blocks: &[Block], features: &Matrix) -> Matrix {
-        let x = gather_rows(features, blocks[0].src_nodes());
-        let a0 = block_mean_matrix(&blocks[0]);
-        let x_dst = gather_rows(&x, &(0..blocks[0].num_dst()).collect::<Vec<_>>());
-        let mut h1 = x_dst.matmul(&self.w_self1);
-        let agg = a0.matmul(&x).matmul(&self.w_neigh1);
-        add_assign(&mut h1, &agg);
-        relu_inplace(&mut h1);
-
-        let a1 = block_mean_matrix(&blocks[1]);
-        let h1_dst = gather_rows(&h1, &(0..blocks[1].num_dst()).collect::<Vec<_>>());
-        let mut h2 = h1_dst.matmul(&self.w_self2);
-        let agg2 = a1.matmul(&h1).matmul(&self.w_neigh2);
-        add_assign(&mut h2, &agg2);
-        row_l2_normalize_inplace(&mut h2);
-        h2
-    }
-}
-
-fn add_assign(dst: &mut Matrix, src: &Matrix) {
-    debug_assert_eq!(dst.shape(), src.shape());
-    for (d, s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *d += s;
     }
 }
 
@@ -142,65 +132,42 @@ impl GraphSage {
     ) -> TrainedSage {
         let n = graph.num_nodes();
         assert_eq!(features.rows(), n, "GraphSage: feature rows != nodes");
-        let f = features.cols();
         let fanouts = cfg.fanouts_for(2);
-
         let mut store = ParamStore::new();
-        let w_self1 = store.add("sage.w_self1", xavier_init(rng, f, self.hidden));
-        let w_neigh1 = store.add("sage.w_neigh1", xavier_init(rng, f, self.hidden));
-        let w_self2 = store.add("sage.w_self2", xavier_init(rng, self.hidden, self.dim));
-        let w_neigh2 = store.add("sage.w_neigh2", xavier_init(rng, self.hidden, self.dim));
-
+        let weights = self.init_weights(&mut store, rng, features.cols());
         let set = build_linkpred_set(graph, rng);
-        let trained = |store: &ParamStore| TrainedSage {
-            w_self1: store.value(w_self1).clone(),
-            w_neigh1: store.value(w_neigh1).clone(),
-            w_self2: store.value(w_self2).clone(),
-            w_neigh2: store.value(w_neigh2).clone(),
-            fanouts: fanouts.clone(),
-            infer_seed: INFER_SEED,
-        };
-        if set.is_empty() {
-            return trained(&store);
-        }
-
-        let csr = Csr::from_graph(graph);
-        let sample_seed = rng.next_u64();
-        let mut opt = Adam::new(self.lr);
-        let mut tape = Tape::new();
-        let epochs = cfg.epochs.unwrap_or(self.epochs);
-        let mut order: Vec<usize> = (0..set.len()).collect();
-        for epoch in 0..epochs {
-            rng.shuffle(&mut order);
-            for (batch_idx, chunk) in order.chunks(cfg.batch).enumerate() {
-                // One deterministic sampler stream per (epoch, batch).
-                let sampler = NeighborSampler::new(
-                    fanouts.clone(),
-                    sample_seed ^ ((epoch as u64) << 32) ^ batch_idx as u64,
-                );
-                let (seeds, u_loc, v_loc, labels) =
-                    batch_pairs(&set.us, &set.vs, &set.labels, chunk);
-                let blocks = sampler.sample_blocks(&csr, &seeds);
-                tape.scope(|t| {
-                    let emb = sage_forward_tape(
-                        t, &store, &blocks, features, w_self1, w_neigh1, w_self2, w_neigh2,
+        if !set.is_empty() {
+            let csr = Csr::from_graph(graph);
+            let sample_seed = rng.next_u64();
+            let mut opt = Adam::new(self.lr);
+            let mut tape = Tape::new();
+            let epochs = cfg.epochs.unwrap_or(self.epochs);
+            let mut order: Vec<usize> = (0..set.len()).collect();
+            for epoch in 0..epochs {
+                rng.shuffle(&mut order);
+                for (batch_idx, chunk) in order.chunks(cfg.batch).enumerate() {
+                    // One deterministic sampler stream per (epoch, batch).
+                    let sampler = NeighborSampler::new(
+                        fanouts.clone(),
+                        sample_seed ^ ((epoch as u64) << 32) ^ batch_idx as u64,
                     );
-                    let targets = Matrix::from_vec(labels.len(), 1, labels.clone());
-                    let eu = t.gather_rows(emb, u_loc.clone());
-                    let ev = t.gather_rows(emb, v_loc.clone());
-                    let prod = t.mul_elem(eu, ev);
-                    let raw = t.row_sum(prod);
-                    let logits = t.scalar_mul(raw, 5.0);
-                    let loss = t.bce_with_logits(logits, &targets);
-                    t.backward(loss);
-                    store.zero_grads();
-                    t.accumulate_grads(&mut store);
-                    store.clip_grad_norm(5.0);
-                    opt.step(&mut store);
-                });
+                    let (seeds, u_loc, v_loc, labels) =
+                        batch_pairs(&set.us, &set.vs, &set.labels, chunk);
+                    let blocks = sampler.sample_blocks(&csr, &seeds);
+                    let targets = Matrix::from_vec(labels.len(), 1, labels);
+                    tape.scope(|t| {
+                        let emb = sage_forward_tape(t, &store, &weights, &blocks, features);
+                        linkpred_step(t, &mut store, &mut opt, emb, u_loc, v_loc, &targets);
+                    });
+                }
             }
         }
-        trained(&store)
+        TrainedSage {
+            store,
+            weights,
+            fanouts,
+            infer_seed: INFER_SEED,
+        }
     }
 }
 
@@ -232,27 +199,21 @@ fn batch_pairs(
     (seeds, u_loc, v_loc, lab)
 }
 
-/// Two-layer GraphSAGE forward over blocks on a tape. The seed nodes'
-/// embeddings come out as the rows of the returned var, in the order of
+/// Two-layer GraphSAGE forward over blocks on a tape, shared by minibatch
+/// training and inductive inference. The seed nodes' embeddings come out
+/// as the rows of the returned var, in the order of
 /// `blocks.last().dst_nodes()`.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the four layer weights are separate tape params; bundling them adds a type for one caller"
-)]
 fn sage_forward_tape(
     tape: &mut Tape,
     store: &ParamStore,
+    w: &SageWeights,
     blocks: &[Block],
     features: &Matrix,
-    w_self1: tg_autograd::ParamId,
-    w_neigh1: tg_autograd::ParamId,
-    w_self2: tg_autograd::ParamId,
-    w_neigh2: tg_autograd::ParamId,
-) -> tg_autograd::Var {
+) -> Var {
     let x = tape.constant(gather_rows(features, blocks[0].src_nodes()));
     let a0 = tape.constant(block_mean_matrix(&blocks[0]));
-    let ws1 = tape.param(store, w_self1);
-    let wn1 = tape.param(store, w_neigh1);
+    let ws1 = tape.param(store, w.self1);
+    let wn1 = tape.param(store, w.neigh1);
     let x_dst = tape.gather_rows(x, (0..blocks[0].num_dst()).collect());
     let self1 = tape.matmul(x_dst, ws1);
     let agg_in = tape.matmul(a0, x);
@@ -261,8 +222,8 @@ fn sage_forward_tape(
     let h1 = tape.relu(h1);
 
     let a1 = tape.constant(block_mean_matrix(&blocks[1]));
-    let ws2 = tape.param(store, w_self2);
-    let wn2 = tape.param(store, w_neigh2);
+    let ws2 = tape.param(store, w.self2);
+    let wn2 = tape.param(store, w.neigh2);
     let h1_dst = tape.gather_rows(h1, (0..blocks[1].num_dst()).collect());
     let self2 = tape.matmul(h1_dst, ws2);
     let agg_h1 = tape.matmul(a1, h1);
@@ -271,117 +232,44 @@ fn sage_forward_tape(
     tape.row_l2_normalize(h2)
 }
 
-impl GraphLearner for GraphSage {
-    fn name(&self) -> &'static str {
-        "GraphSAGE"
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
-        let n = graph.num_nodes();
-        assert_eq!(features.rows(), n, "GraphSage: feature rows != nodes");
-        let f = features.cols();
+impl GraphSage {
+    /// Trains full-batch on `graph` with `features` (`num_nodes × f`) and
+    /// returns a `num_nodes × dim` embedding matrix.
+    pub fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
+        assert_eq!(
+            features.rows(),
+            graph.num_nodes(),
+            "GraphSage: feature rows != nodes"
+        );
         let a_hat = mean_adjacency(graph);
-        let set = build_linkpred_set(graph, rng);
-        if set.is_empty() {
-            return Matrix::zeros(n, self.dim);
-        }
-        let targets = Matrix::from_vec(set.len(), 1, set.labels.clone());
-
-        let mut store = ParamStore::new();
-        let w_self1 = store.add("sage.w_self1", xavier_init(rng, f, self.hidden));
-        let w_neigh1 = store.add("sage.w_neigh1", xavier_init(rng, f, self.hidden));
-        let w_self2 = store.add("sage.w_self2", xavier_init(rng, self.hidden, self.dim));
-        let w_neigh2 = store.add("sage.w_neigh2", xavier_init(rng, self.hidden, self.dim));
-        let mut opt = Adam::new(self.lr);
-
-        let mut final_emb = Matrix::zeros(n, self.dim);
-        for epoch in 0..=self.epochs {
-            let mut tape = Tape::new();
-            let x = tape.constant(features.clone());
-            let adj = tape.constant(a_hat.clone());
-            // Layer 1: h = ReLU(X W_s + Â X W_n)  (Eq. 4, sum combine).
-            let ws1 = tape.param(&store, w_self1);
-            let wn1 = tape.param(&store, w_neigh1);
-            let self1 = tape.matmul(x, ws1);
-            let agg_in = tape.matmul(adj, x);
-            let neigh1 = tape.matmul(agg_in, wn1);
-            let h1 = tape.add(self1, neigh1);
-            let h1 = tape.relu(h1);
-            // Layer 2, then row-L2 normalisation (standard GraphSAGE).
-            let ws2 = tape.param(&store, w_self2);
-            let wn2 = tape.param(&store, w_neigh2);
-            let self2 = tape.matmul(h1, ws2);
-            let agg_h1 = tape.matmul(adj, h1);
-            let neigh2 = tape.matmul(agg_h1, wn2);
-            let h2 = tape.add(self2, neigh2);
-            let emb = tape.row_l2_normalize(h2);
-
-            if epoch == self.epochs {
-                final_emb = tape.value(emb).clone();
-                break;
-            }
-
-            // Dot-product link prediction head.
-            let eu = tape.gather_rows(emb, set.us.clone());
-            let ev = tape.gather_rows(emb, set.vs.clone());
-            let prod = tape.mul_elem(eu, ev);
-            let raw = tape.row_sum(prod);
-            // Temperature: unit-norm dots live in [-1,1]; scale so the
-            // sigmoid can saturate.
-            let logits = tape.scalar_mul(raw, 5.0);
-            let loss = tape.bce_with_logits(logits, &targets);
-            tape.backward(loss);
-            store.zero_grads();
-            tape.accumulate_grads(&mut store);
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
-        }
-        final_emb
-    }
-}
-
-/// [`GraphLearner`] adapter for the minibatch driver: trains with
-/// neighbour-sampled blocks, then embeds every node inductively. Lets the
-/// evaluation pipeline swap `GraphSage` for its minibatch twin without
-/// other changes (used by the parity gate of the `minibatch` bench).
-#[derive(Clone, Debug)]
-pub struct MiniGraphSage {
-    /// The underlying architecture/hyperparameters.
-    pub inner: GraphSage,
-    /// Sampling and batching configuration.
-    pub cfg: MinibatchConfig,
-}
-
-impl MiniGraphSage {
-    /// Minibatch GraphSAGE with the given output dimension and the
-    /// default sampling config ([`MinibatchConfig::default`]).
-    pub fn with_dim(dim: usize) -> Self {
-        MiniGraphSage {
-            inner: GraphSage::with_dim(dim),
-            cfg: MinibatchConfig::default(),
-        }
-    }
-}
-
-impl GraphLearner for MiniGraphSage {
-    fn name(&self) -> &'static str {
-        "GraphSAGE-mb"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim
-    }
-
-    fn embed(&self, graph: &Graph, features: &Matrix, rng: &mut Rng) -> Matrix {
-        if graph.edges().is_empty() {
-            return Matrix::zeros(graph.num_nodes(), self.inner.dim);
-        }
-        let trained = self.inner.train_minibatch(graph, features, rng, &self.cfg);
-        trained.embed_all(graph, features)
+        train_full_batch(
+            graph,
+            self.dim,
+            self.epochs,
+            self.lr,
+            rng,
+            |store, rng| self.init_weights(store, rng, features.cols()),
+            |tape, store, w| {
+                let x = tape.constant(features.clone());
+                let adj = tape.constant(a_hat.clone());
+                // Layer 1: h = ReLU(X W_s + Â X W_n)  (Eq. 4, sum combine).
+                let ws1 = tape.param(store, w.self1);
+                let wn1 = tape.param(store, w.neigh1);
+                let self1 = tape.matmul(x, ws1);
+                let agg_in = tape.matmul(adj, x);
+                let neigh1 = tape.matmul(agg_in, wn1);
+                let h1 = tape.add(self1, neigh1);
+                let h1 = tape.relu(h1);
+                // Layer 2, then row-L2 normalisation (standard GraphSAGE).
+                let ws2 = tape.param(store, w.self2);
+                let wn2 = tape.param(store, w.neigh2);
+                let self2 = tape.matmul(h1, ws2);
+                let agg_h1 = tape.matmul(adj, h1);
+                let neigh2 = tape.matmul(agg_h1, wn2);
+                let h2 = tape.add(self2, neigh2);
+                tape.row_l2_normalize(h2)
+            },
+        )
     }
 }
 

@@ -6,6 +6,12 @@
 //! leave these embeddings bit-for-bit unchanged. Their expected values were
 //! captured before the block-aware aggregation layer landed.
 //!
+//! The minibatch GraphSAGE driver: `train_minibatch`, inductive inference
+//! over every node and over two chosen nodes, and `GraphSAGE-mb` through
+//! [`LearnerKind::embed`]. Their expected values were captured while
+//! inference still ran a tape-free copy of the block forward, so they also
+//! pin that the taped forward computes the same bits.
+//!
 //! The walk learners: Node2Vec, Node2Vec+, the warm-started
 //! [`DynamicEmbedder`] and the SGNS kernel under all three. Any change to
 //! the walk engine or the SGNS loop (its rng stream, its summation order)
@@ -18,7 +24,7 @@
 //! Every expected value is an FNV-1a hash of the raw f64 bit patterns.
 
 use tg_embed::{
-    train_sgns, DynamicEmbedder, Gat, Gcn, GraphLearner, GraphSage, Node2Vec, Node2VecPlus,
+    train_sgns, DynamicEmbedder, Gat, Gcn, GraphSage, LearnerKind, MinibatchConfig, Node2Vec,
     SgnsConfig,
 };
 use tg_graph::fixtures::bridged_cliques;
@@ -76,19 +82,41 @@ fn gcn_full_graph_is_bit_identical() {
 }
 
 #[test]
+fn sage_minibatch_and_inductive_inference_are_bit_identical() {
+    let g = bridged_cliques();
+    let sage = GraphSage {
+        epochs: 25,
+        ..GraphSage::with_dim(8)
+    };
+    let cfg = MinibatchConfig {
+        fanouts: vec![3, 3],
+        batch: 8,
+        epochs: None,
+    };
+    let trained = sage.train_minibatch(&g, &features(), &mut Rng::seed_from_u64(42), &cfg);
+    assert_eq!(
+        bits_hash(&trained.embed_all(&g, &features())),
+        SAGE_MB_ALL_HASH,
+        "minibatch GraphSAGE (embed_all) drifted"
+    );
+    assert_eq!(
+        bits_hash(&trained.embed_nodes(&g, &features(), &[3, 7])),
+        SAGE_MB_NODES_HASH,
+        "minibatch GraphSAGE (embed_nodes) drifted"
+    );
+    let emb = LearnerKind::GraphSageMini.embed(8, &g, &features(), &mut Rng::seed_from_u64(42));
+    assert_eq!(bits_hash(&emb), SAGE_MB_KIND_HASH, "GraphSAGE-mb drifted");
+}
+
+#[test]
 fn node2vec_is_bit_identical() {
-    let emb =
-        Node2Vec::with_dim(8).embed(&bridged_cliques(), &features(), &mut Rng::seed_from_u64(11));
+    let emb = Node2Vec::with_dim(8).embed(&bridged_cliques(), &mut Rng::seed_from_u64(11));
     assert_eq!(bits_hash(&emb), N2V_HASH, "Node2Vec drifted");
 }
 
 #[test]
 fn node2vec_plus_is_bit_identical() {
-    let emb = Node2VecPlus::with_dim(8).embed(
-        &bridged_cliques(),
-        &features(),
-        &mut Rng::seed_from_u64(11),
-    );
+    let emb = Node2Vec::plus_with_dim(8).embed(&bridged_cliques(), &mut Rng::seed_from_u64(11));
     assert_eq!(bits_hash(&emb), N2V_PLUS_HASH, "Node2Vec+ drifted");
 }
 
@@ -140,6 +168,11 @@ fn sgns_kernel_is_bit_identical() {
 const SAGE_HASH: u64 = 12752504627612935361;
 const GAT_HASH: u64 = 16642683965507637302;
 const GCN_HASH: u64 = 4090431410780378604;
+
+// Captured from the tape-free inference forward; see module docs.
+const SAGE_MB_ALL_HASH: u64 = 0x7eaa17e5689b03e0;
+const SAGE_MB_NODES_HASH: u64 = 0xac399117daae7c08;
+const SAGE_MB_KIND_HASH: u64 = 0x86f062ff16d8340c;
 
 // Captured from the sequential SGNS loop; see module docs.
 const N2V_HASH: u64 = 0xa1a3770057c5710b;

@@ -6,7 +6,7 @@
 //!   [`cholesky_solve`];
 //! * LogME (`tg-transfer`) projects labels onto the left singular basis of
 //!   the feature matrix, obtained with [`thin_svd`] (or, for tall inputs,
-//!   from the Gram spectrum of [`symmetric_eigen_with_sweeps`]);
+//!   from the Gram spectrum of [`symmetric_eigen`]);
 //! * PARC and dataset-similarity computations use the eigen routines
 //!   indirectly through correlation matrices.
 
@@ -263,15 +263,9 @@ pub struct Svd {
 /// conditioning encountered here (feature matrices with moderate dynamic
 /// range) and keeps the implementation compact.
 pub fn thin_svd(a: &Matrix) -> Result<Svd, DecompError> {
-    thin_svd_with_sweeps(a).map(|(svd, _)| svd)
-}
-
-/// [`thin_svd`] additionally reporting the Jacobi sweep count of the inner
-/// Gram eigendecomposition (telemetry for the decomposition benches).
-pub fn thin_svd_with_sweeps(a: &Matrix) -> Result<(Svd, usize), DecompError> {
     let (n, d) = a.shape();
     if n >= d {
-        let (mut evals, v, sweeps) = symmetric_eigen_with_sweeps(&a.gram(), MAX_SWEEPS)?;
+        let (mut evals, v) = symmetric_eigen(&a.gram())?;
         for e in &mut evals {
             *e = e.max(0.0);
         }
@@ -285,18 +279,14 @@ pub fn thin_svd_with_sweeps(a: &Matrix) -> Result<(Svd, usize), DecompError> {
                 0.0
             }
         });
-        Ok((Svd { u, sigma, v }, sweeps))
+        Ok(Svd { u, sigma, v })
     } else {
-        let at = a.transpose();
-        let (sv, sweeps) = thin_svd_with_sweeps(&at)?;
-        Ok((
-            Svd {
-                u: sv.v,
-                sigma: sv.sigma,
-                v: sv.u,
-            },
-            sweeps,
-        ))
+        let sv = thin_svd(&a.transpose())?;
+        Ok(Svd {
+            u: sv.v,
+            sigma: sv.sigma,
+            v: sv.u,
+        })
     }
 }
 

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use tg_json::{JsonObject, JsonValue};
 use tg_sync::{rank_guard, unpoisoned, Rank};
-use tg_zoo::{DatasetId, DatasetRole, Modality, ModelId, ModelZoo, ZooConfig};
+use tg_zoo::{DatasetRole, Modality, ModelId, ModelZoo, ZooConfig};
 use transfergraph::{
     CoalesceStats, Coalescer, EvalOptions, EvalOutcome, RegistryStats, Strategy, ZooRegistry,
 };
@@ -248,7 +248,7 @@ impl Shared {
 
         let handle = self.registry.get_or_build(&config);
         let zoo = handle.zoo();
-        let Some(target) = find_dataset(zoo, target_name) else {
+        let Some(target) = zoo.find_dataset(target_name) else {
             return Response::error(400, "unknown target dataset for this zoo");
         };
         if zoo.dataset(target).role != DatasetRole::Target {
@@ -289,7 +289,7 @@ impl Shared {
         let Some(model) = find_model(zoo, model_name) else {
             return Response::error(400, "unknown model for this zoo");
         };
-        let Some(dataset) = find_dataset(zoo, target_name) else {
+        let Some(dataset) = zoo.find_dataset(target_name) else {
             return Response::error(400, "unknown target dataset for this zoo");
         };
         if zoo.model(model).modality != zoo.dataset(dataset).modality {
@@ -394,15 +394,6 @@ pub fn strategy_from_name(name: &str) -> Option<Strategy> {
         "tg" => Some(Strategy::transfer_graph_default()),
         _ => None,
     }
-}
-
-/// Finds a dataset by name across both modalities without panicking
-/// (unlike `ModelZoo::dataset_by_name`, which asserts).
-fn find_dataset(zoo: &ModelZoo, name: &str) -> Option<DatasetId> {
-    [Modality::Image, Modality::Text]
-        .into_iter()
-        .flat_map(|m| zoo.datasets_of(m))
-        .find(|&d| zoo.dataset(d).name == name)
 }
 
 /// Finds a model by name across both modalities.

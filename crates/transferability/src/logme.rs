@@ -75,9 +75,7 @@
 
 use std::time::Instant;
 
-use tg_linalg::decomp::{
-    symmetric_eigen_with_sweeps, thin_svd_with_sweeps, MAX_SWEEPS, SIGMA_CLAMP,
-};
+use tg_linalg::decomp::{symmetric_eigen, thin_svd, SIGMA_CLAMP};
 use tg_linalg::Matrix;
 
 use crate::scorer::{DecompArm, DecompPath, Labels, LogMeReport, ScoreError};
@@ -103,13 +101,13 @@ fn validate(features: &Matrix, labels: &Labels) -> Result<(), ScoreError> {
 }
 
 /// Shared preamble of the SVD-path kernels: validation and the thin SVD.
-/// Returns `(u, sigma², sweeps)` with `sigma²` of length `k = min(n, d)`.
-fn prepare(features: &Matrix, labels: &Labels) -> Result<(Matrix, Vec<f64>, usize), ScoreError> {
+/// Returns `(u, sigma²)` with `sigma²` of length `k = min(n, d)`.
+fn prepare(features: &Matrix, labels: &Labels) -> Result<(Matrix, Vec<f64>), ScoreError> {
     validate(features, labels)?;
-    let (svd, sweeps) = thin_svd_with_sweeps(features)?;
+    let svd = thin_svd(features)?;
     // σ² spectrum, length k = min(n, d) (zero-clamped when rank-deficient).
     let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-    Ok((svd.u, sigma2, sweeps))
+    Ok((svd.u, sigma2))
 }
 
 /// One MacKay fixed-point update for a single class.
@@ -196,12 +194,10 @@ pub(crate) fn log_me_scalar(
     labels: &Labels,
 ) -> Result<(f64, LogMeReport), ScoreError> {
     let decomp_start = Instant::now();
-    let (u, sigma2, sweeps) = prepare(features, labels)?;
+    let (u, sigma2) = prepare(features, labels)?;
     let report = LogMeReport {
         arm: DecompArm::Svd,
         decomp: decomp_start.elapsed(),
-        sweeps,
-        rank: sigma2.iter().filter(|&&s2| s2.sqrt() > SIGMA_CLAMP).count(),
     };
     let n = features.rows();
     let d = features.cols();
@@ -261,14 +257,14 @@ fn decompose(
         DecompPath::Gram => DecompArm::Gram,
     };
     let start = Instant::now();
-    let (sigma2, z, sweeps) = match arm {
+    let (sigma2, z) = match arm {
         DecompArm::Svd => {
-            let (svd, sweeps) = thin_svd_with_sweeps(features)?;
+            let svd = thin_svd(features)?;
             let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-            (sigma2, labels.one_hot().matmul_at_b(&svd.u), sweeps)
+            (sigma2, labels.one_hot().matmul_at_b(&svd.u))
         }
         DecompArm::Gram => {
-            let (evals, v, sweeps) = symmetric_eigen_with_sweeps(&features.gram(), MAX_SWEEPS)?;
+            let (evals, v) = symmetric_eigen(&features.gram())?;
             // The Gram eigenvalues *are* σ² (zero-clamped); keeping them
             // avoids the sqrt-then-square round trip of the SVD path.
             let sigma2: Vec<f64> = evals.iter().map(|e| e.max(0.0)).collect();
@@ -285,14 +281,12 @@ fn decompose(
                     0.0
                 }
             });
-            (sigma2, z, sweeps)
+            (sigma2, z)
         }
     };
     let report = LogMeReport {
         arm,
         decomp: start.elapsed(),
-        sweeps,
-        rank: sigma2.iter().filter(|&&s2| s2.sqrt() > SIGMA_CLAMP).count(),
     };
     Ok((sigma2, z, report))
 }
@@ -538,8 +532,6 @@ mod tests {
         let labels = Labels::new(&y, 3).unwrap();
         let (_, report) = LogMe::batched().score_with_report(&f, &labels).unwrap();
         assert_eq!(report.arm, DecompArm::Gram);
-        assert!(report.sweeps > 0);
-        assert!(report.rank > 0);
         // n = 12 < 4·20: Auto stays on the SVD reference.
         let (f, y) = clustered_features(&mut rng, 12, 20, 3, 2.0);
         let labels = Labels::new(&y, 3).unwrap();

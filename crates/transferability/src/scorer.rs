@@ -292,9 +292,9 @@ impl DecompArm {
 }
 
 /// What a LogME evaluation actually did, alongside the score: which
-/// decomposition arm ran, how long it took, and its effective spectrum.
-/// Returned by [`LogMe::score_with_report`] and threaded into the
-/// workbench's per-arm telemetry.
+/// decomposition arm ran and how long it took. Returned by
+/// [`LogMe::score_with_report`] and threaded into the workbench's per-arm
+/// telemetry.
 #[derive(Clone, Copy, Debug)]
 pub struct LogMeReport {
     /// The decomposition arm that ran ([`DecompPath::Auto`] resolved).
@@ -302,10 +302,6 @@ pub struct LogMeReport {
     /// Wall-clock spent inside the decomposition (spectrum + label
     /// projections), excluding the evidence fixed point.
     pub decomp: std::time::Duration,
-    /// Jacobi sweeps of the Gram eigendecomposition behind either arm.
-    pub sweeps: usize,
-    /// Number of retained directions with `σ` above the clamp.
-    pub rank: usize,
 }
 
 /// Log maximum evidence (You et al., ICML 2021). See the `logme` module.

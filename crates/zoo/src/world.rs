@@ -172,17 +172,20 @@ impl ModelZoo {
         &self.models[id.0]
     }
 
-    /// Dataset id by name (panics if absent — registry names are static).
+    /// Dataset id by name, or `None` when the zoo has no such dataset.
+    pub fn find_dataset(&self, name: &str) -> Option<DatasetId> {
+        self.datasets.iter().find(|d| d.name == name).map(|d| d.id)
+    }
+
+    /// Dataset id by name (panics if absent — registry names are static;
+    /// use [`ModelZoo::find_dataset`] for names from outside).
     #[expect(
         clippy::panic,
         reason = "documented contract: registry names are static constants, so a miss is a typo caught by any test run"
     )]
     pub fn dataset_by_name(&self, name: &str) -> DatasetId {
-        self.datasets
-            .iter()
-            .find(|d| d.name == name)
+        self.find_dataset(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"))
-            .id
     }
 
     /// Ids of all models of a modality.

@@ -2,6 +2,11 @@
 //! permutation importance of the prediction model's features, for the
 //! LR{all,LogME} baseline and the TransferGraph headline variant.
 
+#![allow(
+    clippy::expect_used,
+    reason = "experiment binary: a failed setup step aborts the run loudly"
+)]
+
 use tg_bench::{persist_artifacts, zoo_handle_from_env};
 use transfergraph::explain::block_importance;
 use transfergraph::{report::Table, EvalOptions, Strategy};
@@ -29,7 +34,8 @@ fn main() {
         ),
     ] {
         let target = zoo.dataset_by_name(dataset);
-        let imp = block_importance(wb, &strategy, target, &opts, 3);
+        let imp = block_importance(wb, &strategy, target, &opts, 3)
+            .expect("both strategies are learned, so they have feature blocks");
         println!("Permutation importance — {name}\n");
         let mut table = Table::new(vec!["feature block", "τ drop when permuted"]);
         for b in &imp {

@@ -1,24 +1,21 @@
 //! Batched-LogME decomposition benchmark: cold-cache feature-collection
 //! timings across every decomposition arm.
 //!
-//! Four arms score the identical forward passes of every (image model,
+//! Three arms score the identical forward passes of every (image model,
 //! image target) pair:
 //!
-//! * **seed** — a verbatim copy of the pre-batching implementation
-//!   (per-class one-hot columns, column-major `u.get(r, i)` projection
-//!   loop), kept here as the historical baseline;
-//! * **reference** — `LogMe::scalar()`, the fixed row-major per-class
-//!   reference path;
-//! * **svd** — `LogMe::batched()` pinned to [`DecompPath::Svd`], the
+//! * **seed** — `tg_logme_seed::seed_log_me`, the pre-batching
+//!   implementation (per-class one-hot columns, column-major `u.get(r, i)`
+//!   projection loop), the historical baseline and the bit oracle;
+//! * **svd** — `LogMe::default()` pinned to [`DecompPath::Svd`], the
 //!   bit-exactness reference arm;
-//! * **auto** — `LogMe::batched()` on the default heuristic (resolves to
+//! * **auto** — `LogMe::default()` on the default heuristic (resolves to
 //!   the Gram path at the simulator's tall shapes) — the production
 //!   configuration whose end-to-end win the bench gates.
 //!
-//! Gates (nonzero exit on violation): seed ≡ reference ≡ svd bit for bit;
-//! auto within `1e-6` of svd; the svd arm beats the scalar reference;
-//! kernel speedup vs seed ≥ 2×; end-to-end auto-vs-seed speedup ≥ 3× at
-//! paper scale (≥ 2× at small scale). The
+//! Gates (nonzero exit on violation): seed ≡ svd bit for bit; auto within
+//! `1e-6` of svd; kernel speedup vs seed ≥ 2×; end-to-end auto-vs-seed
+//! speedup ≥ 3× at paper scale (≥ 2× at small scale). The
 //! bench also times the `Workbench` cold/warm collection paths and reports
 //! the worker count the warm-up pool *actually* used (returned by
 //! `warm_logme`, not re-derived). Results land in
@@ -39,12 +36,10 @@ use tg_bench::json::JsonObject;
 use tg_bench::zoo_handle_from_env;
 use tg_linalg::decomp::thin_svd;
 use tg_linalg::Matrix;
+use tg_logme_seed::seed_log_me;
 use tg_transfer::{DecompArm, DecompPath, Labels, LogMe, ScoreError};
 use tg_zoo::Modality;
 use transfergraph::Workbench;
-
-/// Fixed-point iterations of the seed implementation (unchanged since).
-const FIXED_POINT_ITERS: usize = 11;
 
 /// Timing repetitions per pair and arm; the minimum is kept.
 const REPS: usize = 3;
@@ -52,84 +47,6 @@ const REPS: usize = 3;
 /// Parity tolerance of the auto arm (the Gram path at these shapes)
 /// against the SVD reference arm.
 const EXACT_TOL: f64 = 1e-6;
-
-/// Verbatim copy of the pre-batching `log_me` (the seed implementation):
-/// per-class one-hot column, column-major `u.get(r, i)` projections, scalar
-/// MacKay fixed point. The timing baseline the batched kernel replaces.
-fn seed_log_me(features: &Matrix, labels: &[usize], num_classes: usize) -> f64 {
-    let n = features.rows();
-    assert_eq!(n, labels.len(), "seed_log_me: feature/label count mismatch");
-    let d = features.cols();
-
-    let svd = thin_svd(features).expect("seed_log_me: SVD failed");
-    let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-    let k = sigma2.len();
-
-    let mut total = 0.0;
-    for class in 0..num_classes {
-        let y: Vec<f64> = labels
-            .iter()
-            .map(|&l| if l == class { 1.0 } else { 0.0 })
-            .collect();
-        let y_sq: f64 = y.iter().map(|v| v * v).sum();
-        let z: Vec<f64> = (0..k)
-            .map(|i| {
-                let mut s = 0.0;
-                for (r, &yr) in y.iter().enumerate() {
-                    s += svd.u.get(r, i) * yr;
-                }
-                s
-            })
-            .collect();
-        let z_sq: Vec<f64> = z.iter().map(|v| v * v).collect();
-        let r0 = (y_sq - z_sq.iter().sum::<f64>()).max(0.0);
-
-        let mut alpha = 1.0f64;
-        let mut beta = 1.0f64;
-        for _ in 0..FIXED_POINT_ITERS {
-            let mut gamma = 0.0;
-            let mut m2 = 0.0;
-            let mut res2 = r0;
-            for i in 0..k {
-                let denom = alpha + beta * sigma2[i];
-                gamma += beta * sigma2[i] / denom;
-                m2 += beta * beta * sigma2[i] * z_sq[i] / (denom * denom);
-                res2 += z_sq[i] * (alpha / denom) * (alpha / denom);
-            }
-            let new_alpha = if m2 > 1e-12 { gamma / m2 } else { alpha };
-            let new_beta = if res2 > 1e-12 {
-                (n as f64 - gamma) / res2
-            } else {
-                beta
-            };
-            if !new_alpha.is_finite() || !new_beta.is_finite() {
-                break;
-            }
-            alpha = new_alpha.clamp(1e-9, 1e12);
-            beta = new_beta.clamp(1e-9, 1e12);
-        }
-
-        let mut m2 = 0.0;
-        let mut res2 = r0;
-        let mut logdet = 0.0;
-        for i in 0..k {
-            let denom = alpha + beta * sigma2[i];
-            m2 += beta * beta * sigma2[i] * z_sq[i] / (denom * denom);
-            res2 += z_sq[i] * (alpha / denom) * (alpha / denom);
-            logdet += denom.ln();
-        }
-        logdet += (d.saturating_sub(k)) as f64 * alpha.ln();
-        let nf = n as f64;
-        let evidence = 0.5
-            * (d as f64 * alpha.ln() + nf * beta.ln()
-                - beta * res2
-                - alpha * m2
-                - logdet
-                - nf * (2.0 * std::f64::consts::PI).ln());
-        total += evidence / nf;
-    }
-    total / num_classes as f64
-}
 
 /// Minimum wall-clock of [`REPS`] runs of `f`, and `f`'s (stable) value.
 fn time_min<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
@@ -213,11 +130,9 @@ fn main() {
         .flat_map(|&m| targets.iter().map(move |&d| (m, d)))
         .collect();
 
-    let svd_arm = LogMe::batched().with_path(DecompPath::Svd);
-    let auto_arm = LogMe::batched();
-    let reference = LogMe::scalar();
+    let svd_arm = LogMe::default().with_path(DecompPath::Svd);
+    let auto_arm = LogMe::default();
 
-    let mut t_reference = Duration::ZERO;
     let mut t_seed = Duration::ZERO;
     let mut t_shared_svd = Duration::ZERO;
     let (mut svd, mut auto) = (ArmTotals::default(), ArmTotals::default());
@@ -230,24 +145,14 @@ fn main() {
 
         let s_svd = svd.measure(&svd_arm, &fp.features, &labels);
         let s_auto = auto.measure(&auto_arm, &fp.features, &labels);
-        let (dt, s_reference) = time_min(|| {
-            reference
-                .score_with_report(&fp.features, &labels)
-                .map(|(s, _)| s)
-                .expect("scalar LogME on valid features")
-        });
-        t_reference += dt;
         let (dt, s_seed) = time_min(|| seed_log_me(&fp.features, &fp.labels, fp.num_classes));
         t_seed += dt;
         let (dt, _) = time_min(|| thin_svd(&fp.features).expect("SVD of valid features"));
         t_shared_svd += dt;
 
-        if s_svd.to_bits() != s_reference.to_bits() || s_svd.to_bits() != s_seed.to_bits() {
+        if s_svd.to_bits() != s_seed.to_bits() {
             mismatches += 1;
-            eprintln!(
-                "[logme] MISMATCH at ({m:?}, {d:?}): svd {s_svd:?} \
-                 reference {s_reference:?} seed {s_seed:?}"
-            );
+            eprintln!("[logme] MISMATCH at ({m:?}, {d:?}): svd {s_svd:?} seed {s_seed:?}");
         }
         dev_auto = dev_auto.max(deviation(s_svd, s_auto));
     }
@@ -275,7 +180,6 @@ fn main() {
     assert_eq!(workers, warm_workers, "same grid, same pool size");
 
     let bit_identical = mismatches == 0;
-    let speedup_ref = secs(t_reference) / secs(svd.total).max(1e-12);
     let end_to_end = secs(t_seed) / secs(auto.total).max(1e-12);
     // Kernel-only view of the svd arm: subtract the shared thin-SVD time
     // that arm and the seed both pay.
@@ -316,10 +220,6 @@ fn main() {
                     "seed_column_major",
                     JsonObject::new().f64("total_s", secs(t_seed)),
                 )
-                .object(
-                    "reference_scalar",
-                    JsonObject::new().f64("total_s", secs(t_reference)),
-                )
                 .object("svd", svd.json())
                 .object("auto", auto.json().object("resolved", auto_resolved)),
         )
@@ -328,7 +228,6 @@ fn main() {
             "parity_max_deviation",
             JsonObject::new().f64("auto_vs_svd", dev_auto),
         )
-        .f64("speedup_vs_reference", speedup_ref)
         .f64("end_to_end_speedup_vs_seed", end_to_end)
         .f64("kernel_speedup_vs_seed", kernel_speedup_seed)
         .object(
@@ -351,8 +250,7 @@ fn main() {
 
     println!(
         "[logme] pairs={} bit_identical={} svd={:.3}s auto={:.3}s \
-         reference={:.3}s seed={:.3}s shared_svd={:.3}s \
-         end_to_end_vs_seed={end_to_end:.2}x speedup_ref={speedup_ref:.2}x \
+         seed={:.3}s shared_svd={:.3}s end_to_end_vs_seed={end_to_end:.2}x \
          kernel_speedup_seed={kernel_speedup_seed:.2}x dev_auto={dev_auto:.2e} \
          cold_par={:.3}s cold_seq={:.3}s warm={:.4}s \
          par_speedup={parallel_speedup:.2}x workers={workers} -> {out_path}",
@@ -360,7 +258,6 @@ fn main() {
         if bit_identical { "yes" } else { "no" },
         secs(svd.total),
         secs(auto.total),
-        secs(t_reference),
         secs(t_seed),
         secs(t_shared_svd),
         secs(cold_parallel),
@@ -370,18 +267,11 @@ fn main() {
 
     let mut failed = false;
     if !bit_identical {
-        eprintln!("[logme] FAIL: {mismatches} pair(s) disagree across seed/reference/svd");
+        eprintln!("[logme] FAIL: {mismatches} pair(s) disagree between seed and svd");
         failed = true;
     }
     if dev_auto > EXACT_TOL {
         eprintln!("[logme] FAIL: auto arm deviates {dev_auto:.3e} from svd (tol {EXACT_TOL:.0e})");
-        failed = true;
-    }
-    if svd.total >= t_reference {
-        eprintln!(
-            "[logme] FAIL: batched svd arm ({:?}) did not beat the scalar reference ({:?})",
-            svd.total, t_reference
-        );
         failed = true;
     }
     if kernel_speedup_seed < 2.0 {

@@ -123,9 +123,14 @@ fn main() {
         }
         "explain" => {
             let dataset = require(&opts_map, "dataset");
-            let strategy = strategy_by_name(opts_map.get("strategy").map_or("", String::as_str));
+            let name = opts_map.get("strategy").map_or("", String::as_str);
+            let strategy = strategy_by_name(name);
             let target = target_by_name(zoo, &dataset);
-            let imp = block_importance(wb, &strategy, target, &EvalOptions::default(), 3);
+            let Some(imp) = block_importance(wb, &strategy, target, &EvalOptions::default(), 3)
+            else {
+                eprintln!("strategy `{name}` has no feature blocks to explain (expected tg|lr)");
+                std::process::exit(2);
+            };
             let mut table = Table::new(vec!["feature block", "τ drop when permuted"]);
             for b in &imp {
                 table.row(vec![b.block.clone(), format!("{:+.3}", b.tau_drop)]);

@@ -144,13 +144,16 @@ pub fn summaries_enabled() -> bool {
 /// The summary's stats and wall time span the *whole* call including the
 /// LogME warm-up, so cold-cache compute (and disk-tier hits, with
 /// `TG_ARTIFACT_DIR`) are attributed to the run that paid for them. The
-/// summary is printed to stderr when [`summaries_enabled`].
+/// process-wide peak-tape gauge is reset first, so the summary's
+/// `peak_tape_bytes` is this sweep's own high-water mark, not an earlier
+/// one's. The summary is printed to stderr when [`summaries_enabled`].
 pub fn evaluate_over_targets_on(
     wb: &Workbench,
     strategy: &Strategy,
     targets: &[tg_zoo::DatasetId],
     opts: &EvalOptions,
 ) -> RunSummary {
+    tg_autograd::reset_global_peak_tape_bytes();
     let before = wb.stats();
     #[expect(
         clippy::disallowed_methods,
@@ -209,6 +212,21 @@ mod tests {
         let outs = vec![outcome(Some(0.8)), outcome(None), outcome(Some(0.4))];
         assert!((mean_pearson(&outs) - 0.4).abs() < 1e-12);
         assert_eq!(mean_pearson(&[]), 0.0);
+    }
+
+    #[test]
+    fn sweep_reports_its_own_peak_tape() {
+        // An earlier tape raises the process-wide gauge...
+        let mut tape = tg_autograd::Tape::new();
+        tape.constant(tg_linalg::Matrix::zeros(4, 4));
+        assert!(tg_autograd::global_peak_tape_bytes() > 0);
+        // ...which a LogME sweep, recording no tape, must not report.
+        let zoo = ModelZoo::build(&ZooConfig::small(3));
+        let wb = Workbench::new(&zoo);
+        let target = zoo.targets_of(Modality::Image)[0];
+        let run =
+            evaluate_over_targets_on(&wb, &Strategy::LogMe, &[target], &EvalOptions::default());
+        assert_eq!(run.stats.peak_tape_bytes, 0);
     }
 
     #[test]

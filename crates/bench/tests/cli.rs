@@ -1,5 +1,5 @@
-//! The `tg` CLI turns a bad `--dataset` into a message and exit status 2,
-//! the same contract as a bad `--strategy`, instead of a panic.
+//! The `tg` CLI turns a bad `--dataset` or `--strategy` into a message and
+//! exit status 2 instead of a panic.
 
 #![allow(
     clippy::expect_used,
@@ -42,8 +42,29 @@ fn bad_datasets_exit_2_with_a_message() {
 }
 
 #[test]
-fn bad_strategy_still_exits_2() {
-    let out = tg(&["rank", "--dataset", "stanfordcars", "--strategy", "bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy `bogus`"));
+fn bad_strategies_exit_2_with_a_message() {
+    let mut cases = vec![(
+        vec!["rank", "--dataset", "stanfordcars", "--strategy", "bogus"],
+        "unknown strategy `bogus`".to_string(),
+    )];
+    // Only learned strategies have feature blocks to permute.
+    for strategy in ["logme", "nn", "random"] {
+        cases.push((
+            vec![
+                "explain",
+                "--dataset",
+                "stanfordcars",
+                "--strategy",
+                strategy,
+            ],
+            format!("strategy `{strategy}` has no feature blocks to explain"),
+        ));
+    }
+    for (command, message) in cases {
+        let out = tg(&command);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(stderr.contains(&message), "{command:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
+    }
 }

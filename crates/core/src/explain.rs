@@ -59,7 +59,8 @@ pub fn feature_blocks(set: FeatureSet, embed_dim: usize) -> Vec<(String, std::op
 }
 
 /// Permutation importance of each feature block for a learned strategy on
-/// one target, averaged over `repeats` shuffles.
+/// one target, averaged over `repeats` shuffles; `None` for a strategy that
+/// has no feature blocks (LogME, history NN, random).
 ///
 /// Works by re-running the full evaluation with a *feature-permuting* hook:
 /// because the pipeline is deterministic in `opts.seed`, the baseline and
@@ -70,14 +71,10 @@ pub fn block_importance(
     target: DatasetId,
     opts: &EvalOptions,
     repeats: usize,
-) -> Vec<BlockImportance> {
+) -> Option<Vec<BlockImportance>> {
     let set = match strategy {
         Strategy::Learned { features, .. } | Strategy::TransferGraph { features, .. } => *features,
-        #[expect(
-            clippy::panic,
-            reason = "documented API contract: permutation importance is only defined for learned strategies"
-        )]
-        _ => panic!("block_importance: only learned strategies have feature blocks"),
+        _ => return None,
     };
     let baseline = evaluate(wb, strategy, target, opts);
     let base_tau = baseline.pearson.unwrap_or(0.0);
@@ -110,7 +107,7 @@ pub fn block_importance(
         });
     }
     out.sort_by(|a, b| b.tau_drop.total_cmp(&a.tau_drop));
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -147,7 +144,7 @@ mod tests {
             embed_dim: 16,
             ..Default::default()
         };
-        let imp = block_importance(&wb, &Strategy::lr_all_logme(), target, &opts, 2);
+        let imp = block_importance(&wb, &Strategy::lr_all_logme(), target, &opts, 2).unwrap();
         assert_eq!(imp.len(), 4);
         // Every block has a finite importance; at least one is positive.
         assert!(imp.iter().all(|b| b.tau_drop.is_finite()));
@@ -155,11 +152,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only learned strategies")]
     fn rejects_non_learned_strategies() {
         let zoo = ModelZoo::build(&ZooConfig::small(34));
         let wb = Workbench::new(&zoo);
         let target = zoo.targets_of(Modality::Image)[0];
-        block_importance(&wb, &Strategy::Random, target, &EvalOptions::default(), 1);
+        for strategy in [Strategy::LogMe, Strategy::HistoryNn, Strategy::Random] {
+            let imp = block_importance(&wb, &strategy, target, &EvalOptions::default(), 1);
+            assert!(imp.is_none(), "{}", strategy.label());
+        }
     }
 }

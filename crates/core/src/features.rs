@@ -4,7 +4,7 @@
 use crate::artifacts::Workbench;
 use crate::config::{FeatureSet, Representation};
 use tg_linalg::Matrix;
-use tg_zoo::{DatasetId, Modality, ModelId};
+use tg_zoo::{DatasetId, ModelId};
 
 /// Number of architecture-family one-hot slots. Both modalities have at
 /// most 11 families; a fixed width keeps feature vectors aligned.
@@ -140,15 +140,10 @@ pub fn node_feature_matrix(wb: &Workbench, graph: &tg_graph::Graph, rep: Represe
     x
 }
 
-/// Convenience: which modality a dataset belongs to.
-pub fn modality_of(wb: &Workbench, d: DatasetId) -> Modality {
-    wb.zoo().dataset(d).modality
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_zoo::{ModelZoo, ZooConfig};
+    use tg_zoo::{Modality, ModelZoo, ZooConfig};
 
     fn setup() -> ModelZoo {
         ModelZoo::build(&ZooConfig::small(5))

@@ -124,11 +124,6 @@ impl NeighborSampler {
         NeighborSampler { fanouts, seed }
     }
 
-    /// Number of layers this sampler produces blocks for.
-    pub fn num_layers(&self) -> usize {
-        self.fanouts.len()
-    }
-
     /// Samples the layered blocks needed to compute outputs for `seeds`
     /// (which must be distinct node ids). Returned input-first; the last
     /// block's [`Block::dst_nodes`] equals `seeds`.

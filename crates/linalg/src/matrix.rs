@@ -154,11 +154,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

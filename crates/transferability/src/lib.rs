@@ -13,9 +13,10 @@
 //! panicking on bad input.
 //!
 //! * [`LogMe`] — the paper's primary baseline and the source of the
-//!   transferability edges in the TransferGraph graph (§V-A3). Runs the
-//!   batched `Z = YᵀU` kernel by default; [`LogMe::scalar`] selects the
-//!   bit-identical per-class reference.
+//!   transferability edges in the TransferGraph graph (§V-A3). One batched
+//!   `Z = YᵀU` kernel; on [`DecompPath::Svd`] it scores bit for bit what the
+//!   seed's per-class implementation (the test-only `tg-logme-seed` crate)
+//!   scores.
 //! * [`Leep`], [`Nce`] — pseudo-label transfer estimators (their `features`
 //!   argument is the source-head probability matrix).
 //! * [`Parc`], [`TransRate`], [`HScore`], [`Gbc`] — representation-analysis
@@ -32,7 +33,7 @@
 //! let d = zoo.targets_of(Modality::Image)[0];
 //! let fp = zoo.forward_pass(m, d);
 //! let labels = Labels::new(&fp.labels, fp.num_classes)?;
-//! let s1 = LogMe::batched().score(&fp.features, &labels)?;
+//! let s1 = LogMe::default().score(&fp.features, &labels)?;
 //! let s2 = Leep.score(&fp.source_probs, &labels)?;
 //! assert!(s1.is_finite() && s2.is_finite());
 //! # Ok::<(), tg_transfer::ScoreError>(())
@@ -47,8 +48,8 @@ mod scorer;
 mod transrate;
 
 pub use scorer::{
-    DecompArm, DecompPath, Gbc, HScore, Labels, Leep, LogMe, LogMeKernel, LogMeReport, Nce, Parc,
-    ScoreError, Scorer, TransRate,
+    DecompArm, DecompPath, Gbc, HScore, Labels, Leep, LogMe, LogMeReport, Nce, Parc, ScoreError,
+    Scorer, TransRate,
 };
 
 use tg_zoo::ForwardPass;
@@ -90,12 +91,14 @@ impl Estimator {
         self.scorer().name()
     }
 
-    /// The [`Scorer`] implementation behind this estimator (LogME uses the
-    /// batched kernel).
+    /// The [`Scorer`] implementation behind this estimator (LogME on the
+    /// default [`DecompPath::Auto`] heuristic).
     pub fn scorer(&self) -> &'static dyn Scorer {
-        const BATCHED_LOGME: LogMe = LogMe::batched();
+        const LOGME: LogMe = LogMe {
+            path: DecompPath::Auto,
+        };
         match self {
-            Estimator::LogMe => &BATCHED_LOGME,
+            Estimator::LogMe => &LOGME,
             Estimator::Leep => &Leep,
             Estimator::Nce => &Nce,
             Estimator::Parc => &Parc,
@@ -177,7 +180,7 @@ mod tests {
         let d = zoo.targets_of(Modality::Image)[1];
         let fp = zoo.forward_pass(m, d);
         let labels = Labels::new(&fp.labels, fp.num_classes).unwrap();
-        let direct = LogMe::batched().score(&fp.features, &labels).unwrap();
+        let direct = LogMe::default().score(&fp.features, &labels).unwrap();
         assert_eq!(
             Estimator::LogMe.score(&fp).unwrap().to_bits(),
             direct.to_bits()

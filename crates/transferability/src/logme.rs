@@ -6,47 +6,45 @@
 //! optimised over the prior precision `α` and noise precision `β` with
 //! MacKay's fixed-point updates. The SVD of `F` makes each iteration O(D).
 //!
-//! # Kernels
+//! # Kernel
 //!
-//! Two implementations share this module and are exposed through
-//! [`crate::LogMe`]:
-//!
-//! * **Batched** ([`log_me_batched`]) — the default. Computes all per-class
-//!   projections at once as one blocked GEMM `Z = YᵀU` over the dense
-//!   one-hot label matrix (`Matrix::matmul_at_b`), then runs the MacKay
-//!   fixed point for every class simultaneously as a struct-of-arrays sweep
-//!   over `alpha[]/beta[]/gamma[]`.
-//! * **Scalar reference** ([`log_me_scalar`]) — one class at a time, with a
-//!   cache-friendly row-major pass over `U` (the historical column-major
-//!   `u.get(r, i)` inner loop walked the row stride `k` on every step).
+//! [`log_me`] computes all per-class projections at once as one blocked
+//! GEMM `Z = YᵀU` over the dense one-hot label matrix
+//! (`Matrix::matmul_at_b`), then runs the MacKay fixed point for every
+//! class simultaneously as a struct-of-arrays sweep over
+//! `alpha[]/beta[]/gamma[]`.
 //!
 //! # Determinism and bit-identity
 //!
-//! On the SVD reference path both kernels produce **bit-identical** scores
-//! (asserted by unit and property tests, see `tests/property_tests.rs`);
-//! the Gram arm is deterministic but agrees to a tolerance rather than bits
-//! (see *Decomposition paths* below). The bit-identity argument:
+//! On the SVD path the kernel scores **bit-identically** to the seed
+//! implementation: one class at a time, a column-major `u.get(r, i)`
+//! projection loop, kept verbatim as the test-only `tg-logme-seed` oracle
+//! (asserted by unit and property tests, see `tests/property_tests.rs`,
+//! and gated by the `logme` bench). The Gram arm is deterministic but
+//! agrees to a tolerance rather than bits (see *Decomposition paths*
+//! below). The bit-identity argument:
 //!
-//! * every reduction accumulates in ascending sample-row order `r` — the
-//!   GEMM blocks only tile the *output*, never the reduction;
+//! * every reduction accumulates in ascending sample-row order `r`, as the
+//!   seed's projection loop does — the GEMM blocks only tile the *output*,
+//!   never the reduction;
 //! * the one-hot zero-skip in `matmul_at_b` is bit-neutral for finite
-//!   inputs (adding `±0.0` to a partial sum that started at `+0.0` never
-//!   changes its bits), and non-finite features are rejected up front as
-//!   [`ScoreError::NonFiniteInput`];
-//! * `Σ_r 1.0` over a class equals `count as f64` exactly for any class
-//!   size below 2⁵³;
-//! * the fixed-point update and the evidence formula are literally the same
-//!   functions ([`mackay_step`], [`evidence`]) called by both kernels, and
-//!   per-class state is independent, so interleaving classes (batched)
-//!   versus finishing one class at a time (scalar) executes the same scalar
-//!   operations in the same order per class.
+//!   inputs (the seed's `u · 0.0` terms add `±0.0` to a partial sum that
+//!   started at `+0.0`, which never changes its bits), and non-finite
+//!   features are rejected up front as [`ScoreError::NonFiniteInput`];
+//! * `Σ_r 1.0` over a class (the seed's `‖y‖²`) equals `count as f64`
+//!   exactly for any class size below 2⁵³;
+//! * [`mackay_step`] and [`evidence`] are the seed's fixed-point update and
+//!   evidence formula operation for operation, and per-class state is
+//!   independent, so interleaving classes executes the same scalar
+//!   operations in the same order per class as finishing one class at a
+//!   time.
 //!
-//! The same argument chains back to the pre-batched implementation, so
-//! scores (and any disk-cached artifacts keyed on them) are unchanged.
+//! Scores, and any disk-cached artifacts keyed on them, are therefore
+//! unchanged since the seed.
 //!
 //! # Decomposition paths
 //!
-//! The batched kernel obtains its `(σ², z)` inputs along one of two arms
+//! The kernel obtains its `(σ², z)` inputs along one of two arms
 //! (selected by [`crate::DecompPath`], heuristically by default):
 //!
 //! * **Svd** — the historical thin SVD of `F` (`n × d`), projecting
@@ -89,7 +87,7 @@ const FIXED_POINT_ITERS: usize = 11;
 /// `O(C·d²)` projection, so it needs `n` comfortably above `d` to win.
 const GRAM_RATIO: usize = 4;
 
-/// Shape/finiteness validation shared by every kernel and path.
+/// Shape/finiteness validation, ahead of either decomposition path.
 fn validate(features: &Matrix, labels: &Labels) -> Result<(), ScoreError> {
     labels.check_rows(features.rows())?;
     for r in 0..features.rows() {
@@ -100,16 +98,6 @@ fn validate(features: &Matrix, labels: &Labels) -> Result<(), ScoreError> {
     Ok(())
 }
 
-/// Shared preamble of the SVD-path kernels: validation and the thin SVD.
-/// Returns `(u, sigma²)` with `sigma²` of length `k = min(n, d)`.
-fn prepare(features: &Matrix, labels: &Labels) -> Result<(Matrix, Vec<f64>), ScoreError> {
-    validate(features, labels)?;
-    let svd = thin_svd(features)?;
-    // σ² spectrum, length k = min(n, d) (zero-clamped when rank-deficient).
-    let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-    Ok((svd.u, sigma2))
-}
-
 /// One MacKay fixed-point update for a single class.
 ///
 /// Reads the current `(alpha, beta)`, accumulates `gamma`/`m2`/`res2` over
@@ -118,8 +106,7 @@ fn prepare(features: &Matrix, labels: &Labels) -> Result<(Matrix, Vec<f64>), Sco
 /// the step goes non-finite, which freezes the class at its last finite
 /// iterate — the historical `break` behaviour.
 ///
-/// Both kernels call this exact function so their per-class arithmetic is
-/// identical operation for operation.
+/// Operation for operation the seed implementation's update.
 #[inline]
 fn mackay_step(
     sigma2: &[f64],
@@ -153,7 +140,8 @@ fn mackay_step(
 }
 
 /// Per-class log evidence at the optimised `(alpha, beta)`, **not** yet
-/// divided by `n`. Shared verbatim by both kernels.
+/// divided by `n`. Operation for operation the seed implementation's
+/// evidence.
 #[inline]
 fn evidence(
     sigma2: &[f64],
@@ -183,59 +171,7 @@ fn evidence(
         - nf * (2.0 * std::f64::consts::PI).ln())
 }
 
-/// Scalar reference kernel: one class at a time.
-///
-/// The projection `z = Uᵀy` is accumulated row-major over `U` (for each
-/// sample row `r`, axpy `y[r] · u_r` into `z`), which keeps the inner loop
-/// on contiguous memory while preserving the ascending-`r` summation order
-/// of the original column-major loop bit for bit.
-pub(crate) fn log_me_scalar(
-    features: &Matrix,
-    labels: &Labels,
-) -> Result<(f64, LogMeReport), ScoreError> {
-    let decomp_start = Instant::now();
-    let (u, sigma2) = prepare(features, labels)?;
-    let report = LogMeReport {
-        arm: DecompArm::Svd,
-        decomp: decomp_start.elapsed(),
-    };
-    let n = features.rows();
-    let d = features.cols();
-    let k = sigma2.len();
-    let nf = n as f64;
-    let num_classes = labels.num_classes();
-    let label_slice = labels.as_slice();
-
-    let mut total = 0.0;
-    for class in 0..num_classes {
-        // Projections z = Uᵀ y and ‖y‖², row-major over U.
-        let mut z = vec![0.0; k];
-        let mut y_sq = 0.0;
-        for r in 0..n {
-            let yr = if label_slice[r] == class { 1.0 } else { 0.0 };
-            y_sq += yr * yr;
-            for (zi, &ui) in z.iter_mut().zip(u.row(r)) {
-                *zi += ui * yr;
-            }
-        }
-        let z_sq: Vec<f64> = z.iter().map(|v| v * v).collect();
-        // Residual outside the column space of F.
-        let r0 = (y_sq - z_sq.iter().sum::<f64>()).max(0.0);
-
-        let mut alpha = 1.0f64;
-        let mut beta = 1.0f64;
-        let mut gamma = 0.0f64;
-        for _ in 0..FIXED_POINT_ITERS {
-            if !mackay_step(&sigma2, &z_sq, r0, nf, &mut alpha, &mut beta, &mut gamma) {
-                break;
-            }
-        }
-        total += evidence(&sigma2, &z_sq, r0, alpha, beta, nf, d) / nf;
-    }
-    Ok((total / num_classes as f64, report))
-}
-
-/// The decomposition stage of the batched kernel: resolves the requested
+/// The decomposition stage of the kernel: resolves the requested
 /// path, produces the `σ²` spectrum plus the per-class projections
 /// `Z = YᵀU` (`C × k`), and measures its own wall-clock for the per-arm
 /// telemetry.
@@ -291,19 +227,19 @@ fn decompose(
     Ok((sigma2, z, report))
 }
 
-/// Batched kernel: all classes at once.
+/// The LogME kernel: all classes at once.
 ///
 /// One blocked GEMM `Z = YᵀU` over the dense one-hot label matrix replaces
 /// `num_classes` separate projection passes (the kernel's one-hot zero-skip
 /// makes it an `O(n·k)` scatter of `U` rows into per-class `Z` rows), then
 /// the MacKay fixed point runs for every class inside each sweep —
 /// struct-of-arrays `alpha[]/beta[]/gamma[]` with a `frozen[]` mask
-/// replacing the scalar path's early `break`.
+/// replacing the seed's per-class early `break`.
 ///
 /// The `(σ², Z)` inputs come from whichever decomposition arm `path`
 /// resolves to (see [`decompose`] and the module docs); the evidence stage
 /// below is arm-independent.
-pub(crate) fn log_me_batched(
+pub(crate) fn log_me(
     features: &Matrix,
     labels: &Labels,
     path: DecompPath,
@@ -319,8 +255,8 @@ pub(crate) fn log_me_batched(
     let counts = labels.class_counts();
 
     // z², plus the out-of-column-space residual r0 per class. The running
-    // sum mirrors the reference's ascending-index `z_sq.iter().sum()`, and
-    // `count as f64` is exactly the reference's Σ y_r² (a sum of 1.0s).
+    // sum mirrors the seed's ascending-index `z_sq.iter().sum()`, and
+    // `count as f64` is exactly the seed's Σ y_r² (a sum of 1.0s).
     let mut z_sq = vec![0.0; num_classes * k];
     let mut r0 = vec![0.0; num_classes];
     for (class, r0c) in r0.iter_mut().enumerate() {
@@ -381,26 +317,27 @@ mod tests {
     use super::*;
     use crate::scorer::{LogMe, Scorer};
     use crate::testutil::clustered_features;
+    use tg_logme_seed::seed_log_me;
     use tg_rng::Rng;
 
-    fn score(kernel: LogMe, f: &Matrix, y: &[usize], c: usize) -> f64 {
-        kernel.score(f, &Labels::new(y, c).unwrap()).unwrap()
-    }
-
-    /// Bit-identity holds on the SVD reference path, which these historical
+    /// The SVD path is bit-identical to the seed implementation, which these
     /// tests pin explicitly (the default `Auto` heuristic may resolve to the
     /// Gram arm, which agrees to tolerance, not bits).
     fn both_identical(f: &Matrix, y: &[usize], c: usize) -> f64 {
-        let b = score(LogMe::batched().with_path(DecompPath::Svd), f, y, c);
-        let s = score(LogMe::scalar(), f, y, c);
+        let labels = Labels::new(y, c).unwrap();
+        let svd = LogMe::default()
+            .with_path(DecompPath::Svd)
+            .score(f, &labels)
+            .unwrap();
+        let seed = seed_log_me(f, y, c);
         assert_eq!(
-            b.to_bits(),
-            s.to_bits(),
-            "batched {b} != scalar {s} on {}x{}, {c} classes",
+            svd.to_bits(),
+            seed.to_bits(),
+            "svd {svd} != seed {seed} on {}x{}, {c} classes",
             f.rows(),
             f.cols()
         );
-        b
+        svd
     }
 
     /// |a − b| within abs+rel tolerance.
@@ -479,14 +416,7 @@ mod tests {
         let f = Matrix::zeros(10, 4);
         let labels = Labels::new(&[0, 1], 2).unwrap();
         assert_eq!(
-            LogMe::batched().score(&f, &labels),
-            Err(ScoreError::LabelCountMismatch {
-                labels: 2,
-                rows: 10
-            })
-        );
-        assert_eq!(
-            LogMe::scalar().score(&f, &labels),
+            LogMe::default().score(&f, &labels),
             Err(ScoreError::LabelCountMismatch {
                 labels: 2,
                 rows: 10
@@ -501,7 +431,7 @@ mod tests {
         let labels_vec: Vec<usize> = (0..6).map(|i| i % 2).collect();
         let labels = Labels::new(&labels_vec, 2).unwrap();
         assert_eq!(
-            LogMe::batched().score(&f, &labels),
+            LogMe::default().score(&f, &labels),
             Err(ScoreError::NonFiniteInput)
         );
     }
@@ -512,11 +442,11 @@ mod tests {
         for (n, d, c) in [(200, 16, 4), (150, 8, 3), (64, 16, 2)] {
             let (f, y) = clustered_features(&mut rng, n, d, c, 2.0);
             let labels = Labels::new(&y, c).unwrap();
-            let svd = LogMe::batched()
+            let svd = LogMe::default()
                 .with_path(DecompPath::Svd)
                 .score(&f, &labels)
                 .unwrap();
-            let gram = LogMe::batched()
+            let gram = LogMe::default()
                 .with_path(DecompPath::Gram)
                 .score(&f, &labels)
                 .unwrap();
@@ -530,12 +460,12 @@ mod tests {
         // n = 200 ≥ 4·16: Auto takes the Gram arm.
         let (f, y) = clustered_features(&mut rng, 200, 16, 3, 2.0);
         let labels = Labels::new(&y, 3).unwrap();
-        let (_, report) = LogMe::batched().score_with_report(&f, &labels).unwrap();
+        let (_, report) = LogMe::default().score_with_report(&f, &labels).unwrap();
         assert_eq!(report.arm, DecompArm::Gram);
         // n = 12 < 4·20: Auto stays on the SVD reference.
         let (f, y) = clustered_features(&mut rng, 12, 20, 3, 2.0);
         let labels = Labels::new(&y, 3).unwrap();
-        let (_, report) = LogMe::batched().score_with_report(&f, &labels).unwrap();
+        let (_, report) = LogMe::default().score_with_report(&f, &labels).unwrap();
         assert_eq!(report.arm, DecompArm::Svd);
     }
 
@@ -546,11 +476,11 @@ mod tests {
         let mut rng = Rng::seed_from_u64(42);
         let (f, y) = clustered_features(&mut rng, 12, 20, 3, 2.0);
         let labels = Labels::new(&y, 3).unwrap();
-        let svd = LogMe::batched()
+        let svd = LogMe::default()
             .with_path(DecompPath::Svd)
             .score(&f, &labels)
             .unwrap();
-        let gram = LogMe::batched()
+        let gram = LogMe::default()
             .with_path(DecompPath::Gram)
             .score(&f, &labels)
             .unwrap();
@@ -569,12 +499,12 @@ mod tests {
             _ => base.get(r, c),
         });
         let labels = Labels::new(&y, 2).unwrap();
-        let svd = LogMe::batched()
+        let svd = LogMe::default()
             .with_path(DecompPath::Svd)
             .score(&f, &labels)
             .unwrap();
         assert!(svd.is_finite());
-        let gram = LogMe::batched()
+        let gram = LogMe::default()
             .with_path(DecompPath::Gram)
             .score(&f, &labels)
             .unwrap();

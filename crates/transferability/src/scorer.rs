@@ -15,7 +15,7 @@ use tg_linalg::Matrix;
 use crate::gbc::gbc_impl;
 use crate::hscore::h_score_impl;
 use crate::leep_nce::{leep_impl, nce_impl};
-use crate::logme::{log_me_batched, log_me_scalar};
+use crate::logme::log_me;
 use crate::parc::parc_impl;
 use crate::transrate::trans_rate_impl;
 
@@ -213,7 +213,7 @@ impl<'a> Labels<'a> {
 ///
 /// let features = Matrix::from_fn(8, 3, |r, c| ((r * 3 + c) % 5) as f64);
 /// let labels = Labels::new(&[0, 1, 0, 1, 0, 1, 0, 1], 2).unwrap();
-/// let score = LogMe::batched().score(&features, &labels).unwrap();
+/// let score = LogMe::default().score(&features, &labels).unwrap();
 /// assert!(score.is_finite());
 /// ```
 pub trait Scorer {
@@ -224,25 +224,15 @@ pub trait Scorer {
     fn score(&self, features: &Matrix, labels: &Labels) -> Result<f64, ScoreError>;
 }
 
-/// Which LogME kernel a [`LogMe`] scorer runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LogMeKernel {
-    /// Blocked `Z = YᵀU` GEMM + struct-of-arrays fixed point (default).
-    #[default]
-    Batched,
-    /// Straightforward per-class row-major reference loop.
-    Scalar,
-}
-
-/// Which decomposition feeds the batched LogME kernel's spectrum and label
+/// Which decomposition feeds the LogME kernel's spectrum and label
 /// projections.
 ///
 /// The evidence is mathematically identical along both paths (see the
 /// `logme` module docs for the identity); they differ in cost and in
 /// floating-point rounding. `Svd` is the bit-exactness reference — the
-/// historical thin-SVD pipeline, bit-identical to the scalar kernel and the
-/// seed implementation. `Gram` agrees with it to ~1e-6, asserted by
-/// property tests and the bench gates.
+/// historical thin-SVD pipeline, bit-identical to the seed implementation
+/// (the test-only `tg-logme-seed` crate). `Gram` agrees with it to ~1e-6,
+/// asserted by property tests and the bench gates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DecompPath {
     /// Heuristic: `Gram` when `n >= 4·d` (the paper-scale regime), `Svd`
@@ -306,44 +296,18 @@ pub struct LogMeReport {
 
 /// Log maximum evidence (You et al., ICML 2021). See the `logme` module.
 ///
-/// Defaults to the batched kernel on the [`DecompPath::Auto`] heuristic;
-/// [`LogMe::scalar`] selects the reference kernel, which always runs the
-/// SVD path and is bit-identical to `batched().with_path(DecompPath::Svd)`
-/// by construction (asserted in tests).
+/// `LogMe::default()` follows the [`DecompPath::Auto`] heuristic;
+/// [`LogMe::with_path`] pins a decomposition. On [`DecompPath::Svd`] the
+/// score is bit-identical to the seed implementation (asserted in tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LogMe {
-    kernel: LogMeKernel,
-    path: DecompPath,
+    pub(crate) path: DecompPath,
 }
 
 impl LogMe {
-    /// The blocked/batched kernel (default), on the default
-    /// [`DecompPath::Auto`] heuristic.
-    pub const fn batched() -> Self {
-        LogMe {
-            kernel: LogMeKernel::Batched,
-            path: DecompPath::Auto,
-        }
-    }
-
-    /// The scalar per-class reference kernel (always the SVD path).
-    pub const fn scalar() -> Self {
-        LogMe {
-            kernel: LogMeKernel::Scalar,
-            path: DecompPath::Auto,
-        }
-    }
-
-    /// Selects the decomposition path of the batched kernel. The scalar
-    /// reference kernel ignores this and always runs the SVD path — it
-    /// exists to pin the historical bits.
+    /// Selects the decomposition path.
     pub const fn with_path(self, path: DecompPath) -> Self {
-        LogMe { path, ..self }
-    }
-
-    /// Which kernel this instance runs.
-    pub const fn kernel(&self) -> LogMeKernel {
-        self.kernel
+        LogMe { path }
     }
 
     /// Which decomposition path this instance requests.
@@ -358,10 +322,7 @@ impl LogMe {
         features: &Matrix,
         labels: &Labels,
     ) -> Result<(f64, LogMeReport), ScoreError> {
-        match self.kernel {
-            LogMeKernel::Batched => log_me_batched(features, labels, self.path),
-            LogMeKernel::Scalar => log_me_scalar(features, labels),
-        }
+        log_me(features, labels, self.path)
     }
 }
 

@@ -92,12 +92,6 @@ impl TrainingHistory {
             records: idx.into_iter().map(|i| self.records[i]).collect(),
         }
     }
-
-    /// Mean accuracy over all records (diagnostic).
-    pub fn mean_accuracy(&self) -> f64 {
-        let accs: Vec<f64> = self.records.iter().map(|r| r.accuracy).collect();
-        tg_linalg::stats::mean(&accs)
-    }
 }
 
 #[cfg(test)]

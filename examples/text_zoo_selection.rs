@@ -34,7 +34,7 @@ fn main() {
     println!(
         "candidate {}: LogME {:.3}, LEEP {:.3}, NCE {:.3}\n",
         zoo.model(candidate).name,
-        LogMe::batched()
+        LogMe::default()
             .score(&fp.features, &labels)
             .expect("LogME scores valid features"),
         Leep.score(&fp.source_probs, &labels)

@@ -176,15 +176,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The batched LogME kernel on the SVD reference path is bit-identical
-    /// to the scalar reference across random shapes (tall and wide), class
-    /// counts, and labelings — including labelings where some classes get a
-    /// single sample or none at all (random draws hit both regularly at
-    /// these sizes). The path is pinned to `Svd` because the bit-identity
-    /// contract belongs to that path; the default `Auto` heuristic may pick
-    /// the Gram path (tolerance contract, asserted below) at tall shapes.
+    /// The LogME kernel on the SVD reference path is bit-identical to the
+    /// seed implementation (`tg-logme-seed`) across random shapes (tall and
+    /// wide), class counts, and labelings — including labelings where some
+    /// classes get a single sample or none at all (random draws hit both
+    /// regularly at these sizes). The path is pinned to `Svd` because the
+    /// bit-identity contract belongs to that path; the default `Auto`
+    /// heuristic may pick the Gram path (tolerance contract, asserted below)
+    /// at tall shapes.
     #[test]
-    fn logme_batched_matches_scalar_bitwise(
+    fn logme_batched_matches_seed_bitwise(
         n in 2usize..40,
         d in 1usize..9,
         num_classes in 2usize..7,
@@ -195,14 +196,14 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| vals[r * 8 + c]);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let batched = LogMe::batched()
+        let batched = LogMe::default()
             .with_path(DecompPath::Svd)
             .score(&features, &labels)
             .unwrap();
-        let scalar = LogMe::scalar().score(&features, &labels).unwrap();
+        let seed = tg_logme_seed::seed_log_me(&features, &labels_vec, num_classes);
         prop_assert!(
-            batched.to_bits() == scalar.to_bits(),
-            "batched {batched:?} != scalar {scalar:?} at n={n} d={d} C={num_classes}"
+            batched.to_bits() == seed.to_bits(),
+            "batched {batched:?} != seed {seed:?} at n={n} d={d} C={num_classes}"
         );
     }
 
@@ -210,7 +211,7 @@ proptest! {
     /// column is a multiple of one base column, so the numerical rank is 1
     /// regardless of the requested width.
     #[test]
-    fn logme_batched_matches_scalar_on_rank_deficient(
+    fn logme_batched_matches_seed_on_rank_deficient(
         n in 2usize..30,
         d in 2usize..9,
         num_classes in 2usize..5,
@@ -221,12 +222,12 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| base[r] * (c + 1) as f64);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let batched = LogMe::batched()
+        let batched = LogMe::default()
             .with_path(DecompPath::Svd)
             .score(&features, &labels)
             .unwrap();
-        let scalar = LogMe::scalar().score(&features, &labels).unwrap();
-        prop_assert!(batched.to_bits() == scalar.to_bits());
+        let seed = tg_logme_seed::seed_log_me(&features, &labels_vec, num_classes);
+        prop_assert!(batched.to_bits() == seed.to_bits());
     }
 
     /// The Gram path agrees with the SVD reference path within the
@@ -244,8 +245,8 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| vals[r * 8 + c]);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let svd = LogMe::batched().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
-        let gram = LogMe::batched().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
+        let svd = LogMe::default().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
+        let gram = LogMe::default().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
         let dev = parity_dev(svd, gram);
         prop_assert!(dev <= GRAM_PARITY_TOL, "svd {svd} gram {gram} dev {dev:.3e} at n={n} d={d}");
     }
@@ -265,8 +266,8 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| base[r] * (c + 1) as f64);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let svd = LogMe::batched().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
-        let gram = LogMe::batched().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
+        let svd = LogMe::default().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
+        let gram = LogMe::default().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
         let dev = parity_dev(svd, gram);
         prop_assert!(dev <= GRAM_PARITY_TOL, "svd {svd} gram {gram} dev {dev:.3e}");
     }
@@ -288,8 +289,8 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| vals[r * 9 + c] * 10f64.powi(-(c as i32)));
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let svd = LogMe::batched().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
-        let gram = LogMe::batched().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
+        let svd = LogMe::default().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
+        let gram = LogMe::default().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
         let dev = parity_dev(svd, gram);
         prop_assert!(dev <= GRAM_PARITY_TOL, "svd {svd} gram {gram} dev {dev:.3e} at n={n} d={d}");
     }
@@ -309,8 +310,8 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| vals[r * 16 + c]);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let svd = LogMe::batched().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
-        let gram = LogMe::batched().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
+        let svd = LogMe::default().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
+        let gram = LogMe::default().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
         let dev = parity_dev(svd, gram);
         prop_assert!(
             dev <= GRAM_PARITY_TOL_WIDE,
@@ -332,27 +333,27 @@ proptest! {
         let features = Matrix::from_fn(n, d, |r, c| vals[r * 4 + c]);
         let labels_vec: Vec<usize> = raw_labels[..n].iter().map(|&l| l % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        let svd = LogMe::batched().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
-        let gram = LogMe::batched().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
+        let svd = LogMe::default().with_path(DecompPath::Svd).score(&features, &labels).unwrap();
+        let gram = LogMe::default().with_path(DecompPath::Gram).score(&features, &labels).unwrap();
         let dev = parity_dev(svd, gram);
         prop_assert!(dev <= GRAM_PARITY_TOL, "svd {svd} gram {gram} dev {dev:.3e} at n={n} d={d}");
     }
 
-    /// A label vector of the wrong length surfaces as `ScoreError` from
-    /// every kernel — never a panic.
+    /// A label vector of the wrong length surfaces as `ScoreError` on
+    /// every decomposition path — never a panic.
     #[test]
     fn logme_mismatched_labels_always_error(
         n in 2usize..20,
         wrong in 1usize..25,
         num_classes in 2usize..5,
     ) {
-        use transfergraph_repro::transfer::{Labels, LogMe, ScoreError, Scorer};
+        use transfergraph_repro::transfer::{DecompPath, Labels, LogMe, ScoreError, Scorer};
         prop_assume!(wrong != n);
         let features = Matrix::from_fn(n, 3, |r, c| (r + c) as f64);
         let labels_vec: Vec<usize> = (0..wrong).map(|i| i % num_classes).collect();
         let labels = Labels::new(&labels_vec, num_classes).unwrap();
-        for kernel in [LogMe::batched(), LogMe::scalar()] {
-            let got = kernel.score(&features, &labels);
+        for path in [DecompPath::Auto, DecompPath::Svd, DecompPath::Gram] {
+            let got = LogMe::default().with_path(path).score(&features, &labels);
             prop_assert_eq!(
                 got,
                 Err(ScoreError::LabelCountMismatch { labels: wrong, rows: n })

@@ -12,9 +12,11 @@
 //!    rendered through the same functions), and sane p50/p99 latency.
 //! 2. **overload** — a fresh 2-worker server with a coalescing batch
 //!    window, hit with one same-key burst of concurrent `/recommend`s.
-//!    Gates: at least one request shed with `503 + Retry-After`, at
-//!    least one request coalesced onto another's pass, and every `200`
-//!    still bit-identical.
+//!    Gates: at least one request shed with `503 + Retry-After`, sheds
+//!    that hold the accept thread for less than the server's drain
+//!    timeout (median interval between consecutive shed replies: a shed
+//!    client must not wait out the drain), at least one request coalesced
+//!    onto another's pass, and every `200` still bit-identical.
 //!
 //! Prints one greppable `[loadgen]` summary line, writes
 //! `results/BENCH_loadgen.json` (override with `TG_BENCH_JSON`), and
@@ -34,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tg_bench::json::JsonObject;
-use tg_serve::{recommend_body, score_body, ServeOptions, Server};
+use tg_serve::{recommend_body, score_body, ServeOptions, Server, DRAIN_TIMEOUT};
 use tg_zoo::{Modality, ModelZoo, ZooConfig};
 use transfergraph::{evaluate, EvalOptions, Strategy, Workbench, ZooRegistry};
 
@@ -246,47 +248,54 @@ fn main() {
     let overload_addr = overload_server.local_addr();
     let burst_exp = &expected[0];
 
-    let shed = AtomicUsize::new(0);
-    let burst_ok = AtomicUsize::new(0);
-    let burst_impure = AtomicUsize::new(0);
-    let burst_dropped = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..BURST {
-            scope.spawn(|| {
-                let raw = post("/recommend", &burst_exp.recommend_req);
-                match exchange(overload_addr, &raw) {
-                    Some((200, body, _)) => {
-                        if body == burst_exp.recommend_body {
-                            burst_ok.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            burst_impure.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Some((503, _, _)) => {
-                        shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(_) => {
-                        burst_impure.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        burst_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
+    let raw = post("/recommend", &burst_exp.recommend_req);
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..BURST)
+            .map(|_| scope.spawn(|| (exchange(overload_addr, &raw), Instant::now())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("burst client"))
+            .collect()
     });
+    let (mut burst_ok, mut burst_impure, mut burst_dropped) = (0, 0, 0);
+    let (mut shed_latencies, mut shed_done) = (Vec::new(), Vec::new());
+    for (reply, done) in replies {
+        match reply {
+            Some((200, body, _)) if body == burst_exp.recommend_body => burst_ok += 1,
+            Some((503, _, micros)) => {
+                shed_latencies.push(micros);
+                shed_done.push(done);
+            }
+            Some(_) => burst_impure += 1,
+            None => burst_dropped += 1,
+        }
+    }
+    shed_latencies.sort_unstable();
+    let shed_p50_ms = percentile(&shed_latencies, 0.50);
+    let shed_max_ms = percentile(&shed_latencies, 1.0);
+    // The accept thread sheds one connection at a time, so the interval
+    // between consecutive shed replies is how long each shed held it.
+    shed_done.sort_unstable();
+    let mut shed_intervals: Vec<u64> = shed_done
+        .windows(2)
+        .map(|pair| (pair[1] - pair[0]).as_micros() as u64)
+        .collect();
+    shed_intervals.sort_unstable();
+    let shed_hold_p50_ms = percentile(&shed_intervals, 0.50);
     let coalesce = overload_server.coalesce_stats();
     let overload_stats = overload_server.stats();
     overload_server.shutdown();
 
     // ---- report -----------------------------------------------------------
     let wrong = wrong_routes.load(Ordering::Relaxed);
-    let impure = impure.load(Ordering::Relaxed) + burst_impure.load(Ordering::Relaxed);
-    let shed = shed.load(Ordering::Relaxed);
+    let impure = impure.load(Ordering::Relaxed) + burst_impure;
+    let shed = shed_latencies.len();
     let registry_stats = registry.stats();
     println!(
         "[loadgen] requests={} wrong_routes={wrong} impure={impure} shed={shed} \
-         coalesced={} p50_ms={p50_ms:.3} p99_ms={p99_ms:.3} | {} | {}",
+         shed_p50_ms={shed_p50_ms:.3} shed_hold_p50_ms={shed_hold_p50_ms:.3} coalesced={} \
+         p50_ms={p50_ms:.3} p99_ms={p99_ms:.3} | {} | {}",
         latencies.len(),
         coalesce.followers,
         steady_stats.render(),
@@ -324,9 +333,12 @@ fn main() {
                 .usize("burst", BURST)
                 .usize("max_conns", overload_opts.max_conns)
                 .u64("batch_window_ms", overload_opts.batch_window_ms)
-                .usize("ok", burst_ok.load(Ordering::Relaxed))
+                .usize("ok", burst_ok)
                 .usize("shed", shed)
-                .usize("dropped", burst_dropped.load(Ordering::Relaxed))
+                .f64("shed_p50_ms", shed_p50_ms)
+                .f64("shed_max_ms", shed_max_ms)
+                .f64("shed_hold_p50_ms", shed_hold_p50_ms)
+                .usize("dropped", burst_dropped)
                 .u64("coalesce_leaders", coalesce.leaders)
                 .u64("coalesce_followers", coalesce.followers)
                 .u64("server_shed", overload_stats.shed),
@@ -359,6 +371,14 @@ fn main() {
     }
     if shed == 0 {
         eprintln!("[loadgen] FAIL: overload burst of {BURST} against 2 workers shed nothing");
+        failed = true;
+    }
+    let drain_ms = DRAIN_TIMEOUT.as_secs_f64() * 1e3;
+    if shed_hold_p50_ms >= drain_ms {
+        eprintln!(
+            "[loadgen] FAIL: each shed holds the accept thread {shed_hold_p50_ms:.3}ms (median), \
+             reaching the {drain_ms}ms drain timeout: shed clients wait out the server's drain"
+        );
         failed = true;
     }
     if coalesce.followers == 0 {

@@ -6,6 +6,9 @@
 //! memory nor trip a panic (the crate is under the workspace's clippy
 //! no-panic lints). Every malformed input maps to a typed
 //! [`ParseError`] that the server renders as a `4xx` response.
+//! [`Response::write_to`] renders a whole response into one buffer and
+//! sends it with a single `write_all`, so each reply costs the socket
+//! one `write(2)` rather than one per formatted piece.
 //!
 //! Limits (documented in DESIGN.md §5):
 //!
@@ -231,18 +234,28 @@ impl Response {
 
     /// Serialises the response (status line, headers, body) to `w`.
     /// Always sends `Content-Length` and `Connection: close`.
+    ///
+    /// The status line, headers and body are rendered into one buffer
+    /// and handed to `w` in a single `write_all`. On an unbuffered
+    /// `&TcpStream` every `write` is a syscall, so formatting piece by
+    /// piece would cost one per header; one write also leaves Nagle's
+    /// algorithm nothing to hold back, so no `TCP_NODELAY` is needed.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        // The status line and headers take under 160 bytes.
+        let mut wire = Vec::with_capacity(self.body.len() + 160);
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_text(self.status),
             self.body.len()
         )?;
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            write!(wire, "Retry-After: {secs}\r\n")?;
         }
-        write!(w, "\r\n{}", self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(self.body.as_bytes());
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -384,27 +397,54 @@ mod tests {
         let _ = parse(b"\xff\xfe GET / HTTP/1.1\r\n\r\n");
     }
 
-    #[test]
-    fn response_serialises_with_length_and_close() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".to_string())
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 2\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+    /// Records every `write` call, as a socket would see them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
     }
 
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The exact bytes of a `200`, a `400` and a shed `503`, and one
+    /// `write` call each (one syscall on a `TcpStream`).
     #[test]
-    fn shed_response_carries_retry_after() {
-        let mut resp = Response::error(503, "server saturated");
-        resp.retry_after = Some(1);
-        let mut out = Vec::new();
-        resp.write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Retry-After: 1\r\n"));
-        assert!(text.contains("\"error\": \"server saturated\""));
+    fn responses_are_locked_bytes_in_one_write() {
+        let mut shed = Response::error(503, "server saturated; retry shortly");
+        shed.retry_after = Some(1);
+        for (response, wire) in [
+            (
+                Response::json(200, "{\"logme\": -0.5}".to_string()),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\
+                 Connection: close\r\n\r\n{\"logme\": -0.5}",
+            ),
+            (
+                Response::error(400, "empty body; expected a JSON object"),
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+                 Content-Length: 52\r\nConnection: close\r\n\r\n\
+                 {\n  \"error\": \"empty body; expected a JSON object\"\n}\n",
+            ),
+            (
+                shed,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 49\r\nConnection: close\r\nRetry-After: 1\r\n\r\n\
+                 {\n  \"error\": \"server saturated; retry shortly\"\n}\n",
+            ),
+        ] {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), wire);
+            assert_eq!(out.writes, 1, "status {}", response.status);
+        }
     }
 }

@@ -36,5 +36,5 @@ pub mod server;
 
 pub use server::{
     recommend_body, score_body, stats_body, strategy_from_name, ServeOptions, Server, ServerStats,
-    ADDR_ENV, BATCH_WINDOW_ENV, DEFAULT_SEED, MAX_CONNS_ENV,
+    ADDR_ENV, BATCH_WINDOW_ENV, DEFAULT_SEED, DRAIN_TIMEOUT, MAX_CONNS_ENV,
 };

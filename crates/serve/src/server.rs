@@ -17,7 +17,7 @@
 //! window (`TG_SERVE_BATCH_WINDOW_MS`) widens each burst.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -42,6 +42,11 @@ pub const BATCH_WINDOW_ENV: &str = "TG_SERVE_BATCH_WINDOW_MS";
 
 /// Zoo seed assumed when a request body omits `"seed"`.
 pub const DEFAULT_SEED: u64 = 2024;
+
+/// Read timeout of the drain that ends a shed or `4xx` reply. The accept
+/// thread runs that drain for every shed connection, so a shed that
+/// holds it this long means the client waited out the drain.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Server configuration; every field has an env-var override.
 #[derive(Debug, Clone)]
@@ -327,16 +332,25 @@ impl Shared {
     }
 }
 
-/// Reads and discards any request bytes still pending on `conn`.
-/// Closing a socket with unread receive data makes the kernel send RST
-/// instead of FIN, which can destroy the response before the client
-/// reads it; a brief drain turns the close into an orderly FIN.
+/// Half-closes `conn` after its response, then reads and discards any
+/// request bytes still pending. The half-close sends FIN right behind
+/// the response, so the client reads to EOF and closes without waiting
+/// for the server. Closing a socket with unread receive data makes the
+/// kernel send RST instead of FIN, which can destroy the response before
+/// the client reads it; the drain reads until the client's close, so the
+/// final close is orderly. A client that never closes holds the caller
+/// for at most four reads of [`DRAIN_TIMEOUT`].
 fn drain_briefly(conn: &TcpStream) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the half-close is best-effort; without it the drain waits out its timeout"
+    )]
+    let _ = conn.shutdown(Shutdown::Write);
     #[expect(
         clippy::let_underscore_must_use,
         reason = "the drain is best-effort by design; a failed timeout only shortens it"
     )]
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(10)));
+    let _ = conn.set_read_timeout(Some(DRAIN_TIMEOUT));
     let mut sink = [0u8; 4096];
     let mut reader = conn;
     for _ in 0..4 {

@@ -10,10 +10,10 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tg_json::JsonValue;
-use tg_serve::{recommend_body, ServeOptions, Server};
+use tg_serve::{recommend_body, ServeOptions, Server, DRAIN_TIMEOUT};
 use tg_zoo::{ModelZoo, ZooConfig};
 use transfergraph::{evaluate, EvalOptions, Strategy, Workbench, ZooRegistry};
 
@@ -246,18 +246,24 @@ fn protocol_errors_map_to_documented_statuses() {
     server.shutdown();
 }
 
-#[test]
-fn saturated_server_sheds_with_retry_after() {
-    // One worker, queue capacity one. Park a connection on the worker
-    // (it blocks in read until we drop it), fill the queue, then watch
-    // the next connections bounce with 503 + Retry-After.
-    let server = start(1, 0);
-    let addr = server.local_addr();
-
+/// Saturates a one-worker server (queue capacity one): parks a
+/// connection on the worker, which blocks reading it until it is dropped,
+/// and fills the queue behind it. Every later connection is shed.
+fn saturate(addr: SocketAddr) -> [TcpStream; 2] {
     let parked = TcpStream::connect(addr).expect("park worker");
     std::thread::sleep(Duration::from_millis(200)); // let the worker pop it
     let queued = TcpStream::connect(addr).expect("fill queue");
     std::thread::sleep(Duration::from_millis(100));
+    [parked, queued]
+}
+
+#[test]
+fn saturated_server_sheds_with_retry_after() {
+    // Watch connections to a saturated server bounce with 503 +
+    // Retry-After.
+    let server = start(1, 0);
+    let addr = server.local_addr();
+    let held = saturate(addr);
 
     let mut shed = 0;
     for _ in 0..5 {
@@ -271,9 +277,39 @@ fn saturated_server_sheds_with_retry_after() {
         }
     }
     assert!(shed > 0, "an overloaded single-worker server must shed");
-    drop(parked);
-    drop(queued); // unblock the worker so shutdown joins promptly
+    drop(held); // unblock the worker so shutdown joins promptly
     assert!(server.stats().shed > 0);
+    server.shutdown();
+}
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "the test times the shed path")]
+fn sheds_never_wait_out_the_drain_timeout() {
+    // The accept thread writes each 503 and drains the connection itself.
+    // A client still waiting for the server's FIN when that drain starts
+    // stalls it for a full read timeout, and the accept thread with it:
+    // 20 sheds would then take at least 20 drain timeouts.
+    const SHEDS: u32 = 20;
+    let server = start(1, 0);
+    let addr = server.local_addr();
+    let held = saturate(addr);
+
+    let started = Instant::now();
+    for _ in 0..SHEDS {
+        let reply = get(addr, "/stats");
+        assert_eq!(
+            status_of(&reply),
+            503,
+            "a saturated server sheds: {reply:?}"
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < SHEDS * DRAIN_TIMEOUT / 2,
+        "{SHEDS} sheds took {elapsed:?}; each must end well inside the {DRAIN_TIMEOUT:?} drain"
+    );
+    drop(held);
+    assert_eq!(server.stats().shed, u64::from(SHEDS));
     server.shutdown();
 }
 

@@ -10,10 +10,10 @@
 //!    request's), 0 impure responses (`/recommend` and `/score` bodies
 //!    bit-identical to direct registry-free Workbench computations
 //!    rendered through the same functions), and sane p50/p99 latency.
-//! 2. **overload** — a fresh 2-worker server with a coalescing batch
+//! 2. **overload** — a fresh 2-slot server with a coalescing batch
 //!    window, hit with one same-key burst of concurrent `/recommend`s.
 //!    Gates: at least one request shed with `503 + Retry-After`, sheds
-//!    that hold the accept thread for less than the server's drain
+//!    that hold the shedding thread for less than the server's drain
 //!    timeout (median interval between consecutive shed replies: a shed
 //!    client must not wait out the drain), at least one request coalesced
 //!    onto another's pass, and every `200` still bit-identical.
@@ -274,8 +274,9 @@ fn main() {
     shed_latencies.sort_unstable();
     let shed_p50_ms = percentile(&shed_latencies, 0.50);
     let shed_max_ms = percentile(&shed_latencies, 1.0);
-    // The accept thread sheds one connection at a time, so the interval
-    // between consecutive shed replies is how long each shed held it.
+    // With both slots serving, one server thread is left to accept, and
+    // it sheds one connection at a time, so the interval between
+    // consecutive shed replies is how long each shed held it.
     shed_done.sort_unstable();
     let mut shed_intervals: Vec<u64> = shed_done
         .windows(2)
@@ -370,13 +371,13 @@ fn main() {
         failed = true;
     }
     if shed == 0 {
-        eprintln!("[loadgen] FAIL: overload burst of {BURST} against 2 workers shed nothing");
+        eprintln!("[loadgen] FAIL: overload burst of {BURST} against 2 slots shed nothing");
         failed = true;
     }
     let drain_ms = DRAIN_TIMEOUT.as_secs_f64() * 1e3;
     if shed_hold_p50_ms >= drain_ms {
         eprintln!(
-            "[loadgen] FAIL: each shed holds the accept thread {shed_hold_p50_ms:.3}ms (median), \
+            "[loadgen] FAIL: each shed holds the shedding thread {shed_hold_p50_ms:.3}ms (median), \
              reaching the {drain_ms}ms drain timeout: shed clients wait out the server's drain"
         );
         failed = true;

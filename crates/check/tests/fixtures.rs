@@ -94,9 +94,10 @@ fn tg07_fires_on_sleep_and_join_inside_the_critical_section() {
     let tg07 = lines_of(&findings, Lint::Tg07BlockingWhileLocked);
     assert_eq!(
         tg07.len(),
-        3,
-        "sleep, thread-join and get_or_init while locked (post-release \
-         sleep, path.join and the file-lock exemption stay clean): {findings:?}"
+        5,
+        "sleep, thread-join, get_or_init, recv and accept while locked \
+         (post-release sleep, path.join and the file-lock exemption stay \
+         clean): {findings:?}"
     );
     assert!(
         findings

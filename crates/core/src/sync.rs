@@ -2,7 +2,7 @@
 //! workspace-wide [`tg_sync`] leaf crate.
 //!
 //! The tracker used to live here, but the lock table spans crates on
-//! both sides of this one: `tg-serve`'s connection receiver (rank
+//! both sides of this one: `tg-serve`'s admission lock (rank
 //! `conn_queue`) sits above it. Extracting the tracker into `tg-sync`
 //! (a dependency-free leaf) made that formerly static-only rank
 //! runtime-enforced: every crate in the workspace takes the same

@@ -2,8 +2,9 @@
 //!
 //! A hand-rolled HTTP/1.1 front-end over the process-wide
 //! [`transfergraph::ZooRegistry`]: std `TcpListener`, a bounded
-//! connection queue, and a fixed worker pool — no async runtime, fully
-//! offline. The wire protocol is documented in DESIGN.md §5; in short:
+//! connection queue, and a fixed pool of threads that each accept and
+//! serve connections — no async runtime, fully offline. The wire protocol
+//! is documented in DESIGN.md §5; in short:
 //!
 //! | endpoint          | body                                          | returns |
 //! |-------------------|-----------------------------------------------|---------|

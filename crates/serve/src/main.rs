@@ -22,7 +22,7 @@ fn main() {
             }
         }
         Err(err) => {
-            eprintln!("[tg-serve] failed to bind {}: {err}", opts.addr);
+            eprintln!("[tg-serve] failed to start on {}: {err}", opts.addr);
             std::process::exit(1);
         }
     }

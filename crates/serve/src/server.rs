@@ -1,26 +1,28 @@
-//! The recommendation server: accept loop, bounded connection queue,
-//! worker pool, and the three endpoint handlers.
+//! The recommendation server: a pool of identical threads that each
+//! accept and serve connections, their admission control, and the three
+//! endpoint handlers.
 //!
-//! Threading model (DESIGN.md §5): one accept thread sends connections
-//! into a bounded `std::sync::mpsc::sync_channel`; `max_conns` worker
-//! threads receive and serve them, one request per connection
-//! (`Connection: close`). When the channel is full — every worker busy
-//! and a full backlog waiting — the accept thread sheds the connection
-//! immediately with `503` + `Retry-After`, so a saturated server
-//! degrades to fast rejections instead of unbounded queueing. The accept
-//! thread owns the only sender: when it exits, the workers drain what
-//! was admitted and stop.
+//! Threading model (DESIGN.md §5c): `max_conns + 1` threads each block in
+//! `accept()` and serve the connection they accept themselves, one
+//! request per connection (`Connection: close`), so a request wakes one
+//! server thread. One admission lock keeps at most `max_conns`
+//! connections in service and at most `max_conns` more waiting, oldest
+//! first; a thread that finishes a response serves the oldest waiting
+//! connection before it accepts again. Beyond that the connection is
+//! shed at once with `503` + `Retry-After`, so a saturated server
+//! degrades to fast rejections instead of unbounded queueing. At most
+//! `max_conns` threads serve, so one is always free to accept and shed.
 //!
 //! Concurrent `POST /recommend` requests for the same
 //! `(zoo fingerprint, target, strategy)` key coalesce into a single
 //! Workbench pass via [`transfergraph::Coalescer`]; the optional batch
 //! window (`TG_SERVE_BATCH_WINDOW_MS`) widens each burst.
 
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -35,7 +37,7 @@ use crate::http::{parse_request, Response};
 
 /// Env var overriding the listen address (default `127.0.0.1:7878`).
 pub const ADDR_ENV: &str = "TG_SERVE_ADDR";
-/// Env var overriding the connection cap / worker count (default 64).
+/// Env var overriding the serving-slot and queue capacity (default 64).
 pub const MAX_CONNS_ENV: &str = "TG_SERVE_MAX_CONNS";
 /// Env var overriding the coalescing batch window in ms (default 0).
 pub const BATCH_WINDOW_ENV: &str = "TG_SERVE_BATCH_WINDOW_MS";
@@ -43,8 +45,8 @@ pub const BATCH_WINDOW_ENV: &str = "TG_SERVE_BATCH_WINDOW_MS";
 /// Zoo seed assumed when a request body omits `"seed"`.
 pub const DEFAULT_SEED: u64 = 2024;
 
-/// Read timeout of the drain that ends a shed or `4xx` reply. The accept
-/// thread runs that drain for every shed connection, so a shed that
+/// Read timeout of the drain that ends a shed or `4xx` reply. The thread
+/// that accepts a shed connection runs that drain itself, so a shed that
 /// holds it this long means the client waited out the drain.
 pub const DRAIN_TIMEOUT: Duration = Duration::from_millis(10);
 
@@ -53,9 +55,10 @@ pub const DRAIN_TIMEOUT: Duration = Duration::from_millis(10);
 pub struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:7878` (port 0 picks one).
     pub addr: String,
-    /// Worker-thread count and queue capacity: at most `max_conns`
+    /// Serving slots and queue capacity: at most `max_conns`
     /// connections are served concurrently with `max_conns` more
-    /// queued; anything beyond is shed with `503`.
+    /// queued; anything beyond is shed with `503`. The server runs
+    /// `max_conns + 1` threads, so one is always free to accept and shed.
     pub max_conns: usize,
     /// Coalescing batch window in milliseconds: how long a pass leader
     /// waits for same-key requests to pile on before computing.
@@ -98,7 +101,7 @@ impl ServeOptions {
 pub struct ServerStats {
     /// Connections accepted by the listener (including ones later shed).
     pub accepted: u64,
-    /// Requests that received a response from a worker.
+    /// Requests that received a response from a serving thread.
     pub served: u64,
     /// Connections rejected with `503` because the queue was full.
     pub shed: u64,
@@ -121,13 +124,26 @@ impl ServerStats {
     }
 }
 
+/// Admission state: the connections in service and the ones waiting for
+/// a slot. A connection waits only while every slot is taken, and a slot
+/// is given back only when nothing waits, so whenever `waiting` is
+/// non-empty `serving == max_conns` and the serving threads drain it.
+struct Admission {
+    /// Connections in service, at most `max_conns`.
+    serving: usize,
+    /// Admitted connections waiting for a slot, oldest first, at most
+    /// `max_conns`.
+    waiting: VecDeque<TcpStream>,
+}
+
 struct Shared {
     registry: Arc<ZooRegistry>,
     coalescer: Coalescer,
-    /// The workers' end of the bounded connection channel, at lock rank
-    /// `conn_queue` (the final leaf rank in tg-check.toml): a worker holds
-    /// it only while it waits for the next connection.
-    queue: Mutex<Receiver<TcpStream>>,
+    max_conns: usize,
+    /// The admission lock, at rank `conn_queue` (the final leaf rank in
+    /// tg-check.toml): held only to take or give back a slot and to queue
+    /// or pop a connection, never across I/O or a wait.
+    queue: Mutex<Admission>,
     running: AtomicBool,
     accepted: AtomicU64,
     served: AtomicU64,
@@ -138,17 +154,70 @@ struct Shared {
 }
 
 impl Shared {
-    /// Blocks until a connection is admitted; `None` once the accept
-    /// thread has exited and every admitted connection was taken (the
-    /// worker shutdown signal).
-    fn next_conn(&self) -> Option<TcpStream> {
-        let _rank = rank_guard(Rank::ConnQueue);
-        let queue = unpoisoned(self.queue.lock());
-        queue.recv().ok()
+    /// One pool thread: accepts connections and serves the ones it admits
+    /// until shutdown. The listener is upgraded only for the `accept()`
+    /// call, so once `stop()` drops the server's handle it closes as soon
+    /// as no thread is inside `accept()`, even while others still serve.
+    fn run(&self, listener: &Weak<TcpListener>) {
+        // Acquire: pairs with the Release `swap(false)` in `stop()`.
+        while self.running.load(Ordering::Acquire) {
+            let Some(accepted) = listener.upgrade().map(|listener| listener.accept()) else {
+                break;
+            };
+            // Acquire: as above, so a thread woken by a shutdown connect
+            // sees the flag and drops that connection unserved.
+            if !self.running.load(Ordering::Acquire) {
+                break;
+            }
+            let Ok((conn, _)) = accepted else { continue };
+            // Relaxed: independent telemetry counter.
+            self.accepted.fetch_add(1, Ordering::Relaxed);
+            if let Some(conn) = self.admit(conn) {
+                self.serve(conn);
+            }
+        }
     }
 
-    /// Writes the load-shed `503 + Retry-After` response directly from
-    /// the accept thread and drops the connection.
+    /// Takes a serving slot for `conn` and returns it to the caller to
+    /// serve, or queues it when every slot is taken, or sheds it when the
+    /// queue is full too.
+    fn admit(&self, conn: TcpStream) -> Option<TcpStream> {
+        {
+            let _rank = rank_guard(Rank::ConnQueue);
+            let mut queue = unpoisoned(self.queue.lock());
+            if queue.serving < self.max_conns {
+                queue.serving += 1;
+                return Some(conn);
+            }
+            if queue.waiting.len() < self.max_conns {
+                queue.waiting.push_back(conn);
+                return None;
+            }
+        }
+        self.shed_conn(conn);
+        None
+    }
+
+    /// Serves `conn`, then the oldest waiting connection after each
+    /// response, and gives the slot back once nothing waits. On shutdown
+    /// this is what serves the queue: a connection waits only while
+    /// every slot is taken, so the serving threads drain it.
+    fn serve(&self, conn: TcpStream) {
+        let mut next = Some(conn);
+        while let Some(conn) = next {
+            self.handle(conn);
+            let _rank = rank_guard(Rank::ConnQueue);
+            let mut queue = unpoisoned(self.queue.lock());
+            next = queue.waiting.pop_front();
+            if next.is_none() {
+                queue.serving -= 1;
+            }
+        }
+    }
+
+    /// Writes the load-shed `503 + Retry-After` response from the thread
+    /// that accepted the connection, outside the admission lock, and
+    /// drops the connection.
     fn shed_conn(&self, conn: TcpStream) {
         // Relaxed: independent telemetry counter, read only by snapshots.
         self.shed.fetch_add(1, Ordering::Relaxed);
@@ -497,8 +566,8 @@ pub fn stats_body(
         )
 }
 
-/// A running recommendation server: accept thread + worker pool over a
-/// process-wide [`ZooRegistry`].
+/// A running recommendation server: `max_conns + 1` threads that each
+/// accept and serve connections over a process-wide [`ZooRegistry`].
 ///
 /// ```
 /// use std::io::{Read, Write};
@@ -518,69 +587,51 @@ pub fn stats_body(
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Keeps the listener open while the server runs; the threads hold
+    /// it only inside `accept()`.
+    listener: Option<Arc<TcpListener>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `opts.addr` and starts the accept thread plus
-    /// `opts.max_conns` workers. Returns once the socket is live.
+    /// Binds `opts.addr` and starts `opts.max_conns + 1` threads that
+    /// each accept and serve connections. Returns once the socket is
+    /// live, or the error of a bind or of a thread the OS refused, after
+    /// stopping the threads already started.
     pub fn start(registry: Arc<ZooRegistry>, opts: &ServeOptions) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&opts.addr)?;
+        let listener = Arc::new(TcpListener::bind(&opts.addr)?);
         let addr = listener.local_addr()?;
         let max_conns = opts.max_conns.max(1);
-        let (admit, queue) = sync_channel(max_conns);
-        let shared = Arc::new(Shared {
-            registry,
-            coalescer: Coalescer::new(Duration::from_millis(opts.batch_window_ms)),
-            queue: Mutex::new(queue),
-            running: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            recommends: AtomicU64::new(0),
-            scores: AtomicU64::new(0),
-        });
-
-        let accept_shared = Arc::clone(&shared);
-        // The accept thread owns the only sender, so its exit is what
-        // tells the workers to stop once the channel is drained.
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                // Acquire: pairs with the Release `swap(false)` in
-                // `stop()` so the wake-up connection observes shutdown.
-                if !accept_shared.running.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                // Relaxed: independent telemetry counter.
-                accept_shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) =
-                    admit.try_send(conn)
-                {
-                    accept_shared.shed_conn(conn);
-                }
-            }
-        });
-
-        let workers = (0..max_conns)
-            .map(|_| {
-                let worker_shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(conn) = worker_shared.next_conn() {
-                        worker_shared.handle(conn);
-                    }
-                })
-            })
-            .collect();
-
-        Ok(Server {
-            shared,
+        let mut server = Server {
+            shared: Arc::new(Shared {
+                registry,
+                coalescer: Coalescer::new(Duration::from_millis(opts.batch_window_ms)),
+                max_conns,
+                queue: Mutex::new(Admission {
+                    serving: 0,
+                    waiting: VecDeque::with_capacity(max_conns),
+                }),
+                running: AtomicBool::new(true),
+                accepted: AtomicU64::new(0),
+                served: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                client_errors: AtomicU64::new(0),
+                recommends: AtomicU64::new(0),
+                scores: AtomicU64::new(0),
+            }),
             addr,
-            accept: Some(accept),
-            workers,
-        })
+            listener: Some(Arc::clone(&listener)),
+            threads: Vec::with_capacity(max_conns + 1),
+        };
+        for i in 0..=max_conns {
+            let shared = Arc::clone(&server.shared);
+            let listener = Arc::downgrade(&listener);
+            let thread = std::thread::Builder::new()
+                .name(format!("tg-serve-{i}"))
+                .spawn(move || shared.run(&listener))?;
+            server.threads.push(thread);
+        }
+        Ok(server)
     }
 
     /// The bound socket address (resolves port 0 to the real port).
@@ -599,35 +650,33 @@ impl Server {
     }
 
     /// Stops accepting, drains the queue, and joins every thread.
-    /// Queued connections are still served before workers exit.
+    /// Queued connections are still served before their threads exit.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        // Release: pairs with the Acquire load in the accept loop so it
-        // observes the flag after its accept() call returns.
+        // Release: pairs with the Acquire loads in `Shared::run` so a
+        // thread observes the flag after its accept() call returns.
         if self.shared.running.swap(false, Ordering::Release) {
-            // Wake the accept thread out of its blocking accept().
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "the wake-up connection's only job is the accept() return"
-            )]
-            let _ = TcpStream::connect(self.addr);
+            // Only threads inside accept() hold the listener from here on:
+            // it closes when the last of them returns, even while others
+            // still serve.
+            self.listener = None;
+            // Wake every thread that may be blocked in accept().
+            for _ in 0..self.threads.len() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a wake-up connection's only job is the accept() return; \
+                              once the listener has closed there is nothing to wake"
+                )]
+                let _ = TcpStream::connect(self.addr);
+            }
         }
-        // Joining the accept thread drops the channel's only sender: the
-        // workers serve what was admitted, then find the channel closed.
-        if let Some(handle) = self.accept.take() {
+        for handle in self.threads.drain(..) {
             #[expect(
                 clippy::let_underscore_must_use,
-                reason = "a panicked accept thread already aborted its loop; shutdown proceeds"
-            )]
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a panicked worker is already dead; joining the rest matters more"
+                reason = "a panicked thread is already dead; joining the rest matters more"
             )]
             let _ = handle.join();
         }
@@ -702,8 +751,8 @@ mod tests {
         assert_eq!(scores.len(), models.len());
     }
 
-    /// The connection receiver is the final rank in the declared order,
-    /// so touching any other registry-managed lock while a worker still
+    /// The admission lock is the final rank in the declared order, so
+    /// touching any other registry-managed lock while a thread still
     /// holds it is an inversion the debug tracker must reject.
     #[test]
     #[cfg(debug_assertions)]
@@ -713,9 +762,9 @@ mod tests {
         let _registry = rank_guard(Rank::Registry);
     }
 
-    /// End-to-end smoke over the real accept, receive and shutdown paths:
-    /// in debug builds every receiver acquisition runs under the runtime
-    /// tracker, so a served request proves the paths are clean.
+    /// End-to-end smoke over the real accept, admission and shutdown
+    /// paths: in debug builds every admission-lock acquisition runs under
+    /// the runtime tracker, so a served request proves the paths are clean.
     #[test]
     fn server_paths_run_clean_under_the_runtime_tracker() {
         use std::io::{Read, Write};

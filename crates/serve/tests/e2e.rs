@@ -7,7 +7,7 @@
     reason = "test helpers outside #[test] fns fail the test by panicking"
 )]
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -246,12 +246,12 @@ fn protocol_errors_map_to_documented_statuses() {
     server.shutdown();
 }
 
-/// Saturates a one-worker server (queue capacity one): parks a
-/// connection on the worker, which blocks reading it until it is dropped,
-/// and fills the queue behind it. Every later connection is shed.
+/// Saturates a one-slot server (queue capacity one): parks a connection
+/// in the slot, whose thread blocks reading it until it is dropped, and
+/// fills the queue behind it. Every later connection is shed.
 fn saturate(addr: SocketAddr) -> [TcpStream; 2] {
     let parked = TcpStream::connect(addr).expect("park worker");
-    std::thread::sleep(Duration::from_millis(200)); // let the worker pop it
+    std::thread::sleep(Duration::from_millis(200)); // let the slot take it
     let queued = TcpStream::connect(addr).expect("fill queue");
     std::thread::sleep(Duration::from_millis(100));
     [parked, queued]
@@ -277,7 +277,7 @@ fn saturated_server_sheds_with_retry_after() {
         }
     }
     assert!(shed > 0, "an overloaded single-worker server must shed");
-    drop(held); // unblock the worker so shutdown joins promptly
+    drop(held); // unblock the serving thread so shutdown joins promptly
     assert!(server.stats().shed > 0);
     server.shutdown();
 }
@@ -285,10 +285,11 @@ fn saturated_server_sheds_with_retry_after() {
 #[test]
 #[expect(clippy::disallowed_methods, reason = "the test times the shed path")]
 fn sheds_never_wait_out_the_drain_timeout() {
-    // The accept thread writes each 503 and drains the connection itself.
-    // A client still waiting for the server's FIN when that drain starts
-    // stalls it for a full read timeout, and the accept thread with it:
-    // 20 sheds would then take at least 20 drain timeouts.
+    // The thread that accepts a shed connection writes the 503 and drains
+    // the connection itself. A client still waiting for the server's FIN
+    // when that drain starts stalls it for a full read timeout, and that
+    // thread, the only one free to accept, with it: 20 sheds would then
+    // take at least 20 drain timeouts.
     const SHEDS: u32 = 20;
     let server = start(1, 0);
     let addr = server.local_addr();
@@ -315,14 +316,14 @@ fn sheds_never_wait_out_the_drain_timeout() {
 
 #[test]
 fn shutdown_serves_queued_connections_before_workers_exit() {
-    // One worker, queue capacity one. Park a connection on the worker,
+    // One serving slot, queue capacity one. Park a connection in the slot,
     // queue a request behind it, then shut down: the queued request must
-    // still be answered after the accept thread is gone.
+    // still be answered after the listener has closed.
     let server = start(1, 0);
     let addr = server.local_addr();
 
     let parked = TcpStream::connect(addr).expect("park worker");
-    std::thread::sleep(Duration::from_millis(200)); // let the worker take it
+    std::thread::sleep(Duration::from_millis(200)); // let the slot take it
     let mut queued = TcpStream::connect(addr).expect("queue behind it");
     queued
         .write_all(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -330,19 +331,18 @@ fn shutdown_serves_queued_connections_before_workers_exit() {
     queued
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    // Counted once the accept thread is past its shutdown check for this
-    // connection, so it will be queued whenever shutdown starts.
-    while server.stats().accepted < 2 {
-        std::thread::yield_now();
-    }
+    // Counted once the accepting thread is past its shutdown check for
+    // this connection, so it will be queued whenever shutdown starts.
+    await_accepted(&server, 2);
 
     let (stopped_tx, stopped) = std::sync::mpsc::channel();
     let stopping = std::thread::spawn(move || {
         server.shutdown();
         stopped_tx.send(()).expect("report shutdown");
     });
-    // The listener closes when the accept thread exits. Release the worker
-    // only then, so it reaches the queued connection after shutdown began.
+    // The listener closes once no thread is left in accept(). Release the
+    // slot only then, so it reaches the queued connection after shutdown
+    // began.
     while TcpStream::connect(addr).is_ok() {
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -357,4 +357,84 @@ fn shutdown_serves_queued_connections_before_workers_exit() {
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown returns once the queue is drained");
     stopping.join().expect("shutdown thread");
+}
+
+/// Waits until the server has counted `n` accepted connections.
+fn await_accepted(server: &Server, n: u64) {
+    while server.stats().accepted < n {
+        std::thread::yield_now();
+    }
+}
+
+/// Asserts that nothing arrives on `conn` for 200 ms.
+fn assert_silent(conn: &mut TcpStream, what: &str) {
+    conn.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    match conn.read(&mut byte) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("{what} must still be waiting, got {other:?}"),
+    }
+}
+
+/// Reads `conn`'s whole reply to a `GET /stats`, checks its status is
+/// `200` and returns the `served` count the reply carries.
+fn served_in_stats_reply(mut conn: TcpStream) -> u64 {
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).expect("read reply");
+    assert_eq!(status_of(&reply), 200, "queued request: {reply:?}");
+    JsonValue::parse(body_of(&reply))
+        .expect("stats body is JSON")
+        .get("server")
+        .and_then(|s| s.get("served"))
+        .and_then(JsonValue::as_u64)
+        .expect("server.served")
+}
+
+#[test]
+fn two_slots_serve_two_queue_two_in_order_and_shed_the_fifth() {
+    // `max_conns: 2`, as `serve_mix` and loadgen run it: at most two
+    // connections in service, two more waiting, the fifth shed, and the
+    // queue answered oldest first once a slot frees up.
+    let server = start(2, 0);
+    let addr = server.local_addr();
+
+    let first_parked = TcpStream::connect(addr).expect("park slot 1");
+    let second_parked = TcpStream::connect(addr).expect("park slot 2");
+    await_accepted(&server, 2);
+    std::thread::sleep(Duration::from_millis(200)); // let both slots take them
+
+    let stats_request = b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n";
+    let mut older = TcpStream::connect(addr).expect("queue the older request");
+    older.write_all(stats_request).expect("write older request");
+    await_accepted(&server, 3);
+    let mut newer = TcpStream::connect(addr).expect("queue the newer request");
+    newer.write_all(stats_request).expect("write newer request");
+    await_accepted(&server, 4);
+    assert_silent(&mut older, "the older queued request");
+    assert_silent(&mut newer, "the newer queued request");
+
+    let reply = get(addr, "/stats");
+    assert_eq!(
+        status_of(&reply),
+        503,
+        "a fifth connection is shed: {reply:?}"
+    );
+    assert!(reply.contains("Retry-After: 1\r\n"), "{reply:?}");
+
+    // The freed slot answers the parked connection's EOF, then the older
+    // request, whose stats count that one response, then the newer one.
+    drop(first_parked);
+    assert_eq!(
+        (served_in_stats_reply(older), served_in_stats_reply(newer)),
+        (1, 2),
+        "one freed slot serves the queue oldest first"
+    );
+
+    drop(second_parked);
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.shed), (5, 1), "{stats:?}");
+    server.shutdown();
 }

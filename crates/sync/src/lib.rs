@@ -12,7 +12,7 @@
 //! | 1    | `coalesce`   | `Coalescer::passes` map of in-flight passes    |
 //! | 2    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
 //! | 3    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
-//! | 4    | `conn_queue` | `tg-serve`'s shared connection receiver        |
+//! | 4    | `conn_queue` | `tg-serve`'s admission lock (slots + queue)    |
 //!
 //! A thread may only acquire locks in non-decreasing rank order (equal
 //! ranks may nest). Any thread obeying the order can never participate
@@ -67,9 +67,10 @@ pub enum Rank {
     FileLock = 2,
     /// One shard of a `ShardedCache`.
     CacheShard = 3,
-    /// `tg-serve`'s shared connection receiver. A worker holds it while
-    /// it waits for the next connection and acquires nothing else under
-    /// it: the final leaf rank.
+    /// `tg-serve`'s admission lock: its serving-slot count and queue of
+    /// waiting connections. Held only to take or give back a slot and to
+    /// queue or pop a connection, never across I/O or a wait, and nothing
+    /// else is acquired under it: the final leaf rank.
     ConnQueue = 4,
 }
 

@@ -1,16 +1,15 @@
 //! A lightweight intra-workspace call graph for the cross-function half
 //! of TG04, built straight from the token streams — function items are
 //! indexed by name, call sites resolve to every same-named function, and
-//! a fixpoint computes the minimum lock rank each function can reach
-//! transitively. A call made while holding a guard of rank N that can
-//! reach an acquisition of rank < N is a lock-order inversion the
-//! per-scope lexical pass cannot see.
+//! a fixpoint finds which functions reach a lock acquisition, directly or
+//! through calls. A call made while holding a guard that can reach an
+//! acquisition is a nested lock the per-scope lexical pass cannot see.
 //!
 //! Approximations (documented in DESIGN.md): resolution is by bare
-//! function name, so same-named functions are merged conservatively
-//! (the minimum over all of them); closures attribute their effects to
-//! the enclosing `fn`; trait dispatch, function pointers and macro
-//! bodies are invisible. Method calls only create edges in the
+//! function name, so same-named functions are merged conservatively (a
+//! call reaches an acquisition if any of them does); closures attribute
+//! their effects to the enclosing `fn`; trait dispatch, function pointers
+//! and macro bodies are invisible. Method calls only create edges in the
 //! `self.helper(..)` shape — a bare name like `.len()` or `.push(x)` on
 //! a local or field is overwhelmingly a std container method, and
 //! resolving it to a same-named workspace function drowns the lint in
@@ -31,30 +30,23 @@ const KEYWORDS: [&str; 16] = [
     "continue", "unsafe", "in", "as", "where",
 ];
 
-/// One lock acquisition inside a function body.
-struct Acquire {
-    rank: usize,
-    class: String,
-}
-
 /// One call site inside a function body.
 struct Call {
     callee: String,
     line: u32,
-    /// The highest-ranked guard lexically held at the call, if any.
-    held: Option<(usize, String)>,
+    /// The class of the innermost guard lexically held at the call, if any.
+    held: Option<String>,
 }
 
 /// One indexed `fn` item.
 struct FnInfo {
     name: String,
     path: String,
-    acquires: Vec<Acquire>,
     calls: Vec<Call>,
-    /// The minimum lock rank reachable from this function (directly or
-    /// through calls), with the acquiring class and the witness chain of
+    /// A lock acquisition this function reaches (its first direct one, or
+    /// one through calls): the acquired class and the witness chain of
     /// function names leading to it.
-    min_rank: Option<(usize, String, Vec<String>)>,
+    reaches: Option<(String, Vec<String>)>,
 }
 
 /// The workspace function index.
@@ -84,83 +76,65 @@ impl FnIndex {
         index
     }
 
-    /// Propagates minimum reachable ranks until stable. Cycles converge
-    /// because an update only ever lowers a rank and ranks are bounded.
+    /// The acquisition a call to `callee` reaches: the first same-named
+    /// candidate that reaches one.
+    fn reached_by(&self, callee: &str) -> Option<&(String, Vec<String>)> {
+        self.by_name
+            .get(callee)?
+            .iter()
+            .find_map(|&gid| self.fns[gid].reaches.as_ref())
+    }
+
+    /// Marks, until stable, every function that calls a function already
+    /// marked (indexing marked each direct acquisition). Cycles converge
+    /// because a mark is set once and never changes.
     fn fixpoint(&mut self) {
         let mut changed = true;
         while changed {
             changed = false;
             for id in 0..self.fns.len() {
-                let mut best = self.fns[id].min_rank.clone();
-                for acq in &self.fns[id].acquires {
-                    let candidate = (acq.rank, acq.class.clone(), vec![self.fns[id].name.clone()]);
-                    if best.as_ref().is_none_or(|b| candidate.0 < b.0) {
-                        best = Some(candidate);
-                    }
+                if self.fns[id].reaches.is_some() {
+                    continue;
                 }
-                let callees: Vec<String> = self.fns[id]
-                    .calls
-                    .iter()
-                    .map(|c| c.callee.clone())
-                    .collect();
-                for callee in callees {
-                    let Some(ids) = self.by_name.get(&callee) else {
-                        continue;
-                    };
-                    for &gid in ids {
-                        if let Some((rank, class, chain)) = &self.fns[gid].min_rank {
-                            if best.as_ref().is_none_or(|b| *rank < b.0) {
-                                let mut via = vec![self.fns[id].name.clone()];
-                                via.extend(chain.iter().take(5).cloned());
-                                best = Some((*rank, class.clone(), via));
-                            }
-                        }
-                    }
-                }
-                if best != self.fns[id].min_rank {
-                    self.fns[id].min_rank = best;
+                let f = &self.fns[id];
+                let reaches = f.calls.iter().find_map(|call| {
+                    let (class, chain) = self.reached_by(&call.callee)?;
+                    let mut via = vec![f.name.clone()];
+                    via.extend(chain.iter().take(5).cloned());
+                    Some((class.clone(), via))
+                });
+                if reaches.is_some() {
+                    self.fns[id].reaches = reaches;
                     changed = true;
                 }
             }
         }
     }
 
-    /// The cross-function TG04 findings: call sites that hold a guard of
-    /// rank N and can transitively reach an acquisition of rank < N.
-    pub fn cross_function_findings(&self, cfg: &Config) -> Vec<Finding> {
+    /// The cross-function TG04 findings: call sites that hold a guard and
+    /// can transitively reach a lock acquisition.
+    pub fn cross_function_findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         for f in &self.fns {
             for call in &f.calls {
-                let Some((held_rank, held_class)) = &call.held else {
+                let Some(held_class) = &call.held else {
                     continue;
                 };
-                let Some(ids) = self.by_name.get(&call.callee) else {
+                let Some((class, chain)) = self.reached_by(&call.callee) else {
                     continue;
                 };
-                // The minimum over every same-named candidate, with its
-                // witness chain for the message.
-                let reach = ids
-                    .iter()
-                    .filter_map(|&gid| self.fns[gid].min_rank.as_ref())
-                    .min_by_key(|(rank, _, _)| *rank);
-                let Some((rank, class, chain)) = reach else {
-                    continue;
-                };
-                if rank < held_rank {
-                    out.push(Finding {
-                        lint: Lint::Tg04LockOrder,
-                        path: f.path.clone(),
-                        line: call.line,
-                        message: format!(
-                            "calls `{callee}()`, which can acquire `{class}` (rank \
-                             {rank}) via {chain}, while holding `{held_class}` (rank \
-                             {held_rank}); declared order: {order}",
-                            callee = call.callee,
-                            chain = chain.join(" -> "),
-                            order = cfg.lock_order.join(" -> "),
-                        ),
-                    });
-                }
+                out.push(Finding {
+                    lint: Lint::Tg04NestedLock,
+                    path: f.path.clone(),
+                    line: call.line,
+                    message: format!(
+                        "calls `{callee}()`, which can acquire `{class}` via {chain}, \
+                         while holding `{held_class}`; no lock is taken while \
+                         another is held",
+                        callee = call.callee,
+                        chain = chain.join(" -> "),
+                    ),
+                });
             }
         }
         out
@@ -178,7 +152,7 @@ fn is_edge_call_shape(toks: &[Tok], i: usize) -> bool {
 }
 
 /// Indexes one file's `fn` items: name, direct lock acquisitions, and
-/// call sites with the lexically held rank.
+/// call sites with the lexically held guard's class.
 /// Tokens are attributed to the innermost enclosing `fn` (closures fold
 /// into their parent).
 fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
@@ -204,9 +178,8 @@ fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
         out.push(FnInfo {
             name: name.to_string(),
             path: path.to_string(),
-            acquires: Vec::new(),
             calls: Vec::new(),
-            min_rank: None,
+            reaches: None,
         });
         if let Some(open_idx) = open {
             body_open.insert(open_idx, id);
@@ -221,7 +194,6 @@ fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
     // as the lexical TG04 pass.
     struct Guard {
         name: Option<String>,
-        rank: usize,
         class: String,
         binding_depth: i32,
     }
@@ -269,17 +241,16 @@ fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
                     let Some(receiver) = receiver_of(toks, i) else {
                         continue;
                     };
-                    let Some((rank, class)) = cfg.lock_rank_of(&receiver) else {
+                    let Some(class) = cfg.lock_class_of(&receiver) else {
                         continue;
                     };
-                    out[fid].acquires.push(Acquire {
-                        rank,
-                        class: class.to_string(),
-                    });
+                    let f = &mut out[fid];
+                    if f.reaches.is_none() {
+                        f.reaches = Some((class.to_string(), vec![f.name.clone()]));
+                    }
                     if let Some(bound) = let_binding_name(toks, stmt_start, i) {
                         held.push(Guard {
                             name: bound,
-                            rank,
                             class: class.to_string(),
                             binding_depth: depth,
                         });
@@ -289,14 +260,10 @@ fn index_file(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<FnInfo>) {
                     && toks.get(i.wrapping_sub(1)).and_then(Tok::ident) != Some("fn")
                     && is_edge_call_shape(toks, i)
                 {
-                    let held_max = held
-                        .iter()
-                        .max_by_key(|g| g.rank)
-                        .map(|g| (g.rank, g.class.clone()));
                     out[fid].calls.push(Call {
                         callee: m.clone(),
                         line: lexed.lines[i],
-                        held: held_max,
+                        held: held.last().map(|g| g.class.clone()),
                     });
                 }
             }

@@ -3,13 +3,11 @@
 //! container has no crates.io access.
 //!
 //! The file declares everything repo-specific so the lint logic stays
-//! generic: scan roots and exclusions, the TG04 lock-rank table (`order`
-//! plus one receiver-name list per class), the TG07 blocking-call list,
-//! and the TG08 env-knob registry. The tool and its config ship together,
-//! so an unknown section or key is an error: a typo must not silently
-//! turn a lint off.
-
-use std::collections::HashMap;
+//! generic: scan roots and exclusions, the `[locks]` table (one
+//! receiver-name list per lock class) TG04 and TG07 track, the TG07
+//! blocking-call list, and the TG08 env-knob registry. The tool and its
+//! config ship together, so an unknown section or key is an error: a typo
+//! must not silently turn a lint off.
 
 /// One `[knobs]` registry entry: an environment knob with its owning
 /// crate path and the doc anchor that must resolve in README/DESIGN.
@@ -33,12 +31,9 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path substrings never scanned (vendored stand-ins, lint fixtures).
     pub exclude: Vec<String>,
-    /// Lock classes in acquisition order: a thread may only take locks in
-    /// non-decreasing rank (index) order.
-    pub lock_order: Vec<String>,
-    /// Receiver identifiers classified into each lock class, keyed by
-    /// class name from `lock_order`.
-    pub lock_classes: HashMap<String, Vec<String>>,
+    /// The `[locks]` table: each lock class with the receiver identifiers
+    /// classified into it, in declaration order.
+    pub lock_classes: Vec<(String, Vec<String>)>,
     /// Call names considered blocking under a held guard (TG07).
     pub tg07_blocking: Vec<String>,
     /// Lock classes whose guards legitimately cover blocking work (TG07)
@@ -49,21 +44,17 @@ pub struct Config {
 }
 
 impl Config {
-    /// The rank of a receiver identifier under the lock table, if any.
-    pub fn lock_rank_of(&self, receiver: &str) -> Option<(usize, &str)> {
-        for (rank, class) in self.lock_order.iter().enumerate() {
-            if let Some(names) = self.lock_classes.get(class) {
-                if names.iter().any(|n| n == receiver) {
-                    return Some((rank, class));
-                }
-            }
-        }
-        None
+    /// The lock class of a receiver identifier, if any.
+    pub fn lock_class_of(&self, receiver: &str) -> Option<&str> {
+        self.lock_classes
+            .iter()
+            .find(|(_, names)| names.iter().any(|n| n == receiver))
+            .map(|(class, _)| class.as_str())
     }
 
     /// Parses the TOML subset. An unknown section, or an unknown key in a
-    /// fixed-key section (`[scan]`, `[lock_order]`, `[tg07]`), is an error
-    /// naming its line.
+    /// fixed-key section (`[scan]`, `[tg07]`), is an error naming its
+    /// line.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
         let mut section = String::new();
@@ -92,10 +83,7 @@ impl Config {
             match (section.as_str(), key) {
                 ("scan", "roots") => cfg.roots = parsed,
                 ("scan", "exclude") => cfg.exclude = parsed,
-                ("lock_order", "order") => cfg.lock_order = parsed,
-                ("lock_order.classes", class) => {
-                    cfg.lock_classes.insert(class.to_string(), parsed);
-                }
+                ("locks", class) => cfg.lock_classes.push((class.to_string(), parsed)),
                 ("tg07", "blocking") => cfg.tg07_blocking = parsed,
                 ("tg07", "exempt_classes") => cfg.tg07_exempt_classes = parsed,
                 ("knobs", name) => {
@@ -121,17 +109,10 @@ impl Config {
                 }
             }
         }
-        for class in cfg.lock_classes.keys() {
-            if !cfg.lock_order.iter().any(|c| c == class) {
-                return Err(format!(
-                    "tg-check.toml: lock class `{class}` is not in lock_order.order"
-                ));
-            }
-        }
         for class in &cfg.tg07_exempt_classes {
-            if !cfg.lock_order.iter().any(|c| c == class) {
+            if !cfg.lock_classes.iter().any(|(c, _)| c == class) {
                 return Err(format!(
-                    "tg-check.toml: tg07 exempt class `{class}` is not in lock_order.order"
+                    "tg-check.toml: tg07 exempt class `{class}` is not a [locks] class"
                 ));
             }
         }
@@ -140,7 +121,7 @@ impl Config {
 }
 
 /// Every section `Config::parse` accepts.
-const SECTIONS: [&str; 5] = ["scan", "lock_order", "lock_order.classes", "tg07", "knobs"];
+const SECTIONS: [&str; 4] = ["scan", "locks", "tg07", "knobs"];
 
 /// Strips a trailing `#` comment, respecting `"…"` strings.
 fn strip_toml_comment(line: &str) -> &str {
@@ -188,10 +169,7 @@ mod tests {
 roots = ["crates", "src"]
 exclude = ["vendor/"]
 
-[lock_order]
-order = ["registry", "cache_shard"]
-
-[lock_order.classes]
+[locks]
 registry = ["inner"]
 cache_shard = ["shard", "shards"]
 
@@ -208,9 +186,9 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.roots, ["crates", "src"]);
         assert_eq!(cfg.exclude, ["vendor/"]);
-        assert_eq!(cfg.lock_rank_of("inner"), Some((0, "registry")));
-        assert_eq!(cfg.lock_rank_of("shards"), Some((1, "cache_shard")));
-        assert_eq!(cfg.lock_rank_of("unrelated"), None);
+        assert_eq!(cfg.lock_class_of("inner"), Some("registry"));
+        assert_eq!(cfg.lock_class_of("shards"), Some("cache_shard"));
+        assert_eq!(cfg.lock_class_of("unrelated"), None);
         assert_eq!(cfg.tg07_blocking, ["sleep", "persist"]);
         assert_eq!(cfg.tg07_exempt_classes, ["cache_shard"]);
         assert_eq!(cfg.knobs.len(), 1);
@@ -222,8 +200,11 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
 
     #[test]
     fn rejects_unknown_tg07_exempt_classes() {
-        let bad = "[lock_order]\norder = [\"a\"]\n[tg07]\nexempt_classes = [\"ghost\"]\n";
-        assert!(Config::parse(bad).is_err());
+        let bad = "[locks]\na = [\"x\"]\n[tg07]\nexempt_classes = [\"ghost\"]\n";
+        let err = Config::parse(bad).unwrap_err();
+        assert!(err.contains("`ghost`"), "{err}");
+        let good = "[locks]\na = [\"x\"]\n[tg07]\nexempt_classes = [\"a\"]\n";
+        assert!(Config::parse(good).is_ok());
     }
 
     #[test]
@@ -233,27 +214,25 @@ TG_SEED = ["crates/bench", "`TG_SEED`"]
     }
 
     #[test]
-    fn rejects_classes_missing_from_the_order() {
-        let bad = "[lock_order]\norder = [\"a\"]\n[lock_order.classes]\nb = [\"x\"]\n";
-        assert!(Config::parse(bad).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_sections_and_keys_naming_the_line() {
         let typo = "[tg07]\nblocking = [\"sleep\"]\n\n[tg07]\nblockng = [\"sleep\"]\n";
         let err = Config::parse(typo).unwrap_err();
         assert!(err.contains(":5:") && err.contains("`blockng`"), "{err}");
         let err = Config::parse("[scan]\nroots = []\n[tg02]\n").unwrap_err();
         assert!(err.contains(":3:") && err.contains("[tg02]"), "{err}");
-        // The retired TG06 registry is unknown too: a leftover section
-        // fails loudly instead of being ignored.
-        let err = Config::parse("[condvars]\ncv = \"pass\"\n").unwrap_err();
-        assert!(err.contains(":1:") && err.contains("[condvars]"), "{err}");
+        // The retired TG06 registry and lock order are unknown too: a
+        // leftover section fails loudly instead of being ignored.
+        for (retired, section) in [
+            ("[condvars]\ncv = \"pass\"\n", "[condvars]"),
+            ("[lock_order]\norder = [\"a\"]\n", "[lock_order]"),
+        ] {
+            let err = Config::parse(retired).unwrap_err();
+            assert!(err.contains(":1:") && err.contains(section), "{err}");
+        }
         assert!(
             Config::parse("roots = [\"crates\"]\n").is_err(),
             "key outside any section"
         );
-        assert!(Config::parse("[lock_order]\nordr = [\"a\"]\n").is_err());
     }
 
     #[test]

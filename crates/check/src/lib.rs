@@ -2,24 +2,23 @@
 //!
 //! The workspace's headline guarantee — bit-identical predictions across
 //! sequential/parallel runs, warm/cold caches and registry eviction — rests
-//! on invariants no upstream lint knows: justified atomic orderings, a
-//! fixed lock acquisition order, no blocking inside a critical section,
-//! and a documented env-knob registry. (Panics, clock reads, discarded
-//! `Result`s and condition variables are clippy's job: see the workspace
-//! `[workspace.lints.clippy]` table and `clippy.toml`.) This crate enforces
-//! them mechanically with a hand-rolled token scanner (no `syn`; the build
-//! container has no crates.io access), configured by the checked-in
-//! `tg-check.toml` at the repo root.
+//! on invariants no upstream lint knows: justified atomic orderings, no
+//! lock taken while another is held, no blocking inside a critical
+//! section, and a documented env-knob registry. (Panics, clock reads,
+//! discarded `Result`s and condition variables are clippy's job: see the
+//! workspace `[workspace.lints.clippy]` table and `clippy.toml`.) This
+//! crate enforces them mechanically with a hand-rolled token scanner (no
+//! `syn`; the build container has no crates.io access), configured by the
+//! checked-in `tg-check.toml` at the repo root.
 //!
-//! The same lock-order table TG04 checks statically is enforced dynamically
-//! by the debug-build tracker in `tg-sync` — one declaration, two
-//! enforcement points — and a lightweight intra-workspace call graph
-//! extends the static check across function (and file) boundaries.
+//! The no-nested-lock rule TG04 checks statically is enforced dynamically
+//! by the debug-build tracker in `tg-sync`, and a lightweight
+//! intra-workspace call graph extends the static check across function
+//! (and file) boundaries.
 //!
 //! See DESIGN.md "Static analysis & invariants" for the lint table
-//! (TG00, TG03, TG04, TG07, TG08), the allow-directive grammar, the
-//! lock-rank mapping, the env-knob registry, and the call-graph
-//! approximations.
+//! (TG00, TG03, TG04, TG07, TG08), the allow-directive grammar, the lock
+//! classes, the env-knob registry, and the call-graph approximations.
 
 pub mod callgraph;
 pub mod config;

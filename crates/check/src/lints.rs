@@ -1,6 +1,6 @@
 //! The TG lints: repo-specific invariants enforced over the lexed token
 //! stream. See DESIGN.md "Static analysis & invariants" for the rationale
-//! behind each lint and the lock-order table TG04 checks against.
+//! behind each lint and the lock classes TG04 and TG07 track.
 //!
 //! Any finding except `TG00` can be suppressed with an inline directive on
 //! the same line or the line directly above:
@@ -24,8 +24,8 @@ pub enum Lint {
     Tg00BadAllow,
     /// Non-`Relaxed` atomic ordering without a justification comment.
     Tg03AtomicOrdering,
-    /// Lock acquisition violating the declared rank order.
-    Tg04LockOrder,
+    /// Lock acquisition while another lock guard is live.
+    Tg04NestedLock,
     /// Blocking call (`sleep`, I/O, `evaluate`, …) while a lint-tracked
     /// lock guard is live.
     Tg07BlockingWhileLocked,
@@ -39,7 +39,7 @@ impl Lint {
         match self {
             Lint::Tg00BadAllow => "TG00",
             Lint::Tg03AtomicOrdering => "TG03",
-            Lint::Tg04LockOrder => "TG04",
+            Lint::Tg04NestedLock => "TG04",
             Lint::Tg07BlockingWhileLocked => "TG07",
             Lint::Tg08KnobRegistry => "TG08",
         }
@@ -52,7 +52,7 @@ impl Lint {
         match code.to_ascii_lowercase().as_str() {
             "tg00" => Some(Lint::Tg00BadAllow),
             "tg03" => Some(Lint::Tg03AtomicOrdering),
-            "tg04" => Some(Lint::Tg04LockOrder),
+            "tg04" => Some(Lint::Tg04NestedLock),
             "tg07" => Some(Lint::Tg07BlockingWhileLocked),
             "tg08" => Some(Lint::Tg08KnobRegistry),
             _ => None,
@@ -131,7 +131,7 @@ pub fn check_source(rel_path: &str, source: &str, cfg: &Config) -> Vec<Finding> 
 
 /// Lints a set of files as one workspace, returning findings sorted by
 /// path and line. This is the full pipeline: per-file token lints, the
-/// cross-function lock-order analysis over the intra-workspace call
+/// cross-function nested-lock analysis over the intra-workspace call
 /// graph, and — when `docs` is non-empty (workspace mode) — the TG08
 /// knob-registry and doc-anchor drift checks. `docs` carries
 /// `(name, contents)` pairs for README.md / DESIGN.md.
@@ -163,7 +163,7 @@ pub fn check_sources(
         units.iter().map(|u| (u.file.rel_path.as_str(), &u.lexed)),
         cfg,
     );
-    let mut cross = index.cross_function_findings(cfg);
+    let mut cross = index.cross_function_findings();
     let mut knob_refs: Vec<(String, String)> = Vec::new();
 
     for u in &units {
@@ -330,16 +330,24 @@ pub(crate) const ACQUIRE_METHODS: [&str; 6] =
 /// A `let`-bound guard still alive at the current brace depth.
 struct HeldGuard {
     name: Option<String>,
-    rank: usize,
     class: String,
     binding_depth: i32,
 }
 
+impl HeldGuard {
+    /// `` `class` `` or `` `class` `name` `` for finding messages.
+    fn describe(&self) -> String {
+        match &self.name {
+            Some(name) => format!("`{}` `{name}`", self.class),
+            None => format!("`{}`", self.class),
+        }
+    }
+}
+
 /// One walk over the token stream enforcing the two lock lints:
 ///
-/// * **TG04** — flags any lock acquisition whose rank is below the rank of
-///   a guard the enclosing scope still holds, per the declared partial
-///   order.
+/// * **TG04** — flags any lock acquisition while the enclosing scope
+///   still holds a guard: no lock is taken while another is held.
 /// * **TG07** — calls from the configured blocking list (`sleep`,
 ///   `persist`, socket connects, `evaluate`, `get_or_init`, …) must not
 ///   run while a lint-tracked guard is live, unless the guard's class is
@@ -352,10 +360,10 @@ struct HeldGuard {
 /// its statement); a guard is released at the end of its enclosing block or
 /// by an explicit `drop(name)`. This is a per-scope approximation — the
 /// cross-function pass in `callgraph` extends TG04 across call edges, and
-/// the debug-build runtime tracker in `tg-sync` enforces the same table
+/// the debug-build runtime tracker in `tg-sync` enforces the same rule
 /// dynamically.
 fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.lock_order.is_empty() && cfg.tg07_blocking.is_empty() {
+    if cfg.lock_classes.is_empty() {
         return;
     }
     let toks = &lexed.tokens;
@@ -398,35 +406,24 @@ fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Findin
                 let Some(receiver) = receiver_of(toks, i) else {
                     continue;
                 };
-                let Some((rank, class)) = cfg.lock_rank_of(&receiver) else {
+                let Some(class) = cfg.lock_class_of(&receiver) else {
                     continue;
                 };
-                for g in &held {
-                    if g.rank > rank {
-                        out.push(Finding {
-                            lint: Lint::Tg04LockOrder,
-                            path: path.to_string(),
-                            line: lexed.lines[i],
-                            message: format!(
-                                "acquires `{class}` (rank {rank}) while holding \
-                                 `{held_class}`{held_name} (rank {held_rank}); declared \
-                                 order: {order}",
-                                held_class = g.class,
-                                held_name = g
-                                    .name
-                                    .as_deref()
-                                    .map(|n| format!(" `{n}`"))
-                                    .unwrap_or_default(),
-                                held_rank = g.rank,
-                                order = cfg.lock_order.join(" -> "),
-                            ),
-                        });
-                    }
+                if let Some(g) = held.last() {
+                    out.push(Finding {
+                        lint: Lint::Tg04NestedLock,
+                        path: path.to_string(),
+                        line: lexed.lines[i],
+                        message: format!(
+                            "acquires `{class}` while holding {}; no lock is taken \
+                             while another is held",
+                            g.describe(),
+                        ),
+                    });
                 }
                 if let Some(bound) = let_binding_name(toks, stmt_start, i) {
                     held.push(HeldGuard {
                         name: bound,
-                        rank,
                         class: class.to_string(),
                         binding_depth: depth,
                     });
@@ -439,24 +436,16 @@ fn lock_discipline(path: &str, lexed: &Lexed, cfg: &Config, out: &mut Vec<Findin
             {
                 if let Some(g) = held
                     .iter()
-                    .filter(|g| !cfg.tg07_exempt_classes.iter().any(|c| c == &g.class))
-                    .max_by_key(|g| g.rank)
+                    .rfind(|g| !cfg.tg07_exempt_classes.iter().any(|c| c == &g.class))
                 {
                     out.push(Finding {
                         lint: Lint::Tg07BlockingWhileLocked,
                         path: path.to_string(),
                         line: lexed.lines[i],
                         message: format!(
-                            "blocking call `{m}(..)` while holding lock guard \
-                             `{held_class}`{held_name} (rank {held_rank}); do the \
-                             blocking work outside the critical section",
-                            held_class = g.class,
-                            held_name = g
-                                .name
-                                .as_deref()
-                                .map(|n| format!(" `{n}`"))
-                                .unwrap_or_default(),
-                            held_rank = g.rank,
+                            "blocking call `{m}(..)` while holding lock guard {}; do \
+                             the blocking work outside the critical section",
+                            g.describe(),
                         ),
                     });
                 }

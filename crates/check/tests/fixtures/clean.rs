@@ -1,5 +1,5 @@
-// A representative clean library file: Relaxed counters, well-ordered
-// locking, a once-cell initialised after the guard is released and a
+// A representative clean library file: Relaxed counters, one lock at a
+// time, a once-cell initialised after the guard is released and a
 // registered env knob. tg-check must report zero findings here (the
 // self-test's false-positive guard).
 
@@ -17,9 +17,12 @@ pub struct Clean {
 impl Clean {
     pub fn lookup(&self, key: u64) -> Option<u64> {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let _inner = self.inner.lock();
+        let known = {
+            let inner = self.inner.lock().ok()?;
+            inner.contains_key(&key)
+        };
         let guard = self.shards[0].read().ok()?;
-        guard.get(&key).copied()
+        guard.get(&key).copied().filter(|_| known)
     }
 
     pub fn total(&self) -> u64 {

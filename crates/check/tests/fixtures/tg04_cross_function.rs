@@ -1,8 +1,8 @@
-// Seeded cross-function TG04 inversion: `refresh` holds a cache shard
-// (rank 5) and calls `self.reload()`, which re-enters the registry lock
-// (rank 0) through a helper chain the lexical pass cannot see. The
-// downward direction (`registry` first, then a shard-taking helper) must
-// stay clean.
+// Seeded cross-function TG04 violations: `refresh` holds a cache shard
+// and calls `self.reload()`, which takes the registry lock through a
+// helper chain the lexical pass cannot see; `downward` holds the registry
+// lock and calls a shard-taking helper. Both nest one lock under
+// another, so both are findings, each with its witness chain.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, RwLock};
@@ -27,7 +27,7 @@ impl Fixture {
         0
     }
 
-    pub fn downward_is_fine(&self) -> usize {
+    pub fn downward(&self) -> usize {
         let _inner = self.inner.lock();
         self.touch_shard()
     }

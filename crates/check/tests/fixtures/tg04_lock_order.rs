@@ -1,7 +1,7 @@
-// Seeded TG04 violation: taking the registry lock while holding a cache
-// shard inverts the declared order `registry -> coalesce -> ... ->
-// cache_shard`. The well-ordered function and the drop-then-reacquire
-// pattern must stay clean.
+// Seeded TG04 violations: taking a lock while the scope still holds
+// another nests them, in either order: `shard_then_registry` and
+// `registry_then_shard` are both findings. The drop-then-reacquire and scoped-release patterns
+// take one lock at a time and must stay clean.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, RwLock};
@@ -12,13 +12,13 @@ pub struct Fixture {
 }
 
 impl Fixture {
-    pub fn inverted(&self) -> usize {
+    pub fn shard_then_registry(&self) -> usize {
         let _shard = self.shards[0].write();
         let _inner = self.inner.lock();
         0
     }
 
-    pub fn well_ordered(&self) -> usize {
+    pub fn registry_then_shard(&self) -> usize {
         let _inner = self.inner.lock();
         let _shard = self.shards[0].write();
         0

@@ -21,10 +21,10 @@
 //! that arrive just behind it — worth it when the pass itself is much more
 //! expensive than the window (cold caches), a no-op default otherwise.
 //!
-//! The pass map sits at lock rank `coalesce` (see `crate::sync` and
-//! `tg-check.toml`) and is held only to look a pass up, insert it or
-//! retire it — never across the evaluation or a wait, so the store/cache
-//! ranks below are reached with no coalescing lock held. If a leader
+//! The pass map's lock (class `coalesce`, see `tg_sync` and
+//! `tg-check.toml`) is held only to look a pass up, insert it or retire
+//! it — never across the evaluation or a wait, so the evaluation takes
+//! its store and cache locks with no coalescing lock held. If a leader
 //! unwinds mid-pass, its `OnceLock` stays empty: a follower already parked
 //! on it, or the next caller for the key, runs the pass again and becomes
 //! its leader — a lost optimisation, never a hang.
@@ -40,7 +40,7 @@ use crate::config::EvalOptions;
 use crate::evaluate::{evaluate, EvalOutcome};
 use crate::registry::ZooHandle;
 use crate::strategy::Strategy;
-use crate::sync::{rank_guard, unpoisoned, Rank};
+use tg_sync::{hold_lock, unpoisoned};
 
 /// One coalescing key: zoo fingerprint, target dataset, strategy label.
 /// The strategy is part of the key because different strategies produce
@@ -135,13 +135,13 @@ impl Coalescer {
     ) -> Arc<EvalOutcome> {
         let key: PassKey = (handle.fingerprint(), target, strategy.label());
         let pass = {
-            let _rank = rank_guard(Rank::Coalesce);
+            let _held = hold_lock();
             let mut passes = unpoisoned(self.passes.lock());
             Arc::clone(passes.entry(key.clone()).or_default())
         };
 
-        // No coalescing lock is held from here on: the evaluation reaches
-        // the store/cache ranks with a clean stack, and followers park in
+        // No coalescing lock is held from here on: the evaluation takes
+        // its store and cache locks with none held, and followers park in
         // `get_or_init` rather than on the map.
         let mut led = false;
         let outcome = Arc::clone(pass.get_or_init(|| {
@@ -154,7 +154,7 @@ impl Coalescer {
         if led {
             self.leaders.fetch_add(1, Ordering::Relaxed);
             // Retire the key so the next burst starts a fresh pass.
-            let _rank = rank_guard(Rank::Coalesce);
+            let _held = hold_lock();
             unpoisoned(self.passes.lock()).remove(&key);
         } else {
             self.followers.fetch_add(1, Ordering::Relaxed);

@@ -55,7 +55,6 @@ pub mod report;
 pub mod runner;
 pub mod store;
 pub mod strategy;
-pub(crate) mod sync;
 pub(crate) mod tier;
 
 pub use artifacts::{Stage, Workbench, WorkbenchStats};

@@ -50,7 +50,7 @@ use crate::artifacts::Workbench;
 use crate::config::Representation;
 use crate::inductive::{InductiveConfig, InductiveEmbedder};
 use crate::store::{dir_from_env, ArtifactStore, PersistStats, StoreOptions};
-use crate::sync::{rank_guard, unpoisoned, Rank};
+use tg_sync::{hold_lock, unpoisoned};
 
 /// Environment variable bounding the number of resident zoos. Unset, empty
 /// or `0` means unbounded.
@@ -72,6 +72,9 @@ pub const REGISTRY_MAX_BYTES_ENV: &str = "TG_REGISTRY_MAX_BYTES";
 /// the registry's memory tier, it never invalidates them.
 pub struct ZooHandle {
     zoo: Arc<ModelZoo>,
+    /// `zoo.approx_resident_bytes()`, taken once: a zoo never changes
+    /// after it is built.
+    zoo_bytes: u64,
     store: Arc<ArtifactStore>,
     workbench: Workbench<'static>,
     /// Trained inductive embedders, one slot per `(modality,
@@ -86,6 +89,7 @@ impl ZooHandle {
         let store = Arc::new(ArtifactStore::open(fingerprint, store_options));
         let workbench = Workbench::from_parts(Arc::clone(&zoo), Arc::clone(&store));
         Arc::new(ZooHandle {
+            zoo_bytes: zoo.approx_resident_bytes(),
             zoo,
             store,
             workbench,
@@ -116,9 +120,10 @@ impl ZooHandle {
 
     /// Approximate heap bytes held by this handle: the zoo's registries
     /// plus both tiers of the artifact store. Feeds the registry's
-    /// byte-bounded eviction.
+    /// byte-bounded eviction. Reads counters only, walking nothing and
+    /// taking no lock, so the registry calls it under its own.
     pub fn resident_bytes(&self) -> u64 {
-        self.zoo.approx_resident_bytes() + self.store.resident_bytes()
+        self.zoo_bytes + self.store.resident_bytes()
     }
 
     /// The handle's inductive embedder for `modality`, trained once and
@@ -313,7 +318,7 @@ impl ZooRegistry {
     pub fn get_or_build(&self, config: &ZooConfig) -> Arc<ZooHandle> {
         let fingerprint = config.fingerprint();
         let slot = {
-            let _rank = rank_guard(Rank::Registry);
+            let _held = hold_lock();
             let mut inner = unpoisoned(self.inner.lock());
             if let Some(r) = inner.resident.get_mut(&fingerprint) {
                 r.last_route = self.tick();
@@ -347,7 +352,7 @@ impl ZooRegistry {
         // Racers that took the slot from `building` before it is removed
         // below find it filled and return the same handle.
         let victims = {
-            let _rank = rank_guard(Rank::Registry);
+            let _held = hold_lock();
             let mut inner = unpoisoned(self.inner.lock());
             inner.resident.insert(
                 fingerprint,
@@ -382,7 +387,7 @@ impl ZooRegistry {
     /// no-op per handle when the registry has no artifact directory.
     pub fn persist_all(&self) -> io::Result<PersistStats> {
         let handles: Vec<Arc<ZooHandle>> = {
-            let _rank = rank_guard(Rank::Registry);
+            let _held = hold_lock();
             let inner = unpoisoned(self.inner.lock());
             inner
                 .resident
@@ -401,7 +406,7 @@ impl ZooRegistry {
 
     /// Fingerprints currently resident, in no particular order.
     pub fn resident_fingerprints(&self) -> Vec<u64> {
-        let _rank = rank_guard(Rank::Registry);
+        let _held = hold_lock();
         unpoisoned(self.inner.lock())
             .resident
             .keys()
@@ -412,7 +417,7 @@ impl ZooRegistry {
     /// Telemetry snapshot.
     pub fn stats(&self) -> RegistryStats {
         let (resident, resident_bytes) = {
-            let _rank = rank_guard(Rank::Registry);
+            let _held = hold_lock();
             let inner = unpoisoned(self.inner.lock());
             let bytes = inner
                 .resident
@@ -634,27 +639,26 @@ mod tests {
         assert_eq!(first.predictions, cold.predictions);
     }
 
-    /// A thread that routes while it still holds a store-level lock would
-    /// invert the declared order (registry must come first); the
-    /// debug-build tracker must refuse it before the deadlock can form.
+    /// A thread that routes while it still holds another lock would take
+    /// the registry lock under it; the debug-build tracker must refuse it
+    /// before a deadlock can form.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn routing_while_holding_a_store_rank_trips_the_tracker() {
-        use crate::sync::{rank_guard, Rank};
+    #[should_panic(expected = "nested lock")]
+    fn routing_while_holding_a_lock_trips_the_tracker() {
         let registry = ZooRegistry::new(RegistryOptions::default());
-        let _shard = rank_guard(Rank::CacheShard);
+        let _held = hold_lock();
         let _ = registry.get_or_build(&ZooConfig::small(81));
     }
 
     /// Multi-zoo serving under contention: racing routes across several
     /// fingerprints with eviction-persist and artifact lookups walk every
-    /// ranked lock chain (shards during the build, and file-lock → shards
-    /// in the persist that follows an eviction once the registry lock is
-    /// released). In debug builds the whole test runs under the lock-order
-    /// tracker, so completing at all proves the order held.
+    /// lock path (shards during the build, and the file lock in the
+    /// persist that follows an eviction once the registry lock is
+    /// released). In debug builds the whole test runs under the tracker,
+    /// so completing at all proves that no lock was taken under another.
     #[test]
-    fn concurrent_multizoo_routing_with_eviction_obeys_the_lock_order() {
+    fn concurrent_multizoo_routing_with_eviction_never_nests_locks() {
         let dir = temp_registry_dir("race-order");
         let registry = ZooRegistry::new(RegistryOptions {
             artifact_dir: Some(dir.clone()),
@@ -689,9 +693,9 @@ mod tests {
     #[test]
     fn routing_does_not_wait_for_an_eviction_persist() {
         use crate::store::ArtifactKind;
-        use crate::sync::LockFile;
         use std::sync::mpsc;
         use std::time::Duration;
+        use tg_sync::LockFile;
 
         fn within_10s<T: Send + 'static>(probe: impl FnOnce() -> T + Send + 'static) -> T {
             let (tx, rx) = mpsc::channel();

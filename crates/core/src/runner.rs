@@ -28,7 +28,7 @@ use crate::config::EvalOptions;
 use crate::evaluate::{evaluate, EvalOutcome};
 use crate::registry::RegistryStats;
 use crate::strategy::Strategy;
-use crate::sync::unpoisoned;
+use tg_sync::unpoisoned;
 use tg_zoo::DatasetId;
 
 /// One independent unit of runner work.

@@ -20,11 +20,11 @@
 //!
 //! Persisting is coordinated *across processes*, not last-writer-wins:
 //! writers of the same fingerprint serialise on a per-fingerprint advisory
-//! file lock ([`tg_sync::LockFile`], rank `file_lock`), and each write
-//! *merges* with whatever the file currently holds — lock → re-read →
-//! union → temp-file + fsync + rename. Values are pure functions of their
-//! key, so overlapping entries are bit-identical and merge order is
-//! immaterial.
+//! file lock ([`tg_sync::LockFile`], class `file_lock`), and each write
+//! *merges* with whatever the file currently holds — snapshot the memory
+//! tiers → lock → re-read → union → temp-file + fsync + rename. Values are
+//! pure functions of their key, so overlapping entries are bit-identical
+//! and merge order is immaterial.
 //!
 //! [`StoreOptions::read_only`] turns `persist` into a no-op while warm
 //! reads keep working, for a reader that must never write the shared
@@ -54,8 +54,8 @@ use tg_zoo::{DatasetId, ModelId};
 use crate::artifacts::Telemetry;
 use crate::config::Representation;
 use crate::format::{encode_v2, ArtifactView};
-use crate::sync::LockFile;
 use crate::tier::TieredCache;
+use tg_sync::LockFile;
 
 /// Environment variable naming the artifact directory. When set (and
 /// non-empty), workbenches built via `Workbench::from_env` read previously
@@ -463,6 +463,9 @@ impl ArtifactStore {
     /// `{fingerprint:016x}.lock` in the artifact directory) across the
     /// whole read-union-write sequence, and each file is rewritten as the
     /// union of (current file contents) ∪ (disk tier) ∪ (memory tier).
+    /// The memory tiers are snapshotted before the file lock is taken, so
+    /// no shard lock is taken under it; an entry inserted after the
+    /// snapshot persists with the next call.
     /// Entries computed by another store of the same zoo are therefore
     /// preserved — and since every cached value is a pure function of its
     /// key, overlapping entries are bit-identical. A file that is not a
@@ -492,6 +495,12 @@ impl ArtifactStore {
         if self.options.read_only {
             return Ok(PersistStats::default());
         }
+        let (logme, ds_embed, t2v_embed, similarity) = (
+            self.logme.entries(),
+            self.ds_embed.entries(),
+            self.t2v_embed.entries(),
+            self.similarity.entries(),
+        );
         std::fs::create_dir_all(dir)?;
         let lockfile = LockFile::open(&dir.join(format!("{:016x}.lock", self.fingerprint)))?;
         let _flock = lockfile.lock()?;
@@ -499,10 +508,10 @@ impl ArtifactStore {
         // Every file is read and merged before any is written, so a read
         // error leaves the whole directory as it was.
         let files = [
-            self.merged(&self.logme, dir)?,
-            self.merged(&self.ds_embed, dir)?,
-            self.merged(&self.t2v_embed, dir)?,
-            self.merged(&self.similarity, dir)?,
+            self.merged(&self.logme, logme, dir)?,
+            self.merged(&self.ds_embed, ds_embed, dir)?,
+            self.merged(&self.t2v_embed, t2v_embed, dir)?,
+            self.merged(&self.similarity, similarity, dir)?,
         ];
         let mut stats = PersistStats::default();
         for (kind, entries, buf) in files {
@@ -597,13 +606,14 @@ impl ArtifactStore {
     }
 
     /// The `TGARTv2` image of `cache` merged with its file on disk —
-    /// (current file) ∪ (disk tier) ∪ (memory tier) — with its kind and
-    /// entry count. A missing file merges as empty, and so does one that
-    /// is not a valid v2 file of this fingerprint; any other read error
-    /// is returned.
+    /// (current file) ∪ (disk tier) ∪ (`memory`, the memory tier's
+    /// snapshot) — with its kind and entry count. A missing file merges as
+    /// empty, and so does one that is not a valid v2 file of this
+    /// fingerprint; any other read error is returned.
     fn merged<K, V>(
         &self,
         cache: &TieredCache<K, V>,
+        memory: Vec<(K, V)>,
         dir: &Path,
     ) -> io::Result<(ArtifactKind, u64, Vec<u8>)>
     where
@@ -622,9 +632,10 @@ impl ArtifactStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => HashMap::new(),
             Err(e) => return Err(e),
         };
-        cache.for_each(|k, v| {
+        cache.for_each_on_disk(|k, v| {
             union.insert(k, v);
         });
+        union.extend(memory);
         let entries: Vec<(Vec<u8>, Vec<u8>)> = union
             .iter()
             .map(|(k, v)| {
@@ -1034,6 +1045,58 @@ mod tests {
         });
         let merged = open_in(0x99, &dir);
         assert_eq!(warm_total(&merged), 4, "no writer's entry was lost");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Persist snapshots the memory tiers before it takes the file lock,
+    /// so it completes (under the debug tracker, with no nested lock)
+    /// while another thread inserts; what the snapshot missed persists
+    /// with the next call.
+    #[test]
+    fn persist_racing_inserts_completes_and_the_next_persist_adds_late_entries() {
+        use std::sync::mpsc::{channel, TryRecvError};
+
+        let dir = temp_store_dir("racing-inserts");
+        let store = &open_in(0x8888, &dir);
+        let insert = |i: usize| {
+            store
+                .logme
+                .get_or_insert_with((ModelId(i), DatasetId(0)), true, || i as f64);
+        };
+        let (started, first_inserted) = channel();
+        let (persisted, first_persisted) = channel();
+        // The scope owns `persisted`, so a persist that panics hangs up on
+        // the inserter instead of leaving it looping.
+        let (first, inserted) = std::thread::scope(move |scope| {
+            let inserter = scope.spawn(move || {
+                // Insert while the first persist runs, then 100 entries it
+                // cannot have seen.
+                let mut i = 0;
+                while let Err(TryRecvError::Empty) = first_persisted.try_recv() {
+                    insert(i);
+                    i += 1;
+                    if i == 1 {
+                        started.send(()).unwrap();
+                    }
+                }
+                for _ in 0..100 {
+                    insert(i);
+                    i += 1;
+                }
+                i as u64
+            });
+            first_inserted.recv().unwrap();
+            let first = store.persist().unwrap();
+            persisted.send(()).unwrap();
+            (first, inserter.join().unwrap())
+        });
+        assert!(
+            first.entries >= 1 && first.entries + 100 <= inserted,
+            "{first:?}"
+        );
+        assert_eq!(store.persist().unwrap().entries, inserted);
+        let warm = open_in(0x8888, &dir);
+        assert_eq!(warm.warm_entries(ArtifactKind::LogMe) as u64, inserted);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,8 +4,11 @@
 //! [`DiskTier`]: the `TGARTv2` file the store read at open, served by
 //! index binary search plus single-record decode. The disk tier is
 //! fixed when the cache is built and never changes afterwards, so
-//! lookups query it without a lock.
+//! lookups query it without a lock. The memory tier is insert-only, so
+//! its byte count is one counter bumped by each insert that wins, and
+//! reading it takes no lock.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -14,7 +17,7 @@ use std::sync::RwLock;
 
 use crate::format::ArtifactView;
 use crate::store::{ArtifactKind, DiskCodec};
-use crate::sync::{rank_guard, unpoisoned, Rank};
+use tg_sync::{hold_lock, unpoisoned};
 
 /// Number of lock shards per in-memory cache. A small power of two: enough
 /// to keep writer contention negligible for tens of worker threads without
@@ -30,7 +33,7 @@ pub(crate) struct ShardedCache<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
 }
 
-impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     fn new() -> Self {
         ShardedCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
@@ -44,36 +47,41 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
     }
 
     fn get(&self, key: &K) -> Option<V> {
-        let _rank = rank_guard(Rank::CacheShard);
+        let _held = hold_lock();
         unpoisoned(self.shard(key).read()).get(key).cloned()
     }
 
     /// Inserts `value` unless the key is already present (first insert wins —
     /// cached values are pure functions of the key, so a racing duplicate is
-    /// bit-identical) and returns the stored value.
-    fn insert(&self, key: K, value: V) -> V {
-        let _rank = rank_guard(Rank::CacheShard);
-        unpoisoned(self.shard(&key).write())
-            .entry(key)
-            .or_insert(value)
-            .clone()
+    /// bit-identical) and returns the stored value and whether this call
+    /// stored it.
+    fn insert(&self, key: K, value: V) -> (V, bool) {
+        let _held = hold_lock();
+        match unpoisoned(self.shard(&key).write()).entry(key) {
+            Entry::Occupied(stored) => (stored.get().clone(), false),
+            Entry::Vacant(slot) => (slot.insert(value).clone(), true),
+        }
     }
 
     fn len(&self) -> usize {
-        let _rank = rank_guard(Rank::CacheShard);
         self.shards
             .iter()
-            .map(|shard| unpoisoned(shard.read()).len())
+            .map(|shard| {
+                let _held = hold_lock();
+                unpoisoned(shard.read()).len()
+            })
             .sum()
     }
 
-    fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        let _rank = rank_guard(Rank::CacheShard);
+    /// Clones every entry, one shard lock at a time.
+    fn entries(&self) -> Vec<(K, V)> {
+        let mut entries = Vec::new();
         for shard in &self.shards {
-            for (k, v) in unpoisoned(shard.read()).iter() {
-                f(k, v);
-            }
+            let _held = hold_lock();
+            let map = unpoisoned(shard.read());
+            entries.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
+        entries
     }
 }
 
@@ -133,6 +141,9 @@ pub(crate) struct TieredCache<K, V> {
     mem: ShardedCache<K, V>,
     /// Per-entry byte cost of a memory entry, for [`approx_bytes`](Self::approx_bytes).
     cost: fn(&K, &V) -> u64,
+    /// The cost summed over every memory entry: bumped by each insert
+    /// that wins, never lowered (the memory tier is insert-only).
+    mem_bytes: AtomicU64,
     disk: Option<DiskTier<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -155,6 +166,7 @@ where
             kind,
             mem: ShardedCache::new(),
             cost,
+            mem_bytes: AtomicU64::new(0),
             disk: disk.map(|view| DiskTier {
                 view,
                 _marker: PhantomData,
@@ -187,13 +199,24 @@ where
             if let Some(v) = self.disk.as_ref().and_then(|disk| disk.get(&key)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return self.mem.insert(key, v);
+                return self.insert(key, v);
             }
             self.disk_misses.fetch_add(1, Ordering::Relaxed);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = compute();
-        self.mem.insert(key, v)
+        self.insert(key, v)
+    }
+
+    /// Inserts into the memory tier, counting the entry's bytes when this
+    /// call stored it.
+    fn insert(&self, key: K, value: V) -> V {
+        let cost = (self.cost)(&key, &value);
+        let (stored, won) = self.mem.insert(key, value);
+        if won {
+            self.mem_bytes.fetch_add(cost, Ordering::Relaxed);
+        }
+        stored
     }
 
     /// Entries in the memory tier.
@@ -206,23 +229,26 @@ where
         self.disk.as_ref().map_or(0, |disk| disk.view.count())
     }
 
-    /// Visits every disk-tier entry, then every memory-tier entry
-    /// (merge-on-persist input).
-    pub(crate) fn for_each(&self, mut f: impl FnMut(K, V)) {
+    /// Visits every disk-tier entry (merge-on-persist input). The disk
+    /// tier never changes after open, so this takes no lock.
+    pub(crate) fn for_each_on_disk(&self, f: impl FnMut(K, V)) {
         if let Some(disk) = &self.disk {
-            disk.for_each(&mut f);
+            disk.for_each(f);
         }
-        self.mem.for_each(|k, v| f(k.clone(), v.clone()));
     }
 
-    /// Approximate bytes across both tiers. Entries promoted from disk
-    /// into memory are counted twice — acceptable for an eviction
-    /// heuristic, which only needs a stable over-estimate.
+    /// A snapshot of the memory tier, taken one shard lock at a time
+    /// (merge-on-persist input).
+    pub(crate) fn entries(&self) -> Vec<(K, V)> {
+        self.mem.entries()
+    }
+
+    /// Approximate bytes across both tiers, read without a lock. Entries
+    /// promoted from disk into memory are counted twice — acceptable for
+    /// an eviction heuristic, which only needs a stable over-estimate.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        let mut mem = 0;
-        self.mem.for_each(|k, v| mem += (self.cost)(k, v));
         let disk = self.disk.as_ref().map_or(0, |disk| disk.view.byte_len());
-        mem + disk as u64
+        self.mem_bytes.load(Ordering::Relaxed) + disk as u64
     }
 
     /// Aggregate (hit, miss) counters — a disk-promoted hit counts as a
@@ -240,5 +266,88 @@ where
             self.disk_hits.load(Ordering::Relaxed),
             self.disk_misses.load(Ordering::Relaxed),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::encode_v2;
+    use std::sync::Arc;
+
+    fn cost(_: &u64, v: &Arc<[f64]>) -> u64 {
+        8 + 16 + v.len() as u64 * 8
+    }
+
+    /// The value cached under `key`: its length varies with the key.
+    fn value(key: u64) -> Arc<[f64]> {
+        Arc::from(vec![key as f64; (key % 7) as usize])
+    }
+
+    /// What the counter must read: the cost over a walk of the memory
+    /// tier plus the disk tier's bytes.
+    fn walked_bytes(cache: &TieredCache<u64, Arc<[f64]>>) -> u64 {
+        let mem: u64 = cache.entries().iter().map(|(k, v)| cost(k, v)).sum();
+        let disk = cache.disk.as_ref().map_or(0, |disk| disk.view.byte_len());
+        mem + disk as u64
+    }
+
+    /// Two threads look up the same keys in lockstep. Each computation
+    /// waits until the other thread has missed the same key too, so every
+    /// computed key is inserted twice, and one of the two inserts loses.
+    fn race(cache: &TieredCache<u64, Arc<[f64]>>, keys: std::ops::Range<u64>) {
+        let both_missed = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (keys, both_missed) = (keys.clone(), &both_missed);
+                scope.spawn(move || {
+                    for key in keys {
+                        cache.get_or_insert_with(key, true, || {
+                            both_missed.wait();
+                            value(key)
+                        });
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn counted_bytes_equal_a_full_walk_after_racing_inserts() {
+        let cache = TieredCache::new(ArtifactKind::DsEmbed, cost, None);
+        assert_eq!(cache.approx_bytes(), 0);
+        race(&cache, 0..64);
+        assert_eq!(cache.len(), 64);
+        assert_eq!(cache.counters().1, 2 * 64, "both threads computed each key");
+        let each_once: u64 = (0..64).map(|key| cost(&key, &value(key))).sum();
+        assert_eq!(cache.approx_bytes(), each_once);
+        assert_eq!(cache.approx_bytes(), walked_bytes(&cache));
+    }
+
+    #[test]
+    fn counted_bytes_equal_a_full_walk_after_disk_promotions() {
+        let records = (0..32u64)
+            .map(|key| {
+                let (mut kb, mut vb) = (Vec::new(), Vec::new());
+                key.encode(&mut kb);
+                value(key).encode(&mut vb);
+                (kb, vb)
+            })
+            .collect();
+        let tag = ArtifactKind::DsEmbed.tag();
+        let view = ArtifactView::parse(encode_v2(tag, 7, records), tag, 7).unwrap();
+        let cache = TieredCache::new(ArtifactKind::DsEmbed, cost, Some(view));
+        let on_disk = walked_bytes(&cache);
+        assert!(on_disk > 0);
+        assert_eq!(cache.approx_bytes(), on_disk);
+        // Keys 16..32 promote from disk; both threads compute 32..48.
+        race(&cache, 16..48);
+        assert_eq!(cache.len(), 32);
+        let (disk_hits, _) = cache.disk_counters();
+        assert!(disk_hits >= 16, "every key on disk was promoted");
+        assert_eq!(cache.counters().1, 2 * 16);
+        assert_eq!(cache.approx_bytes(), walked_bytes(&cache));
+        let promoted: u64 = (16..48).map(|key| cost(&key, &value(key))).sum();
+        assert_eq!(cache.approx_bytes(), on_disk + promoted);
     }
 }

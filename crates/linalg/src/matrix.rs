@@ -191,64 +191,6 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` without materializing the transpose (both operands
-    /// share their row count: `self` is `n × k`, `other` is `n × m`, the
-    /// product is `k × m`).
-    ///
-    /// This is the batched-projection kernel of LogME (`Z = YᵀU` over the
-    /// one-hot label matrix) and is tuned for that shape:
-    ///
-    /// * **row streaming** — the reduction dimension `n` is the outer loop,
-    ///   so each step reads one contiguous row of each operand and updates
-    ///   the output with contiguous axpy rows (no strided column walks);
-    /// * **output blocking** — when the output is wider than
-    ///   [`Self::AT_B_BLOCK`] columns it is computed one column tile at a
-    ///   time, keeping the active output tile plus one row slice of `other`
-    ///   cache-resident for the whole pass over `n`;
-    /// * **sparsity skip** — rows of `self` contribute nothing where their
-    ///   entry is exactly `0.0` (e.g. one-hot label matrices touch exactly
-    ///   one output row per sample), so those axpys are skipped.
-    ///
-    /// **Fixed summation order:** every output element accumulates its `n`
-    /// products in ascending row order, *independent of the block size* —
-    /// blocking only tiles the output, never the reduction. Skipping an
-    /// exactly-zero multiplier is bit-neutral too: with finite operands the
-    /// skipped product is `±0.0`, and adding `±0.0` to a partial sum that
-    /// started at `+0.0` can never change its bits. The result is therefore
-    /// bit-identical to the naive `self.transpose().matmul(other)` loop,
-    /// which the unit tests assert.
-    pub fn matmul_at_b(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_at_b: {}x{} vs {}x{} (row counts must match)",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(k, m);
-        for j0 in (0..m).step_by(Self::AT_B_BLOCK) {
-            let j1 = (j0 + Self::AT_B_BLOCK).min(m);
-            for r in 0..n {
-                let arow = self.row(r);
-                let brow = &other.row(r)[j0..j1];
-                for (i, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut out.row_mut(i)[j0..j1];
-                    for (o, &b) in orow.iter_mut().zip(brow) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Output-column tile width of [`Matrix::matmul_at_b`]: 256 columns of
-    /// `f64` (2 KiB per output row slice) keeps a `k × 256` tile plus the
-    /// streamed operand rows inside L2 for every `k` that occurs here.
-    pub const AT_B_BLOCK: usize = 256;
-
     /// Matrix-vector product.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
@@ -548,69 +490,6 @@ mod tests {
     fn frobenius_norm_known() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert!(approx(a.frobenius_norm(), 5.0));
-    }
-
-    /// Naive, skip-free AᵀB: ascending-row dot per output element. The
-    /// reference order the blocked kernel must reproduce bit-for-bit.
-    fn at_b_naive(a: &Matrix, b: &Matrix) -> Matrix {
-        Matrix::from_fn(a.cols(), b.cols(), |i, j| {
-            let mut s = 0.0;
-            for r in 0..a.rows() {
-                s += a.get(r, i) * b.get(r, j);
-            }
-            s
-        })
-    }
-
-    #[test]
-    fn matmul_at_b_matches_transpose_matmul() {
-        let a = Matrix::from_fn(7, 3, |r, c| ((r * 3 + c) as f64 * 0.31).sin());
-        let b = Matrix::from_fn(7, 5, |r, c| ((r * 5 + c) as f64 * 0.17).cos());
-        assert_eq!(a.matmul_at_b(&b), a.transpose().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_at_b_bit_identical_to_naive_dot_across_blocks() {
-        // Output wider than one tile: blocking must not change any bit of
-        // the ascending-row reduction.
-        let cols = Matrix::AT_B_BLOCK + 37;
-        let a = Matrix::from_fn(23, 4, |r, c| ((r * 7 + c) as f64 * 0.113).sin() * 1e3);
-        let b = Matrix::from_fn(23, cols, |r, c| ((r * 31 + c) as f64 * 0.071).cos() / 3.0);
-        let blocked = a.matmul_at_b(&b);
-        let naive = at_b_naive(&a, &b);
-        assert_eq!(blocked.shape(), (4, cols));
-        for i in 0..4 {
-            for j in 0..cols {
-                assert_eq!(
-                    blocked.get(i, j).to_bits(),
-                    naive.get(i, j).to_bits(),
-                    "bit mismatch at ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_at_b_zero_skip_is_bit_neutral() {
-        // One-hot left operand: the sparsity skip must give the same bits
-        // as accumulating the explicit zero products.
-        let onehot = Matrix::from_fn(12, 3, |r, c| if r % 3 == c { 1.0 } else { 0.0 });
-        let b = Matrix::from_fn(12, 6, |r, c| ((r + c) as f64 * 0.59).sin() - 0.3);
-        let skipped = onehot.matmul_at_b(&b);
-        let dense = at_b_naive(&onehot, &b);
-        for i in 0..3 {
-            for j in 0..6 {
-                assert_eq!(skipped.get(i, j).to_bits(), dense.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul_at_b")]
-    fn matmul_at_b_row_mismatch_panics() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::zeros(4, 2);
-        let _ = a.matmul_at_b(&b);
     }
 
     #[test]

@@ -1,44 +1,47 @@
-//! Workspace-wide lock-order tracking and poison recovery.
+//! Workspace-wide lock discipline and poison recovery.
 //!
-//! The reproduction holds a small family of locks with one declared
-//! partial order (see `tg-check.toml` at the repo root and DESIGN.md
-//! §4b). The table spans two crates — `transfergraph` and `tg-serve`,
-//! which sits above it — so the tracker lives in this leaf crate, where
-//! both can reach it:
+//! The reproduction's locks follow one rule: **no lock is taken while
+//! another is held**. A thread that holds at most one lock at a time never
+//! waits on a second while keeping the first, so no cycle of waiting
+//! threads, and therefore no lock-order deadlock, can form, whatever the
+//! order in which threads take the locks. The rule needs no declared
+//! order and no table to keep in sync. It spans two crates —
+//! `transfergraph` and `tg-serve`, which sits above it — so the runtime
+//! check lives in this leaf crate, where both can reach it. The lock
+//! classes (receiver names per class, see `tg-check.toml` at the repo root
+//! and DESIGN.md §4b) are:
 //!
-//! | rank | class        | locks                                          |
-//! |------|--------------|------------------------------------------------|
-//! | 0    | `registry`   | `ZooRegistry::inner` routing table             |
-//! | 1    | `coalesce`   | `Coalescer::passes` map of in-flight passes    |
-//! | 2    | `file_lock`  | per-fingerprint advisory file lock ([`LockFile`]) |
-//! | 3    | `cache_shard`| `ShardedCache` shard `RwLock`s                 |
-//! | 4    | `conn_queue` | `tg-serve`'s admission lock (slots + queue)    |
+//! | class         | locks                                             |
+//! |---------------|---------------------------------------------------|
+//! | `registry`    | `ZooRegistry::inner` routing table                |
+//! | `coalesce`    | `Coalescer::passes` map of in-flight passes       |
+//! | `file_lock`   | per-fingerprint advisory file lock ([`LockFile`]) |
+//! | `cache_shard` | `ShardedCache` shard `RwLock`s                    |
+//! | `conn_queue`  | `tg-serve`'s admission lock (slots + queue)       |
 //!
-//! A thread may only acquire locks in non-decreasing rank order (equal
-//! ranks may nest). Any thread obeying the order can never participate
-//! in a deadlock cycle across these locks. The `file_lock` rank is
-//! special in one way: it is backed by an OS advisory lock, so it also
-//! serialises against *other processes* — but the rank rules it obeys
-//! inside a process are exactly those of any other class.
+//! The `file_lock` class is special in one way: it is backed by an OS
+//! advisory lock, so it also serialises against *other processes* — but
+//! inside a process it obeys the rule like any other lock.
 //!
 //! Build-once and compute-once waits (a zoo build, an inductive
 //! embedder's training, a coalesced evaluation) are `std::sync::OnceLock`
-//! cells, not ranked locks: the rule they need — release every ranked
-//! guard before parking on one — is `tg-check`'s TG07 lint. The workspace
-//! has no condition variable (clippy's `disallowed_types` bans std's), so
-//! no ranked guard is ever released and re-taken inside a wait.
+//! cells, not locks: the rule they need — release every guard before
+//! parking on one — is `tg-check`'s TG07 lint. The workspace has no
+//! condition variable (clippy's `disallowed_types` bans std's), so no
+//! guard is ever released and re-taken inside a wait.
 //!
-//! Two layers enforce the order: statically, `tg-check`'s TG04 lint
-//! (intra-function) plus its cross-function call-graph pass; and
-//! dynamically in debug builds, [`rank_guard`] keeps a thread-local
-//! stack of held ranks and asserts monotonicity on every acquisition.
-//! Release builds compile the guard to nothing.
+//! Two layers enforce the rule: statically, `tg-check`'s TG04 lint (within
+//! a function and across call edges); and dynamically in debug
+//! builds, [`hold_lock`] keeps one thread-local slot holding the call site
+//! of the lock this thread holds, and panics, naming both call sites, when
+//! a second lock is taken while the slot is full. Release builds compile
+//! the token to nothing.
 //!
-//! Call sites take the rank guard immediately before the matching lock
-//! call and keep it alive exactly as long as the lock guard:
+//! Call sites take the token immediately before the lock call and keep it
+//! alive exactly as long as the lock guard:
 //!
 //! ```ignore
-//! let _rank = rank_guard(Rank::Registry);
+//! let _held = hold_lock();
 //! let inner = unpoisoned(self.inner.lock());
 //! ```
 
@@ -46,60 +49,9 @@
 
 use std::sync::PoisonError;
 
-/// The lock classes of the workspace, in declared acquisition order.
-/// The discriminant is the rank: a thread holding rank `r` may only
-/// acquire ranks `>= r`. The same table, by the same class names, is
-/// checked statically from `tg-check.toml` — keep the two in sync
-/// (a unit test in this crate cross-checks them).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rank {
-    /// `ZooRegistry::inner` — the routing table.
-    Registry = 0,
-    /// `Coalescer::passes` — the map routing concurrent identical
-    /// evaluations to one in-flight pass. Held only to look a pass up,
-    /// insert it or retire it, never across the evaluation.
-    Coalesce = 1,
-    /// The per-fingerprint advisory *file* lock ([`LockFile`]) guarding
-    /// the persist path's read-union-write sequence. Backed by the OS,
-    /// so it also serialises persists across processes; within a
-    /// process it ranks below `CacheShard` because persist reads the
-    /// memory shards while holding it.
-    FileLock = 2,
-    /// One shard of a `ShardedCache`.
-    CacheShard = 3,
-    /// `tg-serve`'s admission lock: its serving-slot count and queue of
-    /// waiting connections. Held only to take or give back a slot and to
-    /// queue or pop a connection, never across I/O or a wait, and nothing
-    /// else is acquired under it: the final leaf rank.
-    ConnQueue = 4,
-}
-
-impl Rank {
-    /// Every rank, in declared acquisition order.
-    pub const ALL: [Rank; 5] = [
-        Rank::Registry,
-        Rank::Coalesce,
-        Rank::FileLock,
-        Rank::CacheShard,
-        Rank::ConnQueue,
-    ];
-
-    /// The class name this rank carries in `tg-check.toml`'s
-    /// `[lock_order] order` list.
-    pub fn class(self) -> &'static str {
-        match self {
-            Rank::Registry => "registry",
-            Rank::Coalesce => "coalesce",
-            Rank::FileLock => "file_lock",
-            Rank::CacheShard => "cache_shard",
-            Rank::ConnQueue => "conn_queue",
-        }
-    }
-}
-
 /// Recovers the guard from a possibly poisoned lock result.
 ///
-/// Every value behind the ranked locks is a pure function of its key
+/// Every value behind the workspace's locks is a pure function of its key
 /// (cached artifacts) or simple bookkeeping that stays internally
 /// consistent under panic (routing tables, queues, counters), so
 /// observing the state a panicking thread left behind is
@@ -111,87 +63,75 @@ pub fn unpoisoned<G>(result: Result<G, PoisonError<G>>) -> G {
 
 #[cfg(debug_assertions)]
 mod tracker {
-    use super::Rank;
-    use std::cell::RefCell;
+    use std::cell::Cell;
+    use std::panic::Location;
 
     thread_local! {
-        /// Ranks currently held by this thread, in acquisition order.
-        static HELD: RefCell<Vec<Rank>> = const { RefCell::new(Vec::new()) };
+        /// Where this thread took the lock it holds, if it holds one.
+        static HELD: Cell<Option<&'static Location<'static>>> = const { Cell::new(None) };
     }
 
-    /// RAII token pairing one lock acquisition with its rank. Dropping
-    /// it un-registers the rank, so it must live exactly as long as the
-    /// lock guard it shadows (bind it immediately before the lock
-    /// call).
-    pub struct RankGuard {
-        rank: Rank,
-    }
+    /// RAII token for one held lock. Dropping it empties the thread's
+    /// slot, so it must live exactly as long as the lock guard it shadows
+    /// (bind it immediately before the lock call).
+    pub struct HeldLock(());
 
-    /// Registers the intent to acquire a lock of class `rank`,
-    /// asserting the declared order: `rank` must be >= every rank this
-    /// thread already holds.
+    /// Registers that this thread is about to take a lock, panicking when
+    /// it already holds one: the message names the caller and the call
+    /// site of the lock still held.
     #[track_caller]
-    pub fn rank_guard(rank: Rank) -> RankGuard {
-        // `try_with` so guards created during thread-local teardown
+    pub fn hold_lock() -> HeldLock {
+        let here = Location::caller();
+        // `try_with` so tokens created during thread-local teardown
         // degrade to untracked instead of aborting the process.
         #[expect(
             clippy::let_underscore_must_use,
             reason = "AccessError only during TLS teardown; untracked is the intended fallback"
         )]
         let _ = HELD.try_with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(&max) = held.iter().max() {
-                assert!(
-                    rank >= max,
-                    "lock-order violation: acquiring {:?} (rank {}) while holding \
-                     {:?} (rank {}); declared order is {}",
-                    rank,
-                    rank as u8,
-                    max,
-                    max as u8,
-                    Rank::ALL.map(Rank::class).join(" -> "),
-                );
+            if let Some(outer) = held.get() {
+                #[expect(
+                    clippy::panic,
+                    reason = "debug-only tracker: a nested lock is a deadlock hazard, fail loudly"
+                )]
+                {
+                    panic!(
+                        "nested lock: {here} takes a lock while this thread still holds \
+                         the one taken at {outer}; no lock is taken while another is held"
+                    );
+                }
             }
-            held.push(rank);
+            held.set(Some(here));
         });
-        RankGuard { rank }
+        HeldLock(())
     }
 
-    impl Drop for RankGuard {
+    impl Drop for HeldLock {
         fn drop(&mut self) {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "AccessError only during TLS teardown; untracked is the intended fallback"
             )]
-            let _ = HELD.try_with(|held| {
-                let mut held = held.borrow_mut();
-                // Guards may drop out of acquisition order; release the
-                // most recent entry of this guard's rank.
-                if let Some(i) = held.iter().rposition(|&r| r == self.rank) {
-                    held.remove(i);
-                }
-            });
+            let _ = HELD.try_with(|held| held.set(None));
         }
     }
 }
 
 #[cfg(not(debug_assertions))]
 mod tracker {
-    use super::Rank;
-
     /// Release builds: a zero-sized no-op token.
-    pub struct RankGuard;
+    pub struct HeldLock;
 
     /// Release builds: no tracking, no cost.
     #[inline(always)]
-    pub fn rank_guard(_rank: Rank) -> RankGuard {
-        RankGuard
+    pub fn hold_lock() -> HeldLock {
+        HeldLock
     }
 }
 
-pub use tracker::{rank_guard, RankGuard};
+pub use tracker::{hold_lock, HeldLock};
 
-/// A cross-process advisory file lock, rank [`Rank::FileLock`].
+/// A cross-process advisory file lock, class `file_lock`.
 ///
 /// Thin RAII over std's [`std::fs::File::lock`] (flock semantics on
 /// unix: the lock belongs to the open file description, so two threads
@@ -223,16 +163,17 @@ impl LockFile {
     }
 
     /// Takes the exclusive advisory lock, blocking until granted, and
-    /// registers rank [`Rank::FileLock`] with the runtime tracker for
-    /// the guard's lifetime. The rank is asserted *before* blocking on
+    /// fills this thread's [`hold_lock`] slot with the caller's location
+    /// for the guard's lifetime. The slot is checked *before* blocking on
     /// the OS lock, matching every other call site's
-    /// rank-then-acquire shape.
+    /// token-then-acquire shape.
+    #[track_caller]
     pub fn lock(&self) -> std::io::Result<LockGuard<'_>> {
-        let rank = rank_guard(Rank::FileLock);
+        let held = hold_lock();
         self.file.lock()?;
         Ok(LockGuard {
             file: &self.file,
-            _rank: rank,
+            _held: held,
         })
     }
 }
@@ -240,7 +181,7 @@ impl LockFile {
 /// RAII guard for a held [`LockFile`]; unlocks on drop.
 pub struct LockGuard<'a> {
     file: &'a std::fs::File,
-    _rank: RankGuard,
+    _held: HeldLock,
 }
 
 impl Drop for LockGuard<'_> {
@@ -284,65 +225,75 @@ mod tests {
         assert_eq!(*unpoisoned(m.lock()), 7);
     }
 
+    /// Runs `f`, returning its panic message (`None` when it returns).
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        payload.downcast_ref::<String>().cloned()
+    }
+
+    /// Records the caller's location in `sites`, then takes the token
+    /// there.
+    #[cfg(debug_assertions)]
+    #[track_caller]
+    fn take(sites: &mut Vec<String>) -> HeldLock {
+        sites.push(std::panic::Location::caller().to_string());
+        hold_lock()
+    }
+
+    #[cfg(debug_assertions)]
     #[test]
-    fn ordered_acquisition_is_accepted() {
-        let _guards: Vec<RankGuard> = Rank::ALL.into_iter().map(rank_guard).collect();
+    fn nested_acquisitions_trip_the_tracker_naming_both_call_sites() {
+        let registry = std::sync::Mutex::new(0);
+        let shards = [std::sync::RwLock::new(0), std::sync::RwLock::new(0)];
+        let nests = |case: &dyn Fn(&mut Vec<String>)| {
+            let mut sites = Vec::new();
+            let message = panic_message(|| case(&mut sites)).expect("nested lock must panic");
+            assert!(message.starts_with("nested lock: "), "{message}");
+            assert_eq!(sites.len(), 2);
+            assert_ne!(sites[0], sites[1]);
+            assert!(
+                message.contains(&format!("{} takes a lock", sites[1]))
+                    && message.contains(&format!("the one taken at {}", sites[0])),
+                "the message names both call sites {sites:?}: {message}"
+            );
+            // Unwinding dropped the outer token: the slot is empty again.
+            let _held = hold_lock();
+        };
+        // A lock of another class under a shard.
+        nests(&|sites| {
+            let _held = take(sites);
+            let _shard = unpoisoned(shards[0].read());
+            let _held = take(sites);
+            let _registry = unpoisoned(registry.lock());
+        });
+        // A second shard of the same class under the first.
+        nests(&|sites| {
+            let _held = take(sites);
+            let _first = unpoisoned(shards[0].write());
+            let _held = take(sites);
+            let _second = unpoisoned(shards[1].write());
+        });
     }
 
     #[test]
-    fn equal_ranks_may_nest() {
-        let _a = rank_guard(Rank::Coalesce);
-        let _b = rank_guard(Rank::Coalesce);
-        let _c = rank_guard(Rank::ConnQueue);
-    }
-
-    #[test]
-    fn release_then_lower_rank_is_accepted() {
-        {
-            let _high = rank_guard(Rank::ConnQueue);
+    fn release_then_reacquire_is_accepted() {
+        for _ in 0..2 {
+            let _held = hold_lock();
         }
-        let _low = rank_guard(Rank::Registry);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn out_of_order_drops_release_correctly() {
-        let a = rank_guard(Rank::FileLock);
-        let b = rank_guard(Rank::CacheShard);
-        drop(a); // dropped before `b`: still holding rank 3 only
-        let c = rank_guard(Rank::CacheShard);
-        drop(b);
-        drop(c); // everything released, in neither acquisition order
-        let _d = rank_guard(Rank::Registry);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock-order violation: acquiring Registry (rank 0) while \
-                               holding CacheShard (rank 3); declared order is registry -> \
-                               coalesce -> file_lock -> cache_shard -> conn_queue")]
-    fn inversion_trips_the_tracker() {
-        let _shard = rank_guard(Rank::CacheShard);
-        let _registry = rank_guard(Rank::Registry);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn leaf_rank_inversions_trip_the_tracker() {
-        let _queue = rank_guard(Rank::ConnQueue);
-        let _shard = rank_guard(Rank::CacheShard);
+        let _held = hold_lock();
     }
 
     #[test]
-    fn ranks_are_thread_local() {
-        let _high = rank_guard(Rank::CacheShard);
-        // Another thread holds nothing; low ranks are fine there.
+    fn the_slot_is_per_thread() {
+        let _held = hold_lock();
+        // Another thread holds nothing; it may take a lock while this
+        // thread holds one.
         std::thread::spawn(|| {
-            let _low = rank_guard(Rank::Registry);
+            let _held = hold_lock();
         })
         .join()
-        .expect("spawned thread must not observe this thread's ranks");
+        .expect("spawned thread must not observe this thread's slot");
     }
 
     fn lock_path(name: &str) -> std::path::PathBuf {
@@ -396,55 +347,33 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn file_lock_under_a_store_rank_trips_the_tracker() {
-        let path = lock_path("inversion.lock");
-        let lockfile = LockFile::open(&path).expect("open");
-        let _shard = rank_guard(Rank::CacheShard);
-        let _guard = lockfile.lock();
-    }
-
-    #[test]
-    fn file_lock_then_store_ranks_is_the_declared_order() {
-        let path = lock_path("persist-shape.lock");
-        let lockfile = LockFile::open(&path).expect("open");
-        let _guard = lockfile.lock().expect("lock");
-        // The persist path's shape: memory shards under the file lock.
-        let _shard = rank_guard(Rank::CacheShard);
-    }
-
-    /// The numeric table here and the `[lock_order] order` list in
-    /// `tg-check.toml` are two spellings of one declaration; this test
-    /// fails if they drift.
-    #[test]
-    fn rank_table_matches_tg_check_toml() {
-        let toml = include_str!("../../../tg-check.toml");
-        let mut in_section = false;
-        let mut order: Option<Vec<String>> = None;
-        for line in toml.lines() {
-            let line = line.trim();
-            if line.starts_with('[') {
-                in_section = line == "[lock_order]";
-                continue;
-            }
-            if in_section {
-                if let Some(rest) = line.strip_prefix("order") {
-                    let list = rest
-                        .trim_start()
-                        .strip_prefix('=')
-                        .and_then(|r| r.trim().strip_prefix('['))
-                        .and_then(|r| r.split(']').next())
-                        .expect("order is a string array");
-                    order = Some(
-                        list.split(',')
-                            .map(|s| s.trim().trim_matches('"').to_string())
-                            .collect(),
-                    );
-                }
-            }
+    fn lock_file_under_a_held_lock_trips_the_tracker() {
+        /// Records the caller's location in `sites`, then locks `lockfile`
+        /// there: `LockFile::lock` is `#[track_caller]`, so the tracker
+        /// must name this call's caller, not a line inside tg-sync.
+        #[track_caller]
+        fn lock_at<'a>(
+            lockfile: &'a LockFile,
+            sites: &mut Vec<String>,
+        ) -> std::io::Result<LockGuard<'a>> {
+            sites.push(std::panic::Location::caller().to_string());
+            lockfile.lock()
         }
-        let order = order.expect("tg-check.toml declares [lock_order] order");
-        let classes: Vec<&str> = Rank::ALL.iter().map(|r| r.class()).collect();
-        assert_eq!(order, classes, "tg-check.toml and tg_sync::Rank disagree");
+
+        let path = lock_path("nested.lock");
+        let lockfile = LockFile::open(&path).expect("open");
+        let mut sites = Vec::new();
+        let message = panic_message(|| {
+            let _held = take(&mut sites);
+            let _guard = lock_at(&lockfile, &mut sites);
+        })
+        .expect("a file lock under a held lock must panic");
+        assert!(
+            message.contains(&format!("{} takes a lock", sites[1]))
+                && message.contains(&format!("the one taken at {}", sites[0])),
+            "the message names both call sites {sites:?}: {message}"
+        );
+        // The failed acquisition never reached the OS lock.
+        drop(lockfile.lock().expect("lock after the panic"));
     }
 }

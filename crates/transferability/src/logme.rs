@@ -8,11 +8,11 @@
 //!
 //! # Kernel
 //!
-//! [`log_me`] computes all per-class projections at once as one blocked
-//! GEMM `Z = YᵀU` over the dense one-hot label matrix
-//! (`Matrix::matmul_at_b`), then runs the MacKay fixed point for every
-//! class simultaneously as a struct-of-arrays sweep over
-//! `alpha[]/beta[]/gamma[]`.
+//! [`log_me`] computes all per-class projections at once as the class sums
+//! `Z = YᵀU` for the one-hot label matrix `Y` ([`Labels::class_sums`]: each
+//! row of `U` added onto its class's row, without building `Y`), then runs
+//! the MacKay fixed point for every class simultaneously as a
+//! struct-of-arrays sweep over `alpha[]/beta[]/gamma[]`.
 //!
 //! # Determinism and bit-identity
 //!
@@ -25,12 +25,13 @@
 //! below). The bit-identity argument:
 //!
 //! * every reduction accumulates in ascending sample-row order `r`, as the
-//!   seed's projection loop does — the GEMM blocks only tile the *output*,
-//!   never the reduction;
-//! * the one-hot zero-skip in `matmul_at_b` is bit-neutral for finite
-//!   inputs (the seed's `u · 0.0` terms add `±0.0` to a partial sum that
-//!   started at `+0.0`, which never changes its bits), and non-finite
-//!   features are rejected up front as [`ScoreError::NonFiniteInput`];
+//!   seed's projection loop does;
+//! * the class sums skip the seed's `u · 0.0` terms for rows of other
+//!   classes and add `u` where the seed adds `u · 1.0`; both are
+//!   bit-neutral for finite inputs (a `±0.0` added to a partial sum that
+//!   started at `+0.0` never changes its bits, and `u · 1.0 == u`
+//!   exactly), and non-finite features are rejected up front as
+//!   [`ScoreError::NonFiniteInput`];
 //! * `Σ_r 1.0` over a class (the seed's `‖y‖²`) equals `count as f64`
 //!   exactly for any class size below 2⁵³;
 //! * [`mackay_step`] and [`evidence`] are the seed's fixed-point update and
@@ -52,15 +53,15 @@
 //! * **Gram** — for `n ≫ d` the same quantities come from the `d × d` Gram
 //!   matrix alone: `FᵀF = V Σ² Vᵀ` gives the spectrum, and from
 //!   `U = F V Σ⁻¹` follows `zᵢ = uᵢᵀy = vᵢᵀ(Fᵀy)/σᵢ` — so `Z = P V Σ⁻¹`
-//!   with `P = YᵀF`, an `O(n·d)` one-hot scatter. The two `O(n·d²)` passes
-//!   that materialise `U` (`A·V` plus normalisation) disappear; directions
-//!   with `σ ≈ 0` get `z = 0`, which the evidence treats exactly like the
-//!   SVD path's zeroed `U` columns (mass flows into the residual `r0`, and
-//!   each contributes `ln α` to the log-determinant). The evidence is
-//!   therefore *mathematically identical* for every shape — including
-//!   `n < d`, where the Gram spectrum carries `d − n` exact zeros — and
-//!   agrees with the SVD path to ~1e-6 in floating point (property-tested,
-//!   bench-gated).
+//!   with `P = YᵀF`, the `O(n·d)` class sums of `F`. The two `O(n·d²)`
+//!   passes that materialise `U` (`A·V` plus normalisation) disappear;
+//!   directions with `σ ≈ 0` get `z = 0`, which the evidence treats exactly
+//!   like the SVD path's zeroed `U` columns (mass flows into the residual
+//!   `r0`, and each contributes `ln α` to the log-determinant). The
+//!   evidence is therefore *mathematically identical* for every shape —
+//!   including `n < d`, where the Gram spectrum carries `d − n` exact
+//!   zeros — and agrees with the SVD path to ~1e-6 in floating point
+//!   (property-tested, bench-gated).
 //!
 //! Per-arm decomposition wall-clock is measured here (the module waives
 //! clippy's `disallowed_methods` clock ban for exactly that) and reported
@@ -197,7 +198,7 @@ fn decompose(
         DecompArm::Svd => {
             let svd = thin_svd(features)?;
             let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-            (sigma2, labels.one_hot().matmul_at_b(&svd.u))
+            (sigma2, labels.class_sums(&svd.u))
         }
         DecompArm::Gram => {
             let (evals, v) = symmetric_eigen(&features.gram())?;
@@ -207,7 +208,7 @@ fn decompose(
             // Z = P V Σ⁻¹ with P = YᵀF: each projection zᵢ = vᵢᵀ(Fᵀy)/σᵢ,
             // never materialising U. σ≈0 directions project to exactly 0,
             // matching the SVD path's zeroed U columns.
-            let p = labels.one_hot().matmul_at_b(features);
+            let p = labels.class_sums(features);
             let pv = p.matmul(&v);
             let z = Matrix::from_fn(pv.rows(), pv.cols(), |r, c| {
                 let sigma = sigma2[c].sqrt();
@@ -229,10 +230,9 @@ fn decompose(
 
 /// The LogME kernel: all classes at once.
 ///
-/// One blocked GEMM `Z = YᵀU` over the dense one-hot label matrix replaces
-/// `num_classes` separate projection passes (the kernel's one-hot zero-skip
-/// makes it an `O(n·k)` scatter of `U` rows into per-class `Z` rows), then
-/// the MacKay fixed point runs for every class inside each sweep —
+/// One pass of class sums `Z = YᵀU` (an `O(n·k)` scatter of `U` rows into
+/// per-class `Z` rows) replaces `num_classes` separate projection passes,
+/// then the MacKay fixed point runs for every class inside each sweep —
 /// struct-of-arrays `alpha[]/beta[]/gamma[]` with a `frozen[]` mask
 /// replacing the seed's per-class early `break`.
 ///

@@ -187,14 +187,20 @@ impl<'a> Labels<'a> {
         counts
     }
 
-    /// Dense one-hot matrix (`len × num_classes`), row `r` has a single
-    /// `1.0` in column `labels[r]`.
-    pub fn one_hot(&self) -> Matrix {
-        let mut y = Matrix::zeros(self.labels.len(), self.num_classes);
+    /// Per-class sums of `x`'s rows (`num_classes × x.cols()`): row `c` is
+    /// the sum of the rows labelled `c`, added in ascending row order onto
+    /// `+0.0`. This is `Yᵀ X` for the one-hot label matrix `Y`, bit for
+    /// bit, without building `Y`; a class with no rows sums to zeros.
+    /// `x` must have one row per label.
+    pub fn class_sums(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.rows(), self.labels.len(), "class_sums: one row per label");
+        let mut sums = Matrix::zeros(self.num_classes, x.cols());
         for (r, &l) in self.labels.iter().enumerate() {
-            y.set(r, l, 1.0);
+            for (s, &v) in sums.row_mut(l).iter_mut().zip(x.row(r)) {
+                *s += v;
+            }
         }
-        y
+        sums
     }
 }
 
@@ -484,15 +490,43 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_shape_and_content() {
-        let l = Labels::new(&[2, 0, 1], 3).unwrap();
-        let y = l.one_hot();
-        assert_eq!(y.shape(), (3, 3));
-        for r in 0..3 {
-            for c in 0..3 {
-                let want = if l.as_slice()[r] == c { 1.0 } else { 0.0 };
-                assert_eq!(y.get(r, c), want);
+    fn class_sums_match_a_naive_one_hot_product_bit_for_bit() {
+        // Class 3 is absent, class 1 has a single sample, and the rows
+        // mix signed zeros with values whose sums depend on the order.
+        let labels = [0, 2, 0, 1, 2, 0, 2, 4, 4];
+        let l = Labels::new(&labels, 5).unwrap();
+        let x = Matrix::from_fn(labels.len(), 4, |r, c| match (r + c) % 4 {
+            0 => -0.0,
+            1 => 0.1 * (r as f64 + 1.0),
+            2 => 1e16 / (c as f64 + 1.0) * if r % 2 == 0 { 1.0 } else { -1.0 },
+            _ => 3.0 - r as f64,
+        });
+        // The naive `Yᵀ X`: every entry accumulates y[r][c] · x[r][j] over
+        // all rows in ascending order, zero products included.
+        let naive = Matrix::from_fn(5, 4, |c, j| {
+            let mut s = 0.0;
+            for (r, &label) in labels.iter().enumerate() {
+                let y = if label == c { 1.0 } else { 0.0 };
+                s += y * x.get(r, j);
             }
+            s
+        });
+        let sums = l.class_sums(&x);
+        assert_eq!(sums.shape(), (5, 4));
+        for c in 0..5 {
+            for j in 0..4 {
+                assert_eq!(
+                    sums.get(c, j).to_bits(),
+                    naive.get(c, j).to_bits(),
+                    "bit mismatch at ({c},{j})"
+                );
+            }
+        }
+        // The absent class sums to +0.0; the single-sample class is that
+        // sample's row (its -0.0 summed onto +0.0).
+        for j in 0..4 {
+            assert_eq!(sums.get(3, j).to_bits(), 0);
+            assert_eq!(sums.get(1, j), x.get(3, j));
         }
     }
 

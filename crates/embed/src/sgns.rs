@@ -6,9 +6,13 @@
 //! only two embedding rows per sample, which the tape cannot exploit.
 //!
 //! The loop's output is a contract, bit for bit: batching a pair's dot
-//! products into independent chains must reproduce the one-sample-at-a-time
-//! loop exactly, with the same rng stream and each dot summed in index
-//! order (DESIGN.md §3f, locked by `tests/full_graph_bits.rs`).
+//! products into independent chains, and applying a pair's updates in one
+//! pass over the dimensions, must reproduce the one-sample-at-a-time loop
+//! exactly, with the same rng stream, each dot summed in index order and
+//! each element's updates added in sample order (DESIGN.md §3f, locked by
+//! `tests/full_graph_bits.rs`).
+
+use std::ops::Range;
 
 use tg_linalg::Matrix;
 use tg_rng::{AliasTable, Rng};
@@ -153,8 +157,25 @@ impl SgnsModel {
                                 .map(|_| neg_table.sample(rng))
                                 .filter(|&t| t != context),
                         );
-                        grad_in.fill(0.0);
                         let vi = self.w_in.row(center);
+                        // One run of distinct rows (most default pairs)
+                        // updates in one pass. Any other pair, or a failed
+                        // borrow, takes the per-run loop below.
+                        if targets.len() == CHAINS && run_end(&targets, 0) == CHAINS {
+                            let dots = chain_dots(vi, &self.w_out, &targets);
+                            let g: [f64; CHAINS] = std::array::from_fn(|k| {
+                                let label = if k == 0 { 1.0 } else { 0.0 };
+                                (sigmoid(dots[k]) - label) * lr
+                            });
+                            let rows: [Range<usize>; CHAINS] = std::array::from_fn(|k| {
+                                targets[k] * cfg.dim..(targets[k] + 1) * cfg.dim
+                            });
+                            if let Ok(rows) = self.w_out.as_mut_slice().get_disjoint_mut(rows) {
+                                update_run(self.w_in.row_mut(center), rows, &g);
+                                continue;
+                            }
+                        }
+                        grad_in.fill(0.0);
                         let mut start = 0;
                         while start < targets.len() {
                             let end = run_end(&targets, start);
@@ -186,8 +207,9 @@ impl SgnsModel {
     }
 }
 
-/// Dot products computed together in one pass by [`chain_dots`]. The
-/// default pair (the context and 5 negatives) fills exactly one pass.
+/// Dot products computed together in one pass by [`chain_dots`], and rows
+/// updated together by [`update_run`]. The default pair (the context and 5
+/// negatives) fills exactly one pass.
 const CHAINS: usize = 6;
 
 /// End of the run of samples that starts at `start`: the longest stretch of
@@ -221,6 +243,24 @@ fn chain_dots(x: &[f64], m: &Matrix, run: &[usize]) -> [f64; CHAINS] {
         }
     }
     acc
+}
+
+/// Applies the updates of a pair whose samples are one run of [`CHAINS`]
+/// distinct `rows` (`gs` their scaled gradients, context first) in one pass
+/// over the dimensions. For each `d`, every row's update in sample order
+/// adds its product onto `gi`, which starts at `+0.0` as `grad_in` does,
+/// then the centre takes `gi`: each element gets the same products, added
+/// in the same order, as the per-sample loops give it.
+fn update_run(centre: &mut [f64], mut rows: [&mut [f64]; CHAINS], gs: &[f64; CHAINS]) {
+    for (d, x) in centre.iter_mut().enumerate() {
+        let mut gi = 0.0;
+        for (row, &g) in rows.iter_mut().zip(gs) {
+            let o = row[d];
+            gi += g * o;
+            row[d] = o - g * *x;
+        }
+        *x -= gi;
+    }
 }
 
 /// Trains SGNS over the walks and returns the input-embedding matrix

@@ -15,11 +15,15 @@
 //! The walk learners: Node2Vec, Node2Vec+, the warm-started
 //! [`DynamicEmbedder`] and the SGNS kernel under all three. Any change to
 //! the walk engine or the SGNS loop (its rng stream, its summation order)
-//! shows here. The `train_sgns` corpus repeats nodes, so a pair's negatives
-//! can repeat a row or hit the context; the grid spans `negatives` 0..=8
-//! and dims from 1 to 128. Their expected values were captured before the
-//! SGNS kernel was restructured into independent dot-product chains
-//! (DESIGN.md §3f).
+//! shows here. The first `train_sgns` corpus repeats nodes, so a pair's
+//! negatives can repeat a row or hit the context; its grid spans
+//! `negatives` 0..=8 and dims from 1 to 128. Their expected values were
+//! captured before the SGNS kernel was restructured into independent
+//! dot-product chains (DESIGN.md §3f). The second corpus walks a ring of
+//! 100 nodes, so most pairs' six samples are distinct rows and take the
+//! one-pass update, at dim 128 and at dim 13, which leaves a remainder past
+//! any vector width. Its expected values were captured while every pair
+//! still updated one sample at a time.
 //!
 //! Every expected value is an FNV-1a hash of the raw f64 bit patterns.
 
@@ -140,27 +144,51 @@ fn dynamic_embedder_is_bit_identical() {
     );
 }
 
+/// Walks of `len` steps over a ring of `nodes` nodes, each step moving
+/// -3..=3 places: a corpus where most pairs' samples are distinct rows.
+fn ring_walks(nodes: usize, walks: usize, len: usize) -> Vec<Vec<usize>> {
+    let mut rng = Rng::seed_from_u64(17);
+    (0..walks)
+        .map(|w| {
+            let mut node = w % nodes;
+            (0..len)
+                .map(|_| {
+                    node = (node + nodes + rng.index(7) - 3) % nodes;
+                    node
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn sgns_kernel_is_bit_identical() {
-    let walks = vec![
+    let repeating = vec![
         vec![0, 1, 2, 1, 0, 2],
         vec![2, 1, 0, 0, 1, 2],
         vec![1, 1, 2],
     ];
-    for ((dim, negatives, window), expected) in SGNS_GRID.into_iter().zip(SGNS_HASHES) {
-        let cfg = SgnsConfig {
-            dim,
-            window,
-            negatives,
-            epochs: 2,
-            lr: 0.05,
-        };
-        let emb = train_sgns(&walks, 3, &cfg, &mut Rng::seed_from_u64(5));
-        assert_eq!(
-            bits_hash(&emb),
-            expected,
-            "SGNS drifted at dim {dim}, negatives {negatives}, window {window}"
-        );
+    let ring = ring_walks(RING_NODES, 50, 25);
+    let corpora = [
+        (&repeating, 3, &SGNS_GRID[..], &SGNS_HASHES[..]),
+        (&ring, RING_NODES, &RING_GRID[..], &RING_HASHES[..]),
+    ];
+    for (walks, num_nodes, grid, hashes) in corpora {
+        for (&(dim, negatives, window), &expected) in grid.iter().zip(hashes) {
+            let cfg = SgnsConfig {
+                dim,
+                window,
+                negatives,
+                epochs: 2,
+                lr: 0.05,
+            };
+            let emb = train_sgns(walks, num_nodes, &cfg, &mut Rng::seed_from_u64(5));
+            assert_eq!(
+                bits_hash(&emb),
+                expected,
+                "SGNS drifted on {num_nodes} nodes at dim {dim}, negatives {negatives}, window {window}"
+            );
+        }
     }
 }
 
@@ -186,3 +214,9 @@ const SGNS_HASHES: [u64; 4] = [
     0x613c996bf19d9350,
     0xf7aa567dfc44fb66,
 ];
+
+// Captured from the per-sample update loop; see module docs.
+const RING_NODES: usize = 100;
+/// (dim, negatives, window) of each `train_sgns` lock on the ring corpus.
+const RING_GRID: [(usize, usize, usize); 2] = [(128, 5, 5), (13, 5, 5)];
+const RING_HASHES: [u64; 2] = [0x83562715bed6fe23, 0x6869de3b368332d1];

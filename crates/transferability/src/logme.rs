@@ -174,8 +174,8 @@ fn evidence(
 
 /// The decomposition stage of the kernel: resolves the requested
 /// path, produces the `σ²` spectrum plus the per-class projections
-/// `Z = YᵀU` (`C × k`), and measures its own wall-clock for the per-arm
-/// telemetry.
+/// `Z = YᵀU` (`C × k`), and times the decomposition itself (the thin SVD,
+/// or the Gram product and its eigensolve) for the per-arm telemetry.
 fn decompose(
     features: &Matrix,
     labels: &Labels,
@@ -194,14 +194,16 @@ fn decompose(
         DecompPath::Gram => DecompArm::Gram,
     };
     let start = Instant::now();
-    let (sigma2, z) = match arm {
+    let (sigma2, z, decomp) = match arm {
         DecompArm::Svd => {
             let svd = thin_svd(features)?;
+            let decomp = start.elapsed();
             let sigma2: Vec<f64> = svd.sigma.iter().map(|s| s * s).collect();
-            (sigma2, labels.class_sums(&svd.u))
+            (sigma2, labels.class_sums(&svd.u), decomp)
         }
         DecompArm::Gram => {
             let (evals, v) = symmetric_eigen(&features.gram())?;
+            let decomp = start.elapsed();
             // The Gram eigenvalues *are* σ² (zero-clamped); keeping them
             // avoids the sqrt-then-square round trip of the SVD path.
             let sigma2: Vec<f64> = evals.iter().map(|e| e.max(0.0)).collect();
@@ -218,14 +220,10 @@ fn decompose(
                     0.0
                 }
             });
-            (sigma2, z)
+            (sigma2, z, decomp)
         }
     };
-    let report = LogMeReport {
-        arm,
-        decomp: start.elapsed(),
-    };
-    Ok((sigma2, z, report))
+    Ok((sigma2, z, LogMeReport { arm, decomp }))
 }
 
 /// The LogME kernel: all classes at once.

@@ -295,8 +295,9 @@ impl DecompArm {
 pub struct LogMeReport {
     /// The decomposition arm that ran ([`DecompPath::Auto`] resolved).
     pub arm: DecompArm,
-    /// Wall-clock spent inside the decomposition (spectrum + label
-    /// projections), excluding the evidence fixed point.
+    /// Wall-clock spent inside the decomposition: the thin SVD, or the
+    /// Gram product and its eigensolve. The label projections and the
+    /// evidence fixed point are not counted.
     pub decomp: std::time::Duration,
 }
 

@@ -7,7 +7,8 @@
 //! tg list    [--modality image|text]
 //! ```
 //!
-//! Environment: `TG_SEED`, `TG_SCALE` as for the experiment binaries.
+//! A malformed option exits with status 2 and a message. Environment:
+//! `TG_SEED`, `TG_SCALE` as for the experiment binaries.
 
 #![allow(
     clippy::expect_used,
@@ -41,18 +42,22 @@ fn strategy_by_name(name: &str) -> Strategy {
         "logme" => Strategy::LogMe,
         "nn" => Strategy::HistoryNn,
         "random" => Strategy::Random,
-        other => {
-            eprintln!("unknown strategy `{other}` (expected tg|lr|logme|nn|random)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown strategy `{other}` (expected tg|lr|logme|nn|random)"
+        )),
     }
+}
+
+/// Prints `message` and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
-        eprintln!("usage: tg <rank|explain|budget|list> [options]");
-        std::process::exit(2);
+        usage_error("usage: tg <rank|explain|budget|list> [options]");
     };
     let opts_map = parse_args(&args[1..]);
     let handle = tg_bench::zoo_handle_from_env();
@@ -63,16 +68,19 @@ fn main() {
 
     match command.as_str() {
         "list" => {
-            let want = opts_map.get("modality").map(String::as_str);
+            let want = opts_map.get("modality").map(|m| match m.as_str() {
+                "image" => Modality::Image,
+                "text" => Modality::Text,
+                other => usage_error(&format!("unknown modality `{other}` (expected image|text)")),
+            });
             let mut table = Table::new(vec!["dataset", "modality", "role", "samples", "classes"]);
             for d in &zoo.datasets {
-                let modality = d.modality.to_string();
-                if want.is_some_and(|w| w != modality) {
+                if want.is_some_and(|w| w != d.modality) {
                     continue;
                 }
                 table.row(vec![
                     d.name.clone(),
-                    modality,
+                    d.modality.to_string(),
                     match d.role {
                         DatasetRole::Target => "target".to_string(),
                         DatasetRole::Source => "source".to_string(),
@@ -91,10 +99,11 @@ fn main() {
         "rank" => {
             let dataset = require(&opts_map, "dataset");
             let strategy = strategy_by_name(opts_map.get("strategy").map_or("", String::as_str));
-            let top: usize = opts_map
-                .get("top")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(10);
+            let top = match opts_map.get("top").map(|s| s.parse::<usize>()) {
+                None => 10,
+                Some(Ok(k)) if k > 0 => k,
+                Some(_) => usage_error("--top must be a positive integer"),
+            };
             let target = target_by_name(zoo, &dataset);
             let out = evaluate(wb, &strategy, target, &EvalOptions::default());
             let order = tg_linalg::stats::top_k_indices(&out.predictions, top);
@@ -128,8 +137,9 @@ fn main() {
             let target = target_by_name(zoo, &dataset);
             let Some(imp) = block_importance(wb, &strategy, target, &EvalOptions::default(), 3)
             else {
-                eprintln!("strategy `{name}` has no feature blocks to explain (expected tg|lr)");
-                std::process::exit(2);
+                usage_error(&format!(
+                    "strategy `{name}` has no feature blocks to explain (expected tg|lr)"
+                ));
             };
             let mut table = Table::new(vec!["feature block", "τ drop when permuted"]);
             for b in &imp {
@@ -143,11 +153,20 @@ fn main() {
         }
         "budget" => {
             let dataset = require(&opts_map, "dataset");
-            let hours: f64 = require(&opts_map, "hours").parse().unwrap_or_else(|_| {
-                eprintln!("--hours must be a number");
-                std::process::exit(2);
-            });
+            let hours = match require(&opts_map, "hours").parse::<f64>() {
+                // Against a NaN budget the greedy loop's `spent + cost > budget`
+                // is never true, so it would fine-tune every model.
+                Ok(h) if h.is_finite() && h >= 0.0 => h,
+                _ => usage_error("--hours must be a finite number of hours, 0 or more"),
+            };
             let policy = opts_map.get("policy").map_or("greedy", String::as_str);
+            let halving = match policy {
+                "greedy" => false,
+                "halving" => true,
+                other => usage_error(&format!(
+                    "unknown policy `{other}` (expected greedy|halving)"
+                )),
+            };
             let target = target_by_name(zoo, &dataset);
             let out = evaluate(
                 wb,
@@ -155,9 +174,10 @@ fn main() {
                 target,
                 &EvalOptions::default(),
             );
-            let plan = match policy {
-                "halving" => successive_halving(zoo, &out, FineTuneMethod::Full, hours, 4),
-                _ => greedy_top_k(zoo, &out, FineTuneMethod::Full, hours),
+            let plan = if halving {
+                successive_halving(zoo, &out, FineTuneMethod::Full, hours, 4)
+            } else {
+                greedy_top_k(zoo, &out, FineTuneMethod::Full, hours)
             };
             println!(
                 "{policy} plan for `{dataset}` with {hours:.1} h: tried {} models, spent {:.2} h",
@@ -172,10 +192,9 @@ fn main() {
                 None => println!("budget too small to finish any model"),
             }
         }
-        other => {
-            eprintln!("unknown command `{other}` (expected rank|explain|budget|list)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown command `{other}` (expected rank|explain|budget|list)"
+        )),
     }
 
     tg_bench::persist_artifacts(wb);
@@ -186,23 +205,16 @@ fn main() {
 fn target_by_name(zoo: &ModelZoo, name: &str) -> DatasetId {
     match zoo.find_dataset(name) {
         Some(d) if zoo.dataset(d).role == DatasetRole::Target => d,
-        Some(_) => {
-            eprintln!("dataset `{name}` is a source, not a target (see `tg list`)");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("unknown dataset `{name}` (see `tg list`)");
-            std::process::exit(2);
-        }
+        Some(_) => usage_error(&format!(
+            "dataset `{name}` is a source, not a target (see `tg list`)"
+        )),
+        None => usage_error(&format!("unknown dataset `{name}` (see `tg list`)")),
     }
 }
 
 fn require(map: &HashMap<String, String>, key: &str) -> String {
     match map.get(key) {
         Some(v) if !v.is_empty() => v.clone(),
-        _ => {
-            eprintln!("missing required option --{key}");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("missing required option --{key}")),
     }
 }

@@ -1,5 +1,5 @@
-//! The `tg` CLI turns a bad `--dataset` or `--strategy` into a message and
-//! exit status 2 instead of a panic.
+//! The `tg` CLI turns a bad `--dataset`, `--strategy` or other option into a
+//! message and exit status 2, instead of a panic or a substituted value.
 
 #![allow(
     clippy::expect_used,
@@ -66,5 +66,42 @@ fn bad_strategies_exit_2_with_a_message() {
         assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
         assert!(stderr.contains(&message), "{command:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_options_exit_2_before_any_output() {
+    let rank = |top| vec!["rank", "--dataset", "stanfordcars", "--top", top];
+    let budget = |hours| vec!["budget", "--dataset", "stanfordcars", "--hours", hours];
+    let mut cases = vec![
+        (
+            vec!["list", "--modality", "bogus"],
+            "unknown modality `bogus`",
+        ),
+        (
+            vec![
+                "budget",
+                "--dataset",
+                "stanfordcars",
+                "--hours",
+                "1",
+                "--policy",
+                "bogus",
+            ],
+            "unknown policy `bogus`",
+        ),
+    ];
+    for top in ["abc", "0", "-1", ""] {
+        cases.push((rank(top), "--top must be a positive integer"));
+    }
+    for hours in ["nan", "-3", "inf", "abc"] {
+        cases.push((budget(hours), "--hours must be a finite number"));
+    }
+    for (command, message) in cases {
+        let out = tg(&command);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(stderr.contains(message), "{command:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command:?} printed a result");
     }
 }

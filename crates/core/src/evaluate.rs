@@ -9,8 +9,8 @@ use crate::format::key_hash;
 use crate::metrics::{pearson, spearman, top_k_accuracy};
 use crate::pipeline::learn_loo_graph;
 use crate::strategy::Strategy;
-use std::ops::Range;
 use tg_linalg::Matrix;
+use tg_predict::{Regressor, RegressorKind};
 use tg_rng::{splitmix64, Rng};
 use tg_zoo::{DatasetId, DatasetRole, ModelId};
 
@@ -37,13 +37,25 @@ pub struct EvalOutcome {
     pub top5_accuracy: f64,
 }
 
+/// A strategy fitted to one leave-one-out target: what prediction needs.
+pub(crate) enum Fit {
+    /// The finished scores of a strategy without a feature matrix (Random,
+    /// LogME, history NN).
+    Scores(Vec<f64>),
+    /// A learned strategy's trained regressor and its prediction matrix,
+    /// one row per model.
+    Regressor {
+        model: Box<dyn Regressor>,
+        x: Matrix,
+    },
+}
+
 /// Derives the deterministic per-(strategy, target, seed) evaluation RNG.
 ///
 /// The stream depends only on `(seed, target, label)`, never on execution
 /// order — which is what lets the parallel runner ([`crate::runner`])
 /// schedule evaluations in any order and still reproduce sequential
-/// results bit-for-bit, and a permuted re-run ([`predict`]) fit exactly the
-/// same model as its baseline. The label is mixed in by its FNV-1a hash.
+/// results bit-for-bit. The label is mixed in by its FNV-1a hash.
 pub(crate) fn eval_rng(seed: u64, target: DatasetId, label: &str) -> Rng {
     let mut st = seed ^ (target.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut st = splitmix64(&mut st) ^ key_hash(label.as_bytes());
@@ -60,24 +72,12 @@ pub fn evaluate(
     target: DatasetId,
     opts: &EvalOptions,
 ) -> EvalOutcome {
-    strategy.validate();
-    let zoo = wb.zoo();
-    let target_info = zoo.dataset(target);
-    assert_eq!(
-        target_info.role,
-        DatasetRole::Target,
-        "evaluate: {} is not a target dataset",
-        target_info.name
-    );
-    let modality = target_info.modality;
-    let models = zoo.models_of(modality);
-    let ground_truth: Vec<f64> = models
-        .iter()
-        .map(|&m| zoo.fine_tune(m, target, opts.eval_method))
-        .collect();
-
-    let predictions = predict(wb, strategy, target, &models, opts, None);
-
+    let (models, fit) = fit(wb, strategy, target, opts);
+    let predictions = match fit {
+        Fit::Scores(scores) => scores,
+        Fit::Regressor { model, x } => wb.telemetry().time(Stage::Regression, || model.predict(&x)),
+    };
+    let ground_truth = ground_truth(wb, target, &models, opts);
     let top5 = top_k_accuracy(&predictions, &ground_truth, 5);
     EvalOutcome {
         dataset: target,
@@ -91,69 +91,79 @@ pub fn evaluate(
     }
 }
 
-/// The strategy's predicted score for each of `models` (the target
-/// modality's models, in [`EvalOutcome::models`] order), with stage timers.
-///
-/// `permute` is the permutation-importance hook ([`crate::explain`]): a
-/// learned strategy shuffles that column block of its prediction matrix
-/// across models, with one row permutation drawn from the given rng, before
-/// predicting. The fitted model is the baseline's, because the evaluation
-/// rng is. Strategies without a feature matrix ignore it.
-pub(crate) fn predict(
+/// Fits `strategy` to `target`, with stage timers, and returns the target
+/// modality's models (in [`EvalOutcome::models`] order) with the fit.
+pub(crate) fn fit(
     wb: &Workbench,
     strategy: &Strategy,
     target: DatasetId,
-    models: &[ModelId],
     opts: &EvalOptions,
-    permute: Option<(&Range<usize>, &mut Rng)>,
-) -> Vec<f64> {
+) -> (Vec<ModelId>, Fit) {
+    strategy.validate();
+    let zoo = wb.zoo();
+    let target_info = zoo.dataset(target);
+    assert_eq!(
+        target_info.role,
+        DatasetRole::Target,
+        "evaluate: {} is not a target dataset",
+        target_info.name
+    );
+    let models = zoo.models_of(target_info.modality);
     let mut rng = eval_rng(opts.seed, target, &strategy.label());
-    match strategy {
-        Strategy::Random => models.iter().map(|_| rng.uniform()).collect(),
-        Strategy::LogMe => models.iter().map(|&m| wb.logme(m, target)).collect(),
+    let fit = match strategy {
+        Strategy::Random => Fit::Scores(models.iter().map(|_| rng.uniform()).collect()),
+        Strategy::LogMe => Fit::Scores(models.iter().map(|&m| wb.logme(m, target)).collect()),
         Strategy::HistoryNn => {
             let history = training_history(wb, target, opts);
-            history_nn_predictions(wb, &history, models, target, opts)
+            Fit::Scores(history_nn_predictions(wb, &history, &models, target, opts))
         }
         Strategy::Learned {
             regressor,
             features,
+        }
+        | Strategy::TransferGraph {
+            regressor,
+            features,
+            ..
         } => {
             let history = training_history(wb, target, opts);
+            let loo = match strategy {
+                Strategy::TransferGraph { learner, .. } => {
+                    Some(wb.telemetry().time(Stage::GraphLearning, || {
+                        learn_loo_graph(wb, target, &history, *learner, opts, &mut rng)
+                    }))
+                }
+                _ => None,
+            };
+            let embeddings = loo.as_ref().map(|l| &l.embeddings);
+            let pair = |m, d| {
+                let (mn, dn) = match &loo {
+                    Some(l) => (l.model_node(m), l.dataset_node(d)),
+                    None => (None, None),
+                };
+                pair_features(wb, m, d, *features, opts.representation, embeddings, mn, dn)
+            };
             // Training rows: fine-tune records on non-target targets.
             let rows = regression_rows(wb, &history);
             wb.telemetry().time(Stage::Regression, || {
-                fit_and_predict(
-                    wb, *regressor, *features, opts, &rows, models, target, None, &mut rng, permute,
-                )
+                fit_regressor(*regressor, &rows, &models, target, pair, &mut rng)
             })
         }
-        Strategy::TransferGraph {
-            regressor,
-            learner,
-            features,
-        } => {
-            let history = training_history(wb, target, opts);
-            let loo = wb.telemetry().time(Stage::GraphLearning, || {
-                learn_loo_graph(wb, target, &history, *learner, opts, &mut rng)
-            });
-            let rows = regression_rows(wb, &history);
-            wb.telemetry().time(Stage::Regression, || {
-                fit_and_predict(
-                    wb,
-                    *regressor,
-                    *features,
-                    opts,
-                    &rows,
-                    models,
-                    target,
-                    Some(&loo),
-                    &mut rng,
-                    permute,
-                )
-            })
-        }
-    }
+    };
+    (models, fit)
+}
+
+/// Ground-truth fine-tune accuracy of each of `models` on `target`.
+pub(crate) fn ground_truth(
+    wb: &Workbench,
+    target: DatasetId,
+    models: &[ModelId],
+    opts: &EvalOptions,
+) -> Vec<f64> {
+    models
+        .iter()
+        .map(|&m| wb.zoo().fine_tune(m, target, opts.eval_method))
+        .collect()
 }
 
 /// Similarity-weighted nearest-neighbour scores: for each model, average
@@ -239,93 +249,69 @@ fn regression_rows(
         .collect()
 }
 
-/// Fits `regressor` on the training `rows` and predicts every model against
-/// the target; `permute_block` shuffles one column block of the prediction
-/// matrix across models first (see [`predict`]).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "threads the LOO pipeline state one stage deeper; a params struct would only rename it"
-)]
-fn fit_and_predict(
-    wb: &Workbench,
-    regressor: tg_predict::RegressorKind,
-    features: crate::config::FeatureSet,
-    opts: &EvalOptions,
+/// Fits `regressor` on the training `rows` and builds its prediction
+/// matrix: every model against the target, one `pair` feature row each.
+fn fit_regressor(
+    regressor: RegressorKind,
     rows: &[(ModelId, DatasetId, f64)],
     models: &[ModelId],
     target: DatasetId,
-    loo: Option<&crate::pipeline::LooGraph>,
+    pair: impl Fn(ModelId, DatasetId) -> Vec<f64>,
     rng: &mut Rng,
-    permute_block: Option<(&Range<usize>, &mut Rng)>,
-) -> Vec<f64> {
-    assert!(!rows.is_empty(), "fit_and_predict: empty training history");
-    let emb = loo.map(|l| &l.embeddings);
-    let nodes = |m: ModelId, d: DatasetId| match loo {
-        Some(l) => (l.model_node(m), l.dataset_node(d)),
-        None => (None, None),
-    };
-    // Training matrix.
-    let mut x_rows: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    let mut y: Vec<f64> = Vec::with_capacity(rows.len());
-    for &(m, d, acc) in rows {
-        let (mn, dn) = nodes(m, d);
-        x_rows.push(pair_features(
-            wb,
-            m,
-            d,
-            features,
-            opts.representation,
-            emb,
-            mn,
-            dn,
-        ));
-        y.push(acc);
-    }
+) -> Fit {
+    assert!(!rows.is_empty(), "fit_regressor: empty training history");
+    let x_rows: Vec<Vec<f64>> = rows.iter().map(|&(m, d, _)| pair(m, d)).collect();
+    let y: Vec<f64> = rows.iter().map(|&(_, _, acc)| acc).collect();
     let width = x_rows[0].len();
     let x = Matrix::from_fn(x_rows.len(), width, |r, c| x_rows[r][c]);
-
     let mut model = regressor.build();
     model.fit(&x, &y, rng);
 
-    // Prediction matrix: every model against the target.
-    let mut p_rows: Vec<Vec<f64>> = Vec::with_capacity(models.len());
-    for &m in models {
-        let (mn, dn) = nodes(m, target);
-        p_rows.push(pair_features(
-            wb,
-            m,
-            target,
-            features,
-            opts.representation,
-            emb,
-            mn,
-            dn,
-        ));
-    }
-    let mut px = Matrix::from_fn(p_rows.len(), width, |r, c| p_rows[r][c]);
-    if let Some((range, prng)) = permute_block {
-        assert!(range.end <= width, "permute_block: range out of bounds");
-        let mut perm: Vec<usize> = (0..px.rows()).collect();
-        prng.shuffle(&mut perm);
-        let orig = px.clone();
-        for r in 0..px.rows() {
-            for c in range.clone() {
-                px.set(r, c, orig.get(perm[r], c));
-            }
-        }
-    }
-    model.predict(&px)
+    let p_rows: Vec<Vec<f64>> = models.iter().map(|&m| pair(m, target)).collect();
+    let x = Matrix::from_fn(p_rows.len(), width, |r, c| p_rows[r][c]);
+    Fit::Regressor { model, x }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FeatureSet;
-    use tg_predict::RegressorKind;
     use tg_zoo::{Modality, ModelZoo, ZooConfig};
 
     fn setup() -> ModelZoo {
         ModelZoo::build(&ZooConfig::small(11))
+    }
+
+    #[test]
+    fn eval_rng_stream_is_locked() {
+        // Every Random score and every learned fit draws from this stream,
+        // so a change to how it is derived (the label hash, the mixing)
+        // reseeds every result while each seed-agnostic test still passes.
+        let seed = EvalOptions::default().seed;
+        for (label, expected) in [
+            (
+                "Random",
+                [
+                    0xc39a_b33e_0c5b_e048,
+                    0x3a17_aec4_3dfc_4f64,
+                    0x0924_078f_02ee_66bc,
+                    0x7548_1232_d538_bd28,
+                ],
+            ),
+            (
+                "TG:XGB,N2V+,all",
+                [
+                    0x75d8_16de_9043_2bd5,
+                    0xe111_8738_e0e8_6f86,
+                    0xb707_fade_a2e7_7614,
+                    0x1077_4edd_c547_4c67,
+                ],
+            ),
+        ] {
+            let mut rng = eval_rng(seed, DatasetId(7), label);
+            let draws: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+            assert_eq!(draws, expected, "{label}");
+        }
     }
 
     #[test]
@@ -417,35 +403,6 @@ mod tests {
         let stats = wb.stats();
         assert!(stats.stage(Stage::GraphLearning) > std::time::Duration::ZERO);
         assert!(stats.stage(Stage::Regression) > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn permuting_an_empty_block_reproduces_evaluate_bit_for_bit() {
-        let zoo = setup();
-        let wb = Workbench::new(&zoo);
-        let target = zoo.targets_of(Modality::Image)[2];
-        let opts = EvalOptions {
-            embed_dim: 16,
-            ..Default::default()
-        };
-        let tg = Strategy::TransferGraph {
-            regressor: RegressorKind::Linear,
-            learner: tg_embed::LearnerKind::Node2Vec,
-            features: FeatureSet::All,
-        };
-        for strategy in [Strategy::lr_baseline(), tg] {
-            let base = evaluate(&wb, &strategy, target, &opts);
-            let mut perm_rng = Rng::seed_from_u64(3);
-            let empty = Some((&(4..4), &mut perm_rng));
-            let permuted = predict(&wb, &strategy, target, &base.models, &opts, empty);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&permuted),
-                bits(&base.predictions),
-                "{}",
-                strategy.label()
-            );
-        }
     }
 
     #[test]

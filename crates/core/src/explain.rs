@@ -3,8 +3,8 @@
 //! this module provides the standard tool: **permutation importance** at the
 //! feature-block level.
 //!
-//! For a fitted (strategy, target) evaluation we shuffle one block of the
-//! prediction-time features at a time (family one-hot, scalar metadata,
+//! We fit a (strategy, target) evaluation once, then shuffle one block of
+//! its prediction matrix at a time (family one-hot, scalar metadata,
 //! similarity, LogME, model embedding, dataset embedding) and measure how
 //! much the Pearson correlation with the ground truth drops. Blocks whose
 //! permutation destroys the correlation are the ones the recommendation
@@ -12,10 +12,12 @@
 
 use crate::artifacts::Workbench;
 use crate::config::{EvalOptions, FeatureSet};
-use crate::evaluate::evaluate;
+use crate::evaluate::{fit, ground_truth, Fit};
 use crate::features::{feature_width, FAMILY_SLOTS};
 use crate::strategy::Strategy;
+use std::ops::Range;
 use tg_linalg::stats::pearson;
+use tg_linalg::Matrix;
 use tg_rng::Rng;
 use tg_zoo::DatasetId;
 
@@ -31,7 +33,7 @@ pub struct BlockImportance {
 
 /// Named column ranges of the feature layout produced by
 /// [`crate::features::pair_features`] for a given feature set.
-pub fn feature_blocks(set: FeatureSet, embed_dim: usize) -> Vec<(String, std::ops::Range<usize>)> {
+pub fn feature_blocks(set: FeatureSet, embed_dim: usize) -> Vec<(String, Range<usize>)> {
     let mut blocks = Vec::new();
     let mut at = 0;
     if set.has_metadata() {
@@ -62,9 +64,9 @@ pub fn feature_blocks(set: FeatureSet, embed_dim: usize) -> Vec<(String, std::op
 /// one target, averaged over `repeats` shuffles; `None` for a strategy that
 /// has no feature blocks (LogME, history NN, random).
 ///
-/// Works by re-running the full evaluation with a *feature-permuting* hook:
-/// because the pipeline is deterministic in `opts.seed`, the baseline and
-/// permuted runs share everything except the shuffled block.
+/// Fits the strategy once, as [`crate::evaluate::evaluate`] does, and
+/// predicts again from copies of that fit's prediction matrix with one
+/// block shuffled across models.
 pub fn block_importance(
     wb: &Workbench,
     strategy: &Strategy,
@@ -76,30 +78,21 @@ pub fn block_importance(
         Strategy::Learned { features, .. } | Strategy::TransferGraph { features, .. } => *features,
         _ => return None,
     };
-    let baseline = evaluate(wb, strategy, target, opts);
-    let base_tau = baseline.pearson.unwrap_or(0.0);
-    let truth = &baseline.ground_truth;
+    let (models, Fit::Regressor { model, x }) = fit(wb, strategy, target, opts) else {
+        return None;
+    };
+    let truth = ground_truth(wb, target, &models, opts);
+    let base_tau = pearson(&truth, &model.predict(&x)).unwrap_or(0.0);
 
-    let blocks = feature_blocks(set, opts.embed_dim);
-    // Standard permutation importance, applied at prediction time: the
-    // fitted model is identical to the baseline (same seeds), but one block
-    // of the prediction matrix is shuffled across models before predicting.
     // τ(base) − mean τ(permuted) measures how much the ranking depends on
-    // that block.
+    // each block.
     let mut out = Vec::new();
     let mut rng = Rng::seed_from_u64(opts.seed ^ 0xB10C);
-    for (name, range) in blocks {
+    for (name, range) in feature_blocks(set, opts.embed_dim) {
         let mut taus = Vec::with_capacity(repeats);
         for _ in 0..repeats.max(1) {
-            let permuted = crate::evaluate::predict(
-                wb,
-                strategy,
-                target,
-                &baseline.models,
-                opts,
-                Some((&range, &mut rng)),
-            );
-            taus.push(pearson(truth, &permuted).unwrap_or(0.0));
+            let permuted = model.predict(&permute_block(&x, &range, &mut rng));
+            taus.push(pearson(&truth, &permuted).unwrap_or(0.0));
         }
         out.push(BlockImportance {
             block: name,
@@ -108,6 +101,19 @@ pub fn block_importance(
     }
     out.sort_by(|a, b| b.tau_drop.total_cmp(&a.tau_drop));
     Some(out)
+}
+
+/// A copy of `x` whose `block` columns are shuffled across rows by one
+/// permutation drawn from `rng`.
+fn permute_block(x: &Matrix, block: &Range<usize>, rng: &mut Rng) -> Matrix {
+    assert!(block.end <= x.cols(), "permute_block: block out of bounds");
+    let mut perm: Vec<usize> = (0..x.rows()).collect();
+    rng.shuffle(&mut perm);
+    let mut px = x.clone();
+    for (r, &from) in perm.iter().enumerate() {
+        px.row_mut(r)[block.clone()].copy_from_slice(&x.row(from)[block.clone()]);
+    }
+    px
 }
 
 #[cfg(test)]
@@ -136,7 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn importance_finds_the_logme_block_matters() {
+    fn importance_bits_are_locked() {
+        // Captured while every shuffle still refitted the whole pipeline:
+        // one fit must give the same bits, in the same block order.
         let zoo = ModelZoo::build(&ZooConfig::small(33));
         let wb = Workbench::new(&zoo);
         let target = zoo.targets_of(Modality::Image)[0];
@@ -144,11 +152,69 @@ mod tests {
             embed_dim: 16,
             ..Default::default()
         };
-        let imp = block_importance(&wb, &Strategy::lr_all_logme(), target, &opts, 2).unwrap();
-        assert_eq!(imp.len(), 4);
-        // Every block has a finite importance; at least one is positive.
-        assert!(imp.iter().all(|b| b.tau_drop.is_finite()));
-        assert!(imp.iter().any(|b| b.tau_drop > 0.0));
+        let tg = Strategy::TransferGraph {
+            regressor: tg_predict::RegressorKind::Linear,
+            learner: tg_embed::LearnerKind::Node2Vec,
+            features: FeatureSet::All,
+        };
+        for (strategy, expected) in [
+            (
+                Strategy::lr_all_logme(),
+                vec![
+                    ("architecture one-hot", 0x3fd9_3cbb_1d0f_e054),
+                    ("dataset similarity φ", 0x3fd6_5b05_77e8_6587),
+                    ("LogME score", 0xbf35_79a4_0447_7800),
+                    ("model/dataset scalars", 0xbf9a_7552_d074_d1a0),
+                ],
+            ),
+            (
+                tg,
+                vec![
+                    ("dataset similarity φ", 0x3fd2_fafe_26d4_9c99),
+                    ("model/dataset scalars", 0x3fc9_c834_e0b0_4ed6),
+                    ("model embedding", 0x3fc3_ca5e_ae66_fc26),
+                    ("architecture one-hot", 0x3fb7_994c_53ec_06d8),
+                    ("dataset embedding", 0x0000_0000_0000_0000),
+                ],
+            ),
+        ] {
+            let imp = block_importance(&wb, &strategy, target, &opts, 2).unwrap();
+            let bits: Vec<(&str, u64)> = imp
+                .iter()
+                .map(|b| (b.block.as_str(), b.tau_drop.to_bits()))
+                .collect();
+            assert_eq!(bits, expected, "{}", strategy.label());
+        }
+    }
+
+    #[test]
+    fn permuting_an_empty_block_reproduces_evaluate_bit_for_bit() {
+        let zoo = ModelZoo::build(&ZooConfig::small(11));
+        let wb = Workbench::new(&zoo);
+        let target = zoo.targets_of(Modality::Image)[2];
+        let opts = EvalOptions {
+            embed_dim: 16,
+            ..Default::default()
+        };
+        let tg = Strategy::TransferGraph {
+            regressor: tg_predict::RegressorKind::Linear,
+            learner: tg_embed::LearnerKind::Node2Vec,
+            features: FeatureSet::All,
+        };
+        for strategy in [Strategy::lr_baseline(), tg] {
+            let base = crate::evaluate::evaluate(&wb, &strategy, target, &opts);
+            let (_, Fit::Regressor { model, x }) = fit(&wb, &strategy, target, &opts) else {
+                panic!("{} has no prediction matrix", strategy.label());
+            };
+            let empty = permute_block(&x, &(4..4), &mut Rng::seed_from_u64(3));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&model.predict(&empty)),
+                bits(&base.predictions),
+                "{}",
+                strategy.label()
+            );
+        }
     }
 
     #[test]
